@@ -30,7 +30,7 @@ from .identifier import (Prediction, generate_guidance, identify,
 from .knowledge import KnowledgeRecord, KnowledgeStore, ingest, load_store, save_store
 from .metrics import ScoredLabel, build_report, pr_curve, repeated_mean
 from .reasoner import ReasonerConfig, generate_reasoning_graph
-from .retrieval import PruneCache, retrieve_relevant
+from .retrieval import PruneCache, count_graphs, retrieve_relevant
 from .tools import ToolKit, make_toolkit
 
 PREDICTIONS_KIND = "predictions"
@@ -232,10 +232,11 @@ def stage_retrieve(cfg: PipelineConfig,
             raise ConfigError(f"unknown target ids: {missing}")
         targets = [by_id[t] for t in target_ids]
     toolkit = _build_toolkit(cfg)
+    graphs = count_graphs(graph_store.load_all())
     cache = PruneCache()
     results = []
     for target in targets:
-        kept = retrieve_relevant(graph_store, target, cfg.theta_sim,
+        kept = retrieve_relevant(graphs, target, cfg.theta_sim,
                                  walks=cfg.walks, seed=cfg.seed,
                                  toolkit=toolkit, cache=cache)
         results.append({
@@ -258,12 +259,13 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
     targets = _db_targets(cfg)
     llm = _build_gateway(cfg)
     toolkit = _build_toolkit(cfg)
+    graphs = count_graphs(graph_store.load_all())
     cache = PruneCache()
     preds: list[Prediction] = []
     for run in range(cfg.runs):
         run_seed = cfg.seed + run
         for target in targets:
-            kept = retrieve_relevant(graph_store, target, cfg.theta_sim,
+            kept = retrieve_relevant(graphs, target, cfg.theta_sim,
                                      walks=cfg.walks, seed=run_seed,
                                      toolkit=toolkit, cache=cache)
             guide = generate_guidance(kept, target, llm)
@@ -561,7 +563,7 @@ def va():
               help="Store output path; defaults to va.path from the config.")
 @_cli_errors
 def cmd_va_ingest(config_path, as_json, records_path, out_path):
-    """Index golden-knowledge records into the awareness store."""
+    """Check golden-knowledge records and write them as the awareness store."""
     cfg = _resolve_config(config_path, {})
     out_path = out_path or cfg.va.path
     if not out_path:

@@ -14,12 +14,13 @@ import math
 import re
 import time
 import urllib.request
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from html.parser import HTMLParser
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyCorpus, InvalidCweId, MalformedPage
-from .textindex import build_index, similarity
+from .textindex import build_index, similarity, term_counts
 
 KIND_SCR = "SCR"
 KIND_CODE = "CODE"
@@ -301,7 +302,7 @@ def parse_issue_page(page: RawIssuePage) -> CanonicalIR:
     return ir
 
 
-def _pairwise_payload_similarity(a: str, b: str) -> float:
+def _pairwise_payload_similarity(a: Counter[str], b: Counter[str]) -> float:
     # two-document index per comparison keeps the merge decision independent
     # of what else is in the record, which makes the operation idempotent
     idx = build_index([a, b])
@@ -318,18 +319,21 @@ def merge_similar_elements(ir: CanonicalIR, threshold: float = MERGE_THRESHOLD) 
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     survivors: list[RichTextElement] = []
+    survivor_counts: list[Counter[str]] = []
     rewrite: dict[str, str] = {}
     for el in ir.rich_text:
+        el_counts = term_counts(el.payload)
         merged = False
-        for kept in survivors:
+        for kept, kept_counts in zip(survivors, survivor_counts):
             if kept.kind != el.kind:
                 continue
-            if _pairwise_payload_similarity(kept.payload, el.payload) >= threshold:
+            if _pairwise_payload_similarity(kept_counts, el_counts) >= threshold:
                 rewrite[el.tag] = kept.tag
                 merged = True
                 break
         if not merged:
             survivors.append(el)
+            survivor_counts.append(el_counts)
 
     content = ir.content
     for old, new in rewrite.items():

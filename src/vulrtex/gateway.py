@@ -16,7 +16,7 @@ import time
 import urllib.error
 import urllib.request
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import (
@@ -35,7 +35,7 @@ DEFAULT_TEMPERATURE = 0.3
 class LlmRequest:
     system_prompt: str
     user_prompt: str
-    temperature: float = DEFAULT_TEMPERATURE
+    temperature: float | None = None  # None: the gateway's configured temperature
     max_tokens: int = 512
     want_logprobs: bool = False
     seed: int | None = None
@@ -131,9 +131,10 @@ class HttpBackend:
                 {"role": "system", "content": req.system_prompt},
                 {"role": "user", "content": req.user_prompt},
             ],
-            "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
+        if req.temperature is not None:
+            payload["temperature"] = req.temperature
         if req.want_logprobs:
             payload["logprobs"] = True
             payload["top_logprobs"] = 20
@@ -192,8 +193,10 @@ class Gateway:
     """Retrying, concurrency-limited front over one backend."""
 
     def __init__(self, backend, max_retries: int = 3, deadline_seconds: float = 120.0,
-                 concurrency_limit: int = 4, backoff_base: float = 0.5):
+                 concurrency_limit: int = 4, backoff_base: float = 0.5,
+                 temperature: float = DEFAULT_TEMPERATURE):
         self.backend = backend
+        self.temperature = temperature
         self.max_retries = max_retries
         self.deadline_seconds = deadline_seconds
         self.backoff_base = backoff_base
@@ -201,6 +204,8 @@ class Gateway:
         self.calls = 0
 
     def complete(self, req: LlmRequest) -> LlmResponse:
+        if req.temperature is None:
+            req = replace(req, temperature=self.temperature)
         start = time.monotonic()
         last_error: Exception | None = None
         with self._sem:
@@ -229,7 +234,8 @@ def make_gateway(cfg: GatewayConfig) -> Gateway:
         raise BackendRejected(f"unknown backend {cfg.backend!r}")
     return Gateway(backend, max_retries=cfg.max_retries,
                    deadline_seconds=cfg.deadline_seconds,
-                   concurrency_limit=cfg.concurrency_limit)
+                   concurrency_limit=cfg.concurrency_limit,
+                   temperature=cfg.temperature)
 
 
 _YES = "yes"

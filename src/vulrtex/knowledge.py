@@ -8,11 +8,12 @@ threshold: only records scoring above theta_sim come back.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DuplicateKey
-from .textindex import TfIdfIndex, build_index, similarity
+from .textindex import cosine, index_from_doc_freq, term_counts
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,11 @@ class KnowledgeRecord:
 
 
 class KnowledgeStore:
-    """Immutable after ingest; retrieval is a pure function of the store."""
+    """Immutable after ingest; retrieval is a pure function of the store.
+
+    Each record's text is counted once, here, together with the document
+    frequencies over all records.
+    """
 
     def __init__(self, records: list[KnowledgeRecord]):
         seen: set[tuple[str, str]] = set()
@@ -46,11 +51,27 @@ class KnowledgeStore:
                 raise DuplicateKey(f"duplicate knowledge record {rec.source}/{rec.key}")
             seen.add(pair)
         self.records: tuple[KnowledgeRecord, ...] = tuple(records)
-        self.index: TfIdfIndex | None = (
-            build_index([r.text for r in self.records]) if self.records else None)
+        self.record_counts = tuple(term_counts(r.text) for r in self.records)
+        self.doc_freq: Counter[str] = Counter()
+        for counts in self.record_counts:
+            self.doc_freq.update(counts.keys())
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def similarities(self, text: str) -> list[float]:
+        """Similarity of each record to `text`, in record order.
+
+        The index spans the stored texts plus `text`, so its own terms still
+        contribute: the store's document frequencies plus one for each of
+        its terms, over one more document.
+        """
+        query = term_counts(text)
+        doc_freq = self.doc_freq.copy()
+        doc_freq.update(query.keys())
+        index = index_from_doc_freq(doc_freq, len(self.records) + 1)
+        query_vec = index.vectorize(query)
+        return [cosine(query_vec, index.vectorize(counts)) for counts in self.record_counts]
 
 
 def ingest(records: list[KnowledgeRecord]) -> KnowledgeStore:
@@ -62,16 +83,16 @@ def retrieve_golden(store: KnowledgeStore, path_text: str,
     """Records whose text scores strictly above theta_sim against path_text.
 
     Similarities are computed over an index spanning the stored texts plus
-    the query, so query-only terms still contribute. Results are sorted by
-    similarity descending, ties broken by key.
+    the query (KnowledgeStore.similarities), so query-only terms still
+    contribute. Results are sorted by similarity descending, ties broken by
+    key.
     """
     if not 0.0 <= theta_sim <= 1.0:
         raise ValueError("theta_sim must be in [0, 1]")
     if not store.records:
         return []
-    idx = build_index([r.text for r in store.records] + [path_text])
-    scored = [(similarity(idx, path_text, r.text), r) for r in store.records]
-    kept = [(s, r) for s, r in scored if s > theta_sim]
+    kept = [(s, r) for s, r in zip(store.similarities(path_text), store.records)
+            if s > theta_sim]
     kept.sort(key=lambda pair: (-pair[0], pair[1].key))
     return [r for _, r in kept]
 
@@ -85,12 +106,6 @@ def load_store(path: str | Path) -> KnowledgeStore:
     return KnowledgeStore(records)
 
 
-def save_store(store: KnowledgeStore, path: str | Path,
-               index_path: str | Path | None = None) -> None:
-    path = Path(path)
+def save_store(store: KnowledgeStore, path: str | Path) -> None:
     lines = [json.dumps(r.to_dict(), sort_keys=True) for r in store.records]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    if index_path is None:
-        index_path = path.with_suffix(".index.json")
-    if store.index is not None:
-        store.index.save(index_path)
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -97,17 +97,27 @@ def auroc(rows: list[ScoredLabel]) -> float:
 
 
 def auprc(rows: list[ScoredLabel]) -> float:
-    """Area under the precision-recall step curve over all distinct scores."""
+    """Area under the precision-recall step curve over all distinct scores.
+
+    One sort and one sweep (Davis & Goadrich, ICML 2006): rows are taken in
+    descending score order, and a curve point is emitted after the last row
+    of each distinct score, when tp and fp count every row at or above it.
+    """
     n_pos = sum(1 for r in rows if r.truth_vul)
     if n_pos == 0 or n_pos == len(rows):
         raise SingleClass("auprc needs both classes")
-    thresholds = sorted({r.p_yes for r in rows}, reverse=True)
+    ranked = sorted(rows, key=lambda r: r.p_yes, reverse=True)
     area = 0.0
     prev_recall = 0.0
-    for t in thresholds:
-        tp = sum(1 for r in rows if r.truth_vul and r.p_yes >= t)
-        fp = sum(1 for r in rows if not r.truth_vul and r.p_yes >= t)
-        precision = tp / (tp + fp) if (tp + fp) else 0.0
+    tp = fp = 0
+    for i, r in enumerate(ranked):
+        if r.truth_vul:
+            tp += 1
+        else:
+            fp += 1
+        if i + 1 < len(ranked) and ranked[i + 1].p_yes == r.p_yes:
+            continue
+        precision = tp / (tp + fp)
         recall = tp / n_pos
         area += (recall - prev_recall) * precision
         prev_recall = recall

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .graph import (
     ReasoningGraph,
     describe_graph,
 )
-from .textindex import TfIdfIndex, build_index, similarity
+from .textindex import TfIdfIndex, build_index, cosine, term_counts
 from .tools import ToolKit
 
 ADJ_EPSILON = 1e-6
@@ -58,19 +59,46 @@ class ReservedGraph:
     similarity: float = 0.0
 
 
-def build_adjacency(g: ReasoningGraph, target_text: str,
-                    index: TfIdfIndex) -> AdjacencyMatrix:
+@dataclass(frozen=True)
+class CountedGraph:
+    """A stored graph with the term counts of its node texts, so retrieval
+    for many targets tokenizes each node text once."""
+
+    graph: ReasoningGraph
+    node_counts: dict[str, Counter[str]]
+
+
+def node_counts(g: ReasoningGraph) -> dict[str, Counter[str]]:
+    return {nid: term_counts(g.node_text(nid)) for nid in g.nodes}
+
+
+def count_graphs(graphs) -> list[CountedGraph]:
+    """Pair every graph with its node counts; counted graphs pass through."""
+    return [g if isinstance(g, CountedGraph) else CountedGraph(g, node_counts(g))
+            for g in graphs]
+
+
+def build_adjacency(g: ReasoningGraph, target: str | Counter[str], index: TfIdfIndex,
+                    counts: dict[str, Counter[str]] | None = None) -> AdjacencyMatrix:
     """Weight each connected node pair by how much the joined text gains
     similarity to the target over the source text alone, floored at epsilon
-    so every existing edge stays walkable."""
+    so every existing edge stays walkable.
+
+    `counts` are the node texts' term counts (node_counts(g) when omitted).
+    A pair's joined text is "src dst"; its counts are the sum of the two
+    nodes' counts, since no token spans the joining space.
+    """
+    if counts is None:
+        counts = node_counts(g)
     node_ids = list(g.nodes)
     pos = {nid: k for k, nid in enumerate(node_ids)}
     weights = np.zeros((len(node_ids), len(node_ids)))
-    base = {nid: similarity(index, target_text, g.node_text(nid)) for nid in node_ids}
+    target_vec = index.vectorize(target)
+    base = {nid: cosine(target_vec, index.vectorize(counts[nid])) for nid in node_ids}
     pairs = sorted({(a.src, a.dst) for a in g.edges})
     for src, dst in pairs:
-        joined = g.node_text(src) + " " + g.node_text(dst)
-        gain = similarity(index, target_text, joined) - base[src]
+        joined = counts[src] + counts[dst]
+        gain = cosine(target_vec, index.vectorize(joined)) - base[src]
         weights[pos[src], pos[dst]] = max(0.0, gain) + ADJ_EPSILON
     return AdjacencyMatrix(node_ids, weights)
 
@@ -191,11 +219,16 @@ def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
     return ReservedGraph(pruned, g.ir_id, describe_graph(pruned))
 
 
-def prune_for_target(g: ReasoningGraph, target_text: str, walks: int,
-                     rng_seed: int) -> ReservedGraph:
-    """Adjacency, probabilities, and walk pruning in one step."""
-    index = build_index([target_text] + [obs.text for obs in g.nodes.values()])
-    adj = build_adjacency(g, target_text, index)
+def prune_for_target(g: ReasoningGraph | CountedGraph, target: str | Counter[str],
+                     walks: int, rng_seed: int) -> ReservedGraph:
+    """Adjacency, probabilities, and walk pruning in one step; the target is
+    its text or its term counts."""
+    counted = count_graphs([g])[0]
+    if isinstance(target, str):
+        target = term_counts(target)
+    g, counts = counted.graph, counted.node_counts
+    index = build_index([target] + list(counts.values()))
+    adj = build_adjacency(g, target, index, counts)
     return random_walk_prune(g, edge_probabilities(adj, g), walks, rng_seed)
 
 
@@ -235,29 +268,37 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
     """Prune every stored graph for this target, keep the ones whose
     description scores strictly above theta_sim, best first.
 
-    Similarities come from one index spanning all pruned descriptions plus
-    the flattened target. Per-graph walk seeds derive from (seed, graph id),
-    so results do not depend on iteration or scheduling order.
+    `db` is a GraphStore or a list of graphs; a caller retrieving for many
+    targets passes count_graphs(store.load_all()) once, so no graph is
+    loaded or node text counted per target. Similarities come from one
+    index spanning all pruned descriptions plus the flattened target.
+    Per-graph walk seeds derive from (seed, graph id), so results do not
+    depend on iteration or scheduling order.
     """
-    graphs = db.load_all() if hasattr(db, "load_all") else list(db)
+    graphs = count_graphs(db.load_all() if hasattr(db, "load_all") else db)
     if not graphs:
         raise EmptyDatabase("no reasoning graphs to retrieve from")
     if not 0.0 <= theta_sim <= 1.0:
         raise ValueError("theta_sim must be in [0, 1]")
     target_text = flatten_target(target, toolkit)
+    target_counts = term_counts(target_text)
     fingerprint = hashlib.sha256(target_text.encode("utf-8")).hexdigest()
     pruned: list[ReservedGraph] = []
-    for g in graphs:
-        key = (g.ir_id, fingerprint, seed, walks)
+    for counted in graphs:
+        ir_id = counted.graph.ir_id
+        key = (ir_id, fingerprint, seed, walks)
         hit = cache.get(key) if cache is not None else None
         if hit is None:
-            hit = prune_for_target(g, target_text, walks, graph_walk_seed(seed, g.ir_id))
+            hit = prune_for_target(counted, target_counts, walks,
+                                   graph_walk_seed(seed, ir_id))
             if cache is not None:
                 cache.put(key, hit)
         pruned.append(hit)
-    index = build_index([r.description for r in pruned] + [target_text])
-    for r in pruned:
-        r.similarity = similarity(index, target_text, r.description)
+    description_counts = [term_counts(r.description) for r in pruned]
+    index = build_index(description_counts + [target_counts])
+    target_vec = index.vectorize(target_counts)
+    for r, counts in zip(pruned, description_counts):
+        r.similarity = cosine(target_vec, index.vectorize(counts))
     kept = [r for r in pruned if r.similarity > theta_sim]
     kept.sort(key=lambda r: (-r.similarity, r.origin_ir))
     return kept

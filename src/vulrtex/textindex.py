@@ -3,6 +3,20 @@
 The index is immutable once built. Similarities are always in [0, 1]: weights
 are nonnegative (raw term counts times a smoothed idf), so the cosine of two
 vectors cannot go negative, and an empty vector yields similarity 0.
+
+Term counts are the unit of work. A text is tokenized once, by `term_counts`,
+and its Counter then stands in for the text everywhere a document is taken:
+`build_index`, `TfIdfIndex.vectorize` and `TfIdfIndex.similarity` accept
+either. The counts of two texts joined by whitespace are the sum of their
+counts (no token spans whitespace), so joined texts need no re-tokenizing.
+A vector computes its norm once. There is no process-wide cache: counts live
+with the object that owns the text (a knowledge store's records, the graphs
+one stage retrieves from, one retrieval call's target and descriptions) and
+go away with it.
+
+Floating-point results do not depend on whether a text or its counts came
+in: weights are built in the text's first-occurrence term order, which is
+the order `norm` sums in, and `dot` sums over sorted term ids.
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import EmptyCorpus
@@ -59,13 +74,30 @@ def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str
     return [t for t in re.findall(config.token_pattern, text) if t not in stop]
 
 
+def term_counts(text: str, config: TokenizerConfig = TokenizerConfig()) -> Counter[str]:
+    """Raw term frequencies of one text, keyed in first-occurrence order."""
+    return Counter(tokenize(text, config))
+
+
+def _counts(doc: str | Counter[str], config: TokenizerConfig) -> Counter[str]:
+    return term_counts(doc, config) if isinstance(doc, str) else doc
+
+
 @dataclass(frozen=True)
 class TermVector:
-    """Sparse tf-idf vector; term ids map into the owning index's vocabulary."""
+    """Sparse tf-idf vector; term ids map into the owning index's vocabulary.
+
+    The weights must not change after construction: the norm is computed on
+    first use and kept.
+    """
 
     weights: dict[int, float] = field(default_factory=dict)
 
     def norm(self) -> float:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         return math.sqrt(sum(w * w for w in self.weights.values()))
 
     def dot(self, other: "TermVector") -> float:
@@ -96,16 +128,16 @@ class TfIdfIndex:
     def idf(self, term: str) -> float:
         return self._idf[term]
 
-    def vectorize(self, text: str) -> TermVector:
-        counts = Counter(tokenize(text, self.config))
+    def vectorize(self, doc: str | Counter[str]) -> TermVector:
+        """Tf-idf vector of a text or of its term counts."""
         weights = {
             self.vocabulary[term]: count * self._idf[term]
-            for term, count in counts.items()
+            for term, count in _counts(doc, self.config).items()
             if term in self.vocabulary
         }
         return TermVector(weights)
 
-    def similarity(self, a: str, b: str) -> float:
+    def similarity(self, a: str | Counter[str], b: str | Counter[str]) -> float:
         """Cosine of the two tf-idf vectors; 0 when either side is empty."""
         va = self.vectorize(a)
         vb = self.vectorize(b)
@@ -151,24 +183,32 @@ def cosine(a: TermVector, b: TermVector) -> float:
     return min(1.0, a.dot(b) / (na * nb))
 
 
-def build_index(docs: list[str], config: TokenizerConfig = TokenizerConfig()) -> TfIdfIndex:
-    """Count document frequencies and freeze them into an index.
-
-    Vocabulary ids are dense 0..|V|-1 in sorted term order, which makes the
-    index a pure function of (docs-as-a-multiset-of-token-sets, config).
-    """
+def build_index(docs: list[str | Counter[str]],
+                config: TokenizerConfig = TokenizerConfig()) -> TfIdfIndex:
+    """Count document frequencies over texts or term counts and freeze them
+    into an index (see index_from_doc_freq)."""
     if not docs:
         raise EmptyCorpus("build_index needs at least one document")
     doc_freq: Counter[str] = Counter()
     for doc in docs:
-        doc_freq.update(set(tokenize(doc, config)))
+        doc_freq.update(_counts(doc, config).keys())
+    return index_from_doc_freq(doc_freq, len(docs), config)
+
+
+def index_from_doc_freq(doc_freq: Counter[str], n_docs: int,
+                        config: TokenizerConfig = TokenizerConfig()) -> TfIdfIndex:
+    """Freeze document frequencies over n_docs documents into an index.
+
+    Vocabulary ids are dense 0..|V|-1 in sorted term order, which makes the
+    index a pure function of (docs-as-a-multiset-of-token-sets, config).
+    """
     vocabulary = {term: i for i, term in enumerate(sorted(doc_freq))}
-    return TfIdfIndex(vocabulary, dict(doc_freq), len(docs), config)
+    return TfIdfIndex(vocabulary, dict(doc_freq), n_docs, config)
 
 
-def vectorize(index: TfIdfIndex, text: str) -> TermVector:
-    return index.vectorize(text)
+def vectorize(index: TfIdfIndex, doc: str | Counter[str]) -> TermVector:
+    return index.vectorize(doc)
 
 
-def similarity(index: TfIdfIndex, a: str, b: str) -> float:
+def similarity(index: TfIdfIndex, a: str | Counter[str], b: str | Counter[str]) -> float:
     return index.similarity(a, b)

@@ -342,7 +342,7 @@ class TestRunAll:
 
 
 class TestVaIngest:
-    def test_ingest_builds_store_and_index(self, env):
+    def test_ingest_builds_store(self, env):
         records = env.root / "records.jsonl"
         records.write_text(
             "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n"
@@ -353,7 +353,7 @@ class TestVaIngest:
         payload = json.loads(result.stdout)
         assert payload["records"] == len(e2e_knowledge())
         assert len(load_store(out)) == len(e2e_knowledge())
-        assert out.with_suffix(".index.json").exists()
+        assert not out.with_suffix(".index.json").exists()
 
     def test_out_defaults_to_configured_path(self, env, tmp_path):
         records = env.root / "records.jsonl"

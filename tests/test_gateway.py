@@ -1,4 +1,6 @@
+import json
 import math
+import urllib.request
 
 import pytest
 
@@ -10,11 +12,14 @@ from vulrtex.errors import (
     TransportError,
 )
 from vulrtex.gateway import (
+    DEFAULT_TEMPERATURE,
     Gateway,
+    GatewayConfig,
     LlmRequest,
     LlmResponse,
     StubBackend,
     StubRule,
+    make_gateway,
     yes_probability,
 )
 
@@ -153,3 +158,55 @@ def test_stub_rules_load_from_file(tmp_path):
     assert backend.complete(make_request("ping")).text == "pong"
     resp = backend.complete(make_request("label", want_logprobs=True))
     assert resp.top_token_logprobs == [{"Yes": -0.1, "No": -2.3}]
+
+
+class FakeHttpResponse:
+    def __init__(self, body: dict):
+        self.body = json.dumps(body).encode("utf-8")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self) -> bytes:
+        return self.body
+
+
+def capture_http_payloads(monkeypatch) -> list[dict]:
+    """Replace urlopen with a fake that records each JSON payload and
+    answers "ok"; nothing touches the network."""
+    payloads: list[dict] = []
+
+    def fake_urlopen(request, timeout):
+        payloads.append(json.loads(request.data.decode("utf-8")))
+        return FakeHttpResponse({"choices": [{"message": {"content": "ok"}}]})
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return payloads
+
+
+def http_gateway(**overrides) -> Gateway:
+    return make_gateway(GatewayConfig(backend="http", endpoint_url="http://llm.invalid/v1",
+                                      model_name="m", **overrides))
+
+
+def test_configured_temperature_reaches_http_payload(monkeypatch):
+    payloads = capture_http_payloads(monkeypatch)
+    gw = http_gateway(temperature=0.05)
+    assert gw.complete(make_request("hi")).text == "ok"
+    assert payloads[0]["temperature"] == 0.05
+
+
+def test_default_temperature_in_http_payload(monkeypatch):
+    payloads = capture_http_payloads(monkeypatch)
+    http_gateway().complete(make_request("hi"))
+    assert payloads[0]["temperature"] == DEFAULT_TEMPERATURE
+
+
+def test_request_temperature_overrides_gateway(monkeypatch):
+    payloads = capture_http_payloads(monkeypatch)
+    req = LlmRequest(system_prompt="system", user_prompt="hi", temperature=0.9)
+    http_gateway(temperature=0.05).complete(req)
+    assert payloads[0]["temperature"] == 0.9

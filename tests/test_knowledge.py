@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulrtex.errors import DuplicateKey
 from vulrtex.knowledge import (
@@ -11,7 +13,7 @@ from vulrtex.knowledge import (
     retrieve_golden,
     save_store,
 )
-from vulrtex.textindex import STOPWORDS
+from vulrtex.textindex import STOPWORDS, build_index, similarity
 
 from oracles import oracle_similarity
 
@@ -106,4 +108,18 @@ def test_store_round_trip(tmp_path, store):
     save_store(store, out)
     again = load_store(out)
     assert again.records == store.records
-    assert (tmp_path / "va.index.json").exists()
+    assert not (tmp_path / "va.index.json").exists()
+
+
+QUERY_WORDS = ["xss", "payload", "stored", "page", "sql", "injection", "login", "csrf",
+               "token", "the", "Cross-Site", "scripting", "overflow", "unknownterm"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(QUERY_WORDS), max_size=12).map(" ".join))
+def test_similarities_equal_per_call_index(store, query):
+    # the pre-counted store with query-adjusted document frequencies must
+    # give exactly the floats of an index rebuilt over records + query
+    idx = build_index([r.text for r in store.records] + [query])
+    want = [similarity(idx, query, r.text) for r in store.records]
+    assert store.similarities(query) == want

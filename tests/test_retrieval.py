@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixturelib as fx
 from oracles import (
@@ -26,13 +28,15 @@ from vulrtex.retrieval import (
     AdjacencyMatrix,
     PruneCache,
     build_adjacency,
+    count_graphs,
     edge_probabilities,
     graph_walk_seed,
+    node_counts,
     prune_for_target,
     random_walk_prune,
     retrieve_relevant,
 )
-from vulrtex.textindex import STOPWORDS, build_index
+from vulrtex.textindex import STOPWORDS, build_index, similarity, term_counts
 
 import numpy as np
 
@@ -356,3 +360,50 @@ def test_cache_reused_on_identical_query():
 def test_invalid_theta_rejected():
     with pytest.raises(ValueError):
         retrieve_relevant(retrieval_db(), target_ir(), theta_sim=1.5)
+
+
+# ------------------------------------------- term counts against plain texts
+#
+# Adjacency weights and retrieval similarities computed from term counts
+# must equal the joined-string formulas bit for bit (==, never approx).
+
+exact = settings(max_examples=60, deadline=None, derandomize=True)
+targets = st.lists(st.sampled_from(fx.WORDS + ["the", "Page", "cross-site"]),
+                   min_size=1, max_size=10).map(" ".join)
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), targets)
+def test_adjacency_weights_equal_joined_string_formula(seed, target):
+    g = fx.random_dag(random.Random(seed))
+    index = make_index(g, target)
+    from_text = build_adjacency(g, target, index)
+    from_counts = build_adjacency(g, term_counts(target), index, node_counts(g))
+    for src, dst in sorted({(a.src, a.dst) for a in g.edges}):
+        joined = g.node_text(src) + " " + g.node_text(dst)
+        gain = (similarity(index, target, joined)
+                - similarity(index, target, g.node_text(src)))
+        want = max(0.0, gain) + ADJ_EPSILON
+        assert from_text.weight(src, dst) == want
+        assert from_counts.weight(src, dst) == want
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1000))
+def test_retrieval_similarities_equal_string_path(graph_seed, walk_seed):
+    rng = random.Random(graph_seed)
+    graphs = {}
+    for _ in range(4):
+        g = fx.random_dag(rng, max_nodes=10)
+        graphs[g.ir_id] = g
+    target = target_ir()
+    flat = f"{target.title}\n{target.content}"
+    descriptions = {
+        ir_id: prune_for_target(g, flat, 4, graph_walk_seed(walk_seed, ir_id)).description
+        for ir_id, g in graphs.items()}
+    index = build_index(list(descriptions.values()) + [flat])
+    want = {ir_id: similarity(index, flat, d) for ir_id, d in descriptions.items()}
+    for db in (list(graphs.values()), count_graphs(graphs.values())):
+        got = retrieve_relevant(db, target, theta_sim=0.0, seed=walk_seed)
+        assert {r.origin_ir: r.similarity for r in got} == {
+            ir_id: s for ir_id, s in want.items() if s > 0.0}

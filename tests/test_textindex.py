@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulrtex.errors import EmptyCorpus
 from vulrtex.textindex import (
@@ -12,6 +14,7 @@ from vulrtex.textindex import (
     build_index,
     cosine,
     similarity,
+    term_counts,
     tokenize,
     vectorize,
 )
@@ -165,3 +168,50 @@ def test_cosine_clamped_to_one():
     idx = build_index(FIVE_DOCS)
     va = vectorize(idx, "xss payload xss payload")
     assert cosine(va, va) <= 1.0
+
+
+# ------------------------------------------- term counts against plain texts
+#
+# The counts path must give the same floats as tokenizing the text, bit for
+# bit, so these compare with == and never approx.
+
+_PIECES = ["xss", "XSS", "payload", "Page", "the", "of", "cross-site", "sql-injection",
+           "a-b", "-", "42", "token", "Token", "é", "über", "tag", ",", ".", "(", ")"]
+_SEPARATORS = [" ", "  ", "\n", "", ", ", "-", "\t"]
+
+texts = st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from(_SEPARATORS)),
+                 max_size=14).map(lambda parts: "".join(w + sep for w, sep in parts))
+corpora = st.lists(texts, min_size=1, max_size=5)
+exact = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@exact
+@given(texts, texts)
+def test_merged_counts_equal_counts_of_joined_text(a, b):
+    merged = term_counts(a) + term_counts(b)
+    assert list(merged.items()) == list(term_counts(a + " " + b).items())
+
+
+@exact
+@given(corpora, texts, texts)
+def test_vectorize_merged_counts_equals_joined_text(docs, a, b):
+    idx = build_index(docs + [a, b])
+    from_counts = idx.vectorize(term_counts(a) + term_counts(b))
+    from_text = vectorize(idx, a + " " + b)
+    # same keys in the same order, so norm() sums in the same order: the
+    # order in which the joined text's terms first occur
+    assert list(from_counts.weights.items()) == list(from_text.weights.items())
+    first_seen = dict.fromkeys(tokenize(a + " " + b))
+    assert list(from_text.weights) == [idx.vocabulary[t] for t in first_seen]
+    assert from_counts.norm() == from_text.norm()
+    assert from_text.norm() == math.sqrt(sum(w * w for w in from_text.weights.values()))
+
+
+@exact
+@given(corpora, texts, texts)
+def test_counts_and_texts_give_identical_index_and_similarity(docs, a, b):
+    from_text = build_index(docs)
+    from_counts = build_index([term_counts(d) for d in docs])
+    assert from_counts.to_dict() == from_text.to_dict()
+    assert (similarity(from_counts, term_counts(a), term_counts(b))
+            == similarity(from_text, a, b))
