@@ -6,7 +6,9 @@ The `vulrtex` command chains every stage: split the corpus by time, build a
 reasoning graph per historical report, retrieve guidance for each target,
 score it, and evaluate against the ground truth. This demo fabricates a
 ten-report corpus with scripted stub backends, writes a config file, and
-shells out to `vulrtex run-all` the same way an operator would.
+shells out to `run-all` the same way an operator would. It runs the command
+as `python -m vulrtex.cli`, so it works without the installed `vulrtex`
+console script.
 
 Run it directly:  python3 demos/run_the_pipeline_cli.py
 """
@@ -15,6 +17,7 @@ import json
 import math
 import re
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -133,10 +136,11 @@ path = {workdir / 'va.jsonl'}
 # ------------------------------------------------------------------------
 
 out_dir = workdir / "run-out"
-print(f"$ vulrtex run-all -c {workdir / 'pipeline.ini'} --out-dir {out_dir}",
+print(f"$ python -m vulrtex.cli run-all -c {workdir / 'pipeline.ini'} --out-dir {out_dir}",
       flush=True)
-subprocess.run(["vulrtex", "run-all", "-c", str(workdir / "pipeline.ini"),
-                "--out-dir", str(out_dir)], check=True)
+subprocess.run([sys.executable, "-m", "vulrtex.cli", "run-all",
+                "-c", str(workdir / "pipeline.ini"), "--out-dir", str(out_dir)],
+               check=True)
 
 report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
 print("\nmetrics from report.json:")

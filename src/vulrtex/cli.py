@@ -30,7 +30,7 @@ from .identifier import (Prediction, generate_guidance, identify,
 from .knowledge import KnowledgeRecord, KnowledgeStore, ingest, load_store, save_store
 from .metrics import ScoredLabel, build_report, pr_curve, repeated_mean
 from .reasoner import ReasonerConfig, generate_reasoning_graph
-from .retrieval import PruneCache, count_graphs, retrieve_relevant
+from .retrieval import count_graphs, retrieve_relevant
 from .tools import ToolKit, make_toolkit
 
 PREDICTIONS_KIND = "predictions"
@@ -233,12 +233,11 @@ def stage_retrieve(cfg: PipelineConfig,
         targets = [by_id[t] for t in target_ids]
     toolkit = _build_toolkit(cfg)
     graphs = count_graphs(graph_store.load_all())
-    cache = PruneCache()
     results = []
     for target in targets:
         kept = retrieve_relevant(graphs, target, cfg.theta_sim,
                                  walks=cfg.walks, seed=cfg.seed,
-                                 toolkit=toolkit, cache=cache)
+                                 toolkit=toolkit)
         results.append({
             "ir_id": target.id,
             "retrieved": [{
@@ -260,7 +259,9 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
     llm = _build_gateway(cfg)
     toolkit = _build_toolkit(cfg)
     graphs = count_graphs(graph_store.load_all())
-    cache = PruneCache()
+    # every run walks each (graph, target) pair again under its own seed;
+    # only a repeated run can reuse the pair's walk probabilities
+    cache = {} if cfg.runs > 1 else None
     preds: list[Prediction] = []
     for run in range(cfg.runs):
         run_seed = cfg.seed + run

@@ -39,6 +39,7 @@ class LlmRequest:
     max_tokens: int = 512
     want_logprobs: bool = False
     seed: int | None = None
+    timeout: float | None = None  # the gateway's remaining deadline for this attempt
 
 
 @dataclass
@@ -148,9 +149,10 @@ class HttpBackend:
         request = urllib.request.Request(
             self.endpoint_url, data=json.dumps(payload).encode("utf-8"),
             headers=headers, method="POST")
+        timeout = self.timeout if req.timeout is None else min(self.timeout, req.timeout)
         start = time.monotonic()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
                 body = json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             if exc.code == 429:
@@ -204,17 +206,18 @@ class Gateway:
         self.calls = 0
 
     def complete(self, req: LlmRequest) -> LlmResponse:
-        if req.temperature is None:
-            req = replace(req, temperature=self.temperature)
+        temperature = self.temperature if req.temperature is None else req.temperature
         start = time.monotonic()
         last_error: Exception | None = None
         with self._sem:
             for attempt in range(self.max_retries + 1):
-                if time.monotonic() - start > self.deadline_seconds:
+                remaining = self.deadline_seconds - (time.monotonic() - start)
+                if remaining <= 0.0:
                     break
                 try:
                     self.calls += 1
-                    return self.backend.complete(req)
+                    return self.backend.complete(
+                        replace(req, temperature=temperature, timeout=remaining))
                 except (TransportError, RateLimited) as exc:
                     last_error = exc
                     if attempt < self.max_retries:

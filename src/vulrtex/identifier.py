@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .config import DEFAULT_THETA_OUT
 from .corpus import CanonicalIR
 from .errors import NoLabelToken
 from .gateway import Gateway, LlmRequest, yes_probability
@@ -20,8 +21,6 @@ from .prompts import build_guidance_prompt, build_identify_prompt
 from .retrieval import ReservedGraph
 
 log = logging.getLogger(__name__)
-
-DEFAULT_THETA_OUT = 0.55
 
 _STEP_RE = re.compile(r"^\s*STEP-(\d+):\s*(.+?)\s*$", re.MULTILINE)
 _CWE_RE = re.compile(r"CWE-\d+")

@@ -10,10 +10,11 @@ from __future__ import annotations
 import hashlib
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DEFAULT_WALKS
 from .corpus import CanonicalIR
 from .errors import EmptyDatabase, IsolatedNonTerminal
 from .graph import (
@@ -28,7 +29,6 @@ from .textindex import TfIdfIndex, build_index, cosine, term_counts
 from .tools import ToolKit
 
 ADJ_EPSILON = 1e-6
-DEFAULT_WALKS = 4
 
 
 @dataclass
@@ -51,7 +51,7 @@ class EdgeProbabilities:
         return [(dst, p) for (s, dst), p in self.probs.items() if s == src]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReservedGraph:
     graph: ReasoningGraph
     origin_ir: str
@@ -142,6 +142,16 @@ def _maximal_paths(out_map: dict[str, list[Action]]) -> list[tuple[str, ...]]:
     return sorted(paths)
 
 
+def _choose(rng: np.random.Generator, weights: list[float]) -> int:
+    """rng.choice(len(weights), p=normalized weights) without its argument
+    checks: the same cumulative-sum search over the same single double, so
+    the index and the generator's next state are exactly choice's."""
+    w = np.array(weights)
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
                       rng_seed: int) -> ReservedGraph:
     """Reserve a rooted subgraph by seeded random walks.
@@ -176,8 +186,7 @@ def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
             options = unvisited_successors(current)
             if not options:
                 break
-            weights = np.array([p.probs[(current, v)] for v in options])
-            nxt = options[int(rng.choice(len(options), p=weights / weights.sum()))]
+            nxt = options[_choose(rng, [p.probs[(current, v)] for v in options])]
             hop = g.actions_between(current, nxt)
             for act in hop:
                 reserved_actions[act.id] = None
@@ -219,17 +228,24 @@ def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
     return ReservedGraph(pruned, g.ir_id, describe_graph(pruned))
 
 
+def target_probabilities(counted: CountedGraph,
+                         target: Counter[str]) -> EdgeProbabilities:
+    """Index, adjacency, and walk probabilities of one graph for one target's
+    term counts; they do not depend on the walk seed."""
+    index = build_index([target] + list(counted.node_counts.values()))
+    adj = build_adjacency(counted.graph, target, index, counted.node_counts)
+    return edge_probabilities(adj, counted.graph)
+
+
 def prune_for_target(g: ReasoningGraph | CountedGraph, target: str | Counter[str],
                      walks: int, rng_seed: int) -> ReservedGraph:
-    """Adjacency, probabilities, and walk pruning in one step; the target is
-    its text or its term counts."""
+    """Probabilities and walk pruning in one step; the target is its text or
+    its term counts."""
     counted = count_graphs([g])[0]
     if isinstance(target, str):
         target = term_counts(target)
-    g, counts = counted.graph, counted.node_counts
-    index = build_index([target] + list(counts.values()))
-    adj = build_adjacency(g, target, index, counts)
-    return random_walk_prune(g, edge_probabilities(adj, g), walks, rng_seed)
+    probs = target_probabilities(counted, target)
+    return random_walk_prune(counted.graph, probs, walks, rng_seed)
 
 
 def graph_walk_seed(master_seed: int, ir_id: str) -> int:
@@ -245,26 +261,11 @@ def flatten_target(target: CanonicalIR, toolkit: ToolKit | None) -> str:
     return target.content
 
 
-class PruneCache:
-    """Keeps one pruned graph per (origin, target fingerprint, seed, walks)."""
-
-    def __init__(self):
-        self._entries: dict[tuple[str, str, int, int], ReservedGraph] = {}
-
-    def get(self, key):
-        return self._entries.get(key)
-
-    def put(self, key, value: ReservedGraph) -> None:
-        self._entries[key] = value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
                       walks: int = DEFAULT_WALKS, seed: int = 0,
                       toolkit: ToolKit | None = None,
-                      cache: PruneCache | None = None) -> list[ReservedGraph]:
+                      cache: dict[tuple[str, str], EdgeProbabilities] | None = None,
+                      ) -> list[ReservedGraph]:
     """Prune every stored graph for this target, keep the ones whose
     description scores strictly above theta_sim, best first.
 
@@ -274,6 +275,10 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
     index spanning all pruned descriptions plus the flattened target.
     Per-graph walk seeds derive from (seed, graph id), so results do not
     depend on iteration or scheduling order.
+
+    `cache`, when given, maps (graph id, target fingerprint) to that pair's
+    EdgeProbabilities, so a caller repeating a target under other seeds
+    walks each graph again without weighting it again.
     """
     graphs = count_graphs(db.load_all() if hasattr(db, "load_all") else db)
     if not graphs:
@@ -286,19 +291,21 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
     pruned: list[ReservedGraph] = []
     for counted in graphs:
         ir_id = counted.graph.ir_id
-        key = (ir_id, fingerprint, seed, walks)
-        hit = cache.get(key) if cache is not None else None
-        if hit is None:
-            hit = prune_for_target(counted, target_counts, walks,
-                                   graph_walk_seed(seed, ir_id))
+        key = (ir_id, fingerprint)
+        probs = cache.get(key) if cache is not None else None
+        if probs is None:
+            probs = target_probabilities(counted, target_counts)
             if cache is not None:
-                cache.put(key, hit)
-        pruned.append(hit)
+                cache[key] = probs
+        pruned.append(random_walk_prune(counted.graph, probs, walks,
+                                        graph_walk_seed(seed, ir_id)))
     description_counts = [term_counts(r.description) for r in pruned]
     index = build_index(description_counts + [target_counts])
     target_vec = index.vectorize(target_counts)
+    kept: list[ReservedGraph] = []
     for r, counts in zip(pruned, description_counts):
-        r.similarity = cosine(target_vec, index.vectorize(counts))
-    kept = [r for r in pruned if r.similarity > theta_sim]
+        score = cosine(target_vec, index.vectorize(counts))
+        if score > theta_sim:
+            kept.append(replace(r, similarity=score))
     kept.sort(key=lambda r: (-r.similarity, r.origin_ir))
     return kept

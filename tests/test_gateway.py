@@ -1,6 +1,8 @@
 import json
 import math
+import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,10 +13,12 @@ from vulrtex.errors import (
     NoLabelToken,
     TransportError,
 )
+from vulrtex import gateway
 from vulrtex.gateway import (
     DEFAULT_TEMPERATURE,
     Gateway,
     GatewayConfig,
+    HttpBackend,
     LlmRequest,
     LlmResponse,
     StubBackend,
@@ -210,3 +214,25 @@ def test_request_temperature_overrides_gateway(monkeypatch):
     req = LlmRequest(system_prompt="system", user_prompt="hi", temperature=0.9)
     http_gateway(temperature=0.05).complete(req)
     assert payloads[0]["temperature"] == 0.9
+
+
+def test_http_attempts_bounded_by_remaining_deadline(monkeypatch):
+    """Each attempt gets what is left of the deadline, not the backend's
+    fixed timeout; a clock that each failing attempt advances by 4 s
+    leaves 10, 6, then 2 s, and no attempt once the budget is spent."""
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(gateway, "time", SimpleNamespace(
+        monotonic=lambda: clock.now, sleep=lambda seconds: None))
+    timeouts: list[float] = []
+
+    def slow_failing_urlopen(request, timeout):
+        timeouts.append(timeout)
+        clock.now += 4.0
+        raise urllib.error.URLError("timed out")
+
+    monkeypatch.setattr(urllib.request, "urlopen", slow_failing_urlopen)
+    gw = Gateway(HttpBackend("http://llm.invalid/v1", "m", timeout=60.0),
+                 max_retries=5, deadline_seconds=10.0)
+    with pytest.raises(GatewayExhausted):
+        gw.complete(make_request("hi"))
+    assert timeouts == [10.0, 6.0, 2.0]

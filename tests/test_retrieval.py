@@ -1,18 +1,23 @@
 """Adjacency weighting, walk probabilities, pruning, and graph retrieval."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixturelib as fx
+from e2e_fixture import (E2E_HISTORICAL, E2E_TARGET_COUNT, write_e2e_config,
+                         write_e2e_fixture)
 from oracles import (
     ADJ_EPSILON,
     oracle_adjacency,
     oracle_edge_probabilities,
     oracle_similarity,
 )
+from vulrtex import cli, retrieval
+from vulrtex.config import load_config
 from vulrtex.corpus import CanonicalIR
 from vulrtex.errors import EmptyDatabase, IsolatedNonTerminal
 from vulrtex.graph import (
@@ -26,7 +31,7 @@ from vulrtex.graph import (
 )
 from vulrtex.retrieval import (
     AdjacencyMatrix,
-    PruneCache,
+    _choose,
     build_adjacency,
     count_graphs,
     edge_probabilities,
@@ -235,6 +240,19 @@ def test_fig_description_contains_both_quoted_paths():
         assert second in description
 
 
+# numpy's sum adds 8 or more values pairwise, fewer one by one
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=16),
+       st.integers(0, 2**64 - 1))
+def test_walk_draw_equals_generator_choice(weights, seed):
+    w = np.array(weights)
+    by_choice = np.random.default_rng(seed)
+    by_search = np.random.default_rng(seed)
+    want = int(by_choice.choice(len(w), p=w / w.sum()))
+    assert _choose(by_search, weights) == want
+    assert by_search.bit_generator.state == by_choice.bit_generator.state
+
+
 def test_walks_must_be_positive():
     g = chain_graph()
     probs = edge_probabilities(build_adjacency(g, TARGET_TEXT, make_index(g)), g)
@@ -344,17 +362,35 @@ def test_result_independent_of_database_order():
         [(r.origin_ir, r.similarity) for r in backward]
 
 
-def test_cache_reused_on_identical_query():
-    graphs = retrieval_db()
-    target = target_ir()
-    cache = PruneCache()
-    first = retrieve_relevant(graphs, target, theta_sim=0.0, seed=5, cache=cache)
-    assert len(cache) == len(graphs)
-    second = retrieve_relevant(graphs, target, theta_sim=0.0, seed=5, cache=cache)
-    assert len(cache) == len(graphs)
-    assert [r.origin_ir for r in first] == [r.origin_ir for r in second]
-    # cached objects are handed back, not re-pruned
-    assert all(a is b for a, b in zip(first, second))
+def test_cache_reused_on_identical_query(tmp_path, monkeypatch):
+    """Over three runs, stage_identify weights each (graph, target) pair
+    once, and its predictions equal those of runs that weight every time."""
+    paths = write_e2e_fixture(tmp_path / "fx")
+    cfg = load_config(str(write_e2e_config(
+        tmp_path / "config.ini", paths, jitter=0.3,
+        pipeline={"runs": 3, "db_path": tmp_path / "db"})))
+    cli.stage_prepare(cfg)
+    built = Counter()
+    build_adjacency = retrieval.build_adjacency
+
+    def counting_build(g, target, *args):
+        built[(g.ir_id, tuple(target.items()))] += 1
+        return build_adjacency(g, target, *args)
+
+    monkeypatch.setattr(retrieval, "build_adjacency", counting_build)
+    cli.stage_identify(cfg, tmp_path / "cached.jsonl")
+    assert len(built) == E2E_HISTORICAL * E2E_TARGET_COUNT
+    assert set(built.values()) == {1}
+
+    retrieve = cli.retrieve_relevant
+    monkeypatch.setattr(cli, "retrieve_relevant",
+                        lambda *args, cache=None, **kwargs: retrieve(*args, **kwargs))
+    built.clear()
+    cli.stage_identify(cfg, tmp_path / "uncached.jsonl")
+    assert len(built) == E2E_HISTORICAL * E2E_TARGET_COUNT
+    assert set(built.values()) == {3}
+    assert (tmp_path / "cached.jsonl").read_bytes() == \
+        (tmp_path / "uncached.jsonl").read_bytes()
 
 
 def test_invalid_theta_rejected():
