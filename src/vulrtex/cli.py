@@ -22,7 +22,7 @@ from .config import (PipelineConfig, apply_overrides, check_artifact_hash,
 from .corpus import (CanonicalIR, fetch_pages, load_corpus, save_corpus,
                      split_corpus)
 from .errors import ConfigError, VulrtexError
-from .gateway import Gateway, GatewayConfig, make_gateway
+from .gateway import make_gateway
 from .graph import GraphStore
 from .identifier import (Prediction, generate_guidance, identify,
                          read_predictions, read_predictions_header,
@@ -119,17 +119,6 @@ def _overrides(corpus_path, db_path, seed, runs, walks, theta_sim, theta_out) ->
 # ---------------------------------------------------------------------------
 # component builders
 
-def _build_gateway(cfg: PipelineConfig) -> Gateway:
-    llm = cfg.llm
-    return make_gateway(GatewayConfig(
-        backend=llm.backend, endpoint_url=llm.endpoint_url,
-        api_key_env_var=llm.api_key_env_var, model_name=llm.model_name,
-        temperature=llm.temperature, max_retries=llm.max_retries,
-        deadline_seconds=llm.deadline_seconds,
-        concurrency_limit=llm.concurrency_limit,
-        stub_rules_path=llm.stub_rules_path, stub_jitter=llm.stub_jitter))
-
-
 def _build_toolkit(cfg: PipelineConfig) -> ToolKit:
     tool = cfg.tool
     return make_toolkit(scr_backend=tool.scr_backend,
@@ -182,7 +171,7 @@ def stage_prepare(cfg: PipelineConfig) -> dict:
     split = split_corpus(irs, cfg.historical_proportion)
     knowledge = _build_knowledge(cfg)
     reasoner_cfg = ReasonerConfig(
-        llm=_build_gateway(cfg), tools=_build_toolkit(cfg), store=knowledge,
+        llm=make_gateway(cfg.llm), tools=_build_toolkit(cfg), store=knowledge,
         max_depth=cfg.max_depth, max_nodes=cfg.max_nodes,
         branch_limit=cfg.branch_limit, correction_enabled=cfg.correction_enabled,
         theta_sim=cfg.theta_sim, inclusion_order=cfg.inclusion_order)
@@ -256,7 +245,7 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
     cfg.runs seed-shifted passes; predictions land in one JSONL file."""
     graph_store, _ = _open_db(cfg)
     targets = _db_targets(cfg)
-    llm = _build_gateway(cfg)
+    llm = make_gateway(cfg.llm)
     toolkit = _build_toolkit(cfg)
     graphs = count_graphs(graph_store.load_all())
     # every run walks each (graph, target) pair again under its own seed;

@@ -20,6 +20,7 @@ DEFAULT_THETA_OUT = 0.55
 DEFAULT_PROPORTION = 0.6
 DEFAULT_WALKS = 4
 DEFAULT_SEED = 17
+DEFAULT_TEMPERATURE = 0.3
 
 
 @dataclass
@@ -33,7 +34,7 @@ class LlmSection:
     max_retries: int = 3
     deadline_seconds: float = 120.0
     concurrency_limit: int = 4
-    temperature: float = 0.3
+    temperature: float = DEFAULT_TEMPERATURE
 
 
 @dataclass

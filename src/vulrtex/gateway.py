@@ -19,6 +19,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .config import DEFAULT_TEMPERATURE, LlmSection
 from .errors import (
     BackendRejected,
     GatewayExhausted,
@@ -27,8 +28,6 @@ from .errors import (
     RateLimited,
     TransportError,
 )
-
-DEFAULT_TEMPERATURE = 0.3
 
 
 @dataclass
@@ -177,20 +176,6 @@ class HttpBackend:
                            backend=self.name, latency_seconds=elapsed)
 
 
-@dataclass
-class GatewayConfig:
-    backend: str = "stub"
-    endpoint_url: str = ""
-    api_key_env_var: str = "VULRTEX_API_KEY"
-    model_name: str = ""
-    temperature: float = DEFAULT_TEMPERATURE
-    max_retries: int = 3
-    deadline_seconds: float = 120.0
-    concurrency_limit: int = 4
-    stub_rules_path: str = ""
-    stub_jitter: float = 0.0
-
-
 class Gateway:
     """Retrying, concurrency-limited front over one backend."""
 
@@ -226,7 +211,7 @@ class Gateway:
         raise GatewayExhausted(f"gave up after retries: {last_error}")
 
 
-def make_gateway(cfg: GatewayConfig) -> Gateway:
+def make_gateway(cfg: LlmSection) -> Gateway:
     if cfg.backend == "stub":
         if not cfg.stub_rules_path:
             raise BackendRejected("stub backend needs stub_rules_path")

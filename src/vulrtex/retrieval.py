@@ -3,6 +3,21 @@
 For one target report, every stored graph is weighted edge-by-edge against
 the target text, walked down to a reserved subgraph, described as text, and
 kept when the description's similarity to the target clears the threshold.
+
+A prune costs only the work that can change its result:
+
+- Walk probabilities are computed one source row at a time, the first time
+  a draw reads it. A walk step with one unvisited option and a closure with
+  one terminator candidate read none, so most rows are never computed.
+- What no target changes is computed once per stage, on the CountedGraph:
+  node term counts, the idf tables of the node texts, degrees and each
+  source's destinations, and the spawned walk seeds of each (seed, walks).
+- The reserved subgraph is a pure function of its action ids, so each
+  distinct set is built, validated, described and counted once per stage.
+
+build_adjacency and edge_probabilities compute every weight and row at once
+with the same per-pair and per-row code; the acceptance gates check them
+against the oracles.
 """
 
 from __future__ import annotations
@@ -10,7 +25,8 @@ from __future__ import annotations
 import hashlib
 import zlib
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +41,8 @@ from .graph import (
     ReasoningGraph,
     describe_graph,
 )
-from .textindex import TfIdfIndex, build_index, cosine, term_counts
+from .textindex import (CorpusIdf, TermVector, TfIdfIndex, build_index, cosine,
+                        term_counts)
 from .tools import ToolKit
 
 ADJ_EPSILON = 1e-6
@@ -33,22 +50,12 @@ ADJ_EPSILON = 1e-6
 
 @dataclass
 class AdjacencyMatrix:
-    node_ids: list[str]
-    weights: np.ndarray
+    """Adjacency weights keyed (src, dst); a pair without an edge weighs 0."""
 
-    def __post_init__(self):
-        self._pos = {nid: k for k, nid in enumerate(self.node_ids)}
+    weights: dict[tuple[str, str], float]
 
     def weight(self, src: str, dst: str) -> float:
-        return float(self.weights[self._pos[src], self._pos[dst]])
-
-
-@dataclass
-class EdgeProbabilities:
-    probs: dict[tuple[str, str], float]
-
-    def outgoing(self, src: str) -> list[tuple[str, float]]:
-        return [(dst, p) for (s, dst), p in self.probs.items() if s == src]
+        return self.weights.get((src, dst), 0.0)
 
 
 @dataclass(frozen=True)
@@ -56,76 +63,165 @@ class ReservedGraph:
     graph: ReasoningGraph
     origin_ir: str
     description: str
+    description_counts: Counter[str]
     similarity: float = 0.0
 
 
 @dataclass(frozen=True)
 class CountedGraph:
-    """A stored graph with the term counts of its node texts, so retrieval
-    for many targets tokenizes each node text once."""
+    """A stored graph with what retrieval needs of it for any target, built
+    once per stage so many targets share it.
+
+    `node_counts` and `idf` (over the node texts) feed the edge weights;
+    `degree` and `dsts` (each source's distinct destinations, in out_actions
+    order) shape the walk probabilities. Two memos fill as the stage walks
+    and go away with it: `walk_seeds` holds the spawned seeds of each
+    (seed, walks) asked for, and `subgraphs` the ReservedGraph of each
+    distinct set of reserved action ids the walks reach, so it never holds
+    more entries than prunes were made.
+    """
 
     graph: ReasoningGraph
     node_counts: dict[str, Counter[str]]
+    idf: CorpusIdf
+    degree: dict[str, int]
+    dsts: dict[str, list[str]]
+    walk_seeds: dict[tuple[int, int], list[np.random.SeedSequence]] = field(
+        default_factory=dict, repr=False, compare=False)
+    subgraphs: dict[frozenset[str], ReservedGraph] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 def node_counts(g: ReasoningGraph) -> dict[str, Counter[str]]:
     return {nid: term_counts(g.node_text(nid)) for nid in g.nodes}
 
 
+def _out_structure(g: ReasoningGraph) -> tuple[dict[str, int], dict[str, list[str]]]:
+    """Each node's degree, counting every incident action of the multigraph
+    (in and out, parallels included), and its distinct destinations in
+    out_actions order."""
+    degree = {nid: len(g.out_actions(nid)) + len(g.in_actions(nid)) for nid in g.nodes}
+    dsts = {nid: list(dict.fromkeys(a.dst for a in g.out_actions(nid))) for nid in g.nodes}
+    return degree, dsts
+
+
 def count_graphs(graphs) -> list[CountedGraph]:
-    """Pair every graph with its node counts; counted graphs pass through."""
-    return [g if isinstance(g, CountedGraph) else CountedGraph(g, node_counts(g))
-            for g in graphs]
+    """Pair every graph with its target-independent statistics; counted
+    graphs pass through."""
+    out = []
+    for g in graphs:
+        if not isinstance(g, CountedGraph):
+            counts = node_counts(g)
+            doc_freq: Counter[str] = Counter()
+            for c in counts.values():
+                doc_freq.update(c.keys())
+            g = CountedGraph(g, counts, CorpusIdf.from_doc_freq(doc_freq, len(counts)),
+                             *_out_structure(g))
+        out.append(g)
+    return out
+
+
+class _PairWeights:
+    """Adjacency weights of one graph for one target, weighed pair by pair:
+    how much the joined text "src dst" gains similarity to the target over
+    the source text alone, floored at epsilon so every existing edge stays
+    walkable. The joined counts are the sum of the two nodes' counts, since
+    no token spans the joining space."""
+
+    def __init__(self, counts: dict[str, Counter[str]],
+                 vectorize: Callable[[Counter[str]], TermVector], target_vec: TermVector):
+        self.counts = counts
+        self.vectorize = vectorize
+        self.target_vec = target_vec
+        self.base: dict[str, float] = {}
+
+    def __call__(self, src: str, dst: str) -> float:
+        base = self.base.get(src)
+        if base is None:
+            base = self.base[src] = cosine(self.target_vec, self.vectorize(self.counts[src]))
+        joined = self.counts[src] + self.counts[dst]
+        gain = cosine(self.target_vec, self.vectorize(joined)) - base
+        return max(0.0, gain) + ADJ_EPSILON
 
 
 def build_adjacency(g: ReasoningGraph, target: str | Counter[str], index: TfIdfIndex,
                     counts: dict[str, Counter[str]] | None = None) -> AdjacencyMatrix:
-    """Weight each connected node pair by how much the joined text gains
-    similarity to the target over the source text alone, floored at epsilon
-    so every existing edge stays walkable.
+    """Weight every connected node pair at once (see _PairWeights).
 
     `counts` are the node texts' term counts (node_counts(g) when omitted).
-    A pair's joined text is "src dst"; its counts are the sum of the two
-    nodes' counts, since no token spans the joining space.
     """
-    if counts is None:
-        counts = node_counts(g)
-    node_ids = list(g.nodes)
-    pos = {nid: k for k, nid in enumerate(node_ids)}
-    weights = np.zeros((len(node_ids), len(node_ids)))
-    target_vec = index.vectorize(target)
-    base = {nid: cosine(target_vec, index.vectorize(counts[nid])) for nid in node_ids}
-    pairs = sorted({(a.src, a.dst) for a in g.edges})
-    for src, dst in pairs:
-        joined = counts[src] + counts[dst]
-        gain = cosine(target_vec, index.vectorize(joined)) - base[src]
-        weights[pos[src], pos[dst]] = max(0.0, gain) + ADJ_EPSILON
-    return AdjacencyMatrix(node_ids, weights)
+    weigh = _PairWeights(node_counts(g) if counts is None else counts,
+                         index.vectorize, index.vectorize(target))
+    return AdjacencyMatrix({pair: weigh(*pair)
+                            for pair in sorted({(a.src, a.dst) for a in g.edges})})
+
+
+def _fill_row(probs: dict[tuple[str, str], float], src: str, dsts: list[str],
+              degree: dict[str, int], weight: Callable[[str, str], float]) -> None:
+    """Degree-weighted walk probabilities of src's out-edges, normalized
+    over its distinct destinations; a source without any has no row."""
+    if not dsts:
+        return
+    raw = [weight(src, dst) * (1.0 / degree[src] + 1.0 / degree[dst]) for dst in dsts]
+    total = sum(raw)
+    if total <= 0.0:
+        raise IsolatedNonTerminal(
+            f"node {src} has zero outgoing raw mass; matrix misaligned with graph")
+    for dst, r in zip(dsts, raw):
+        probs[(src, dst)] = r / total
+
+
+@dataclass
+class EdgeProbabilities:
+    """Walk probabilities keyed (src, dst), one row per source node.
+
+    edge_probabilities fills every row at once. target_probabilities fills
+    none: `row(src)` weighs and normalizes src's out-edges the first time a
+    draw needs them, so `probs` holds the rows asked for so far.
+    """
+
+    probs: dict[tuple[str, str], float]
+    counted: CountedGraph | None = None  # set while rows may be missing
+    target: Counter[str] | None = None
+    _weigh: _PairWeights | None = field(default=None, repr=False)
+    _rows: set[str] = field(default_factory=set, repr=False)
+
+    def row(self, src: str) -> None:
+        """Make sure src's row is in `probs`."""
+        if self.counted is not None and src not in self._rows:
+            self._fill(src)
+
+    def _fill(self, src: str) -> None:
+        c = self.counted
+        if self._weigh is None:
+            vectorize = c.idf.vectorizer(self.target)
+            self._weigh = _PairWeights(c.node_counts, vectorize, vectorize(self.target))
+        _fill_row(self.probs, src, c.dsts[src], c.degree, self._weigh)
+        self._rows.add(src)
+
+    def outgoing(self, src: str) -> list[tuple[str, float]]:
+        return [(dst, p) for (s, dst), p in self.probs.items() if s == src]
 
 
 def edge_probabilities(m: AdjacencyMatrix, g: ReasoningGraph) -> EdgeProbabilities:
-    """Degree-weighted walk probabilities, normalized per source node.
-
-    Degree counts every incident action of the multigraph, in and out,
-    parallels included.
-    """
-    deg = {nid: len(g.out_actions(nid)) + len(g.in_actions(nid)) for nid in g.nodes}
+    """Every row of the walk probabilities over the weights in m (see
+    _fill_row)."""
+    degree, dsts = _out_structure(g)
     probs: dict[tuple[str, str], float] = {}
     for src in g.nodes:
-        dsts: list[str] = []
-        for act in g.out_actions(src):
-            if act.dst not in dsts:
-                dsts.append(act.dst)
-        if not dsts:
-            continue
-        raw = [m.weight(src, dst) * (1.0 / deg[src] + 1.0 / deg[dst]) for dst in dsts]
-        total = sum(raw)
-        if total <= 0.0:
-            raise IsolatedNonTerminal(
-                f"node {src} has zero outgoing raw mass; matrix misaligned with graph")
-        for dst, r in zip(dsts, raw):
-            probs[(src, dst)] = r / total
+        _fill_row(probs, src, dsts[src], degree, m.weight)
     return EdgeProbabilities(probs)
+
+
+def target_probabilities(counted: CountedGraph,
+                         target: Counter[str]) -> EdgeProbabilities:
+    """Walk probabilities of one graph for one target's term counts, filled
+    row by row as walks need them; they do not depend on the walk seed.
+
+    The idf is that of build_index([target] + node texts), tabled per graph
+    (counted.idf), so no index is built here.
+    """
+    return EdgeProbabilities({}, counted, target)
 
 
 def _maximal_paths(out_map: dict[str, list[Action]]) -> list[tuple[str, ...]]:
@@ -152,8 +248,22 @@ def _choose(rng: np.random.Generator, weights: list[float]) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
-                      rng_seed: int) -> ReservedGraph:
+def _step(rng: np.random.Generator, p: EdgeProbabilities, src: str,
+          options: list[str]) -> str:
+    """One walk step from src: options[_choose(rng, src's probabilities)].
+
+    With one option no row is read: _choose takes it whatever its positive
+    weight, after drawing one double, which is drawn here too.
+    """
+    if len(options) == 1:
+        rng.random()
+        return options[0]
+    p.row(src)
+    return options[_choose(rng, [p.probs[(src, v)] for v in options])]
+
+
+def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
+                      walks: int, rng_seed: int) -> ReservedGraph:
     """Reserve a rooted subgraph by seeded random walks.
 
     The root and all of its direct children are adopted up front. Each walk
@@ -164,9 +274,18 @@ def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
     termination are closed with the cheapest terminator action the origin
     graph offers from their last node, preferring one whose target is
     already reserved, then the higher-probability one.
+
+    Only a draw among several options and a closure choosing among several
+    terminators read p, so only their source rows are asked for. The
+    result is a pure function of the reserved action ids: a counted graph
+    builds, validates and describes each distinct set once and hands the
+    same ReservedGraph out again. A plain graph is counted afresh, so its
+    memos last one call.
     """
     if walks < 1:
         raise ValueError("walks must be at least 1")
+    counted = count_graphs([g])[0]
+    g = counted.graph
     reserved_nodes: dict[str, None] = {ROOT_ID: None}
     reserved_actions: dict[str, None] = {}
     for act in g.out_actions(ROOT_ID):
@@ -176,7 +295,11 @@ def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
     def unvisited_successors(node_id: str) -> list[str]:
         return [v for v in g.successors(node_id) if v not in reserved_nodes]
 
-    for stream in np.random.SeedSequence(rng_seed).spawn(walks):
+    seeds = counted.walk_seeds.get((rng_seed, walks))
+    if seeds is None:
+        seeds = counted.walk_seeds[(rng_seed, walks)] = \
+            np.random.SeedSequence(rng_seed).spawn(walks)
+    for stream in seeds:
         rng = np.random.default_rng(stream)
         frontier = [u for u in reserved_nodes if unvisited_successors(u)]
         if not frontier:
@@ -186,7 +309,7 @@ def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
             options = unvisited_successors(current)
             if not options:
                 break
-            nxt = options[_choose(rng, [p.probs[(current, v)] for v in options])]
+            nxt = _step(rng, p, current, options)
             hop = g.actions_between(current, nxt)
             for act in hop:
                 reserved_actions[act.id] = None
@@ -210,31 +333,31 @@ def random_walk_prune(g: ReasoningGraph, p: EdgeProbabilities, walks: int,
         candidates = [a for a in g.out_actions(last) if a.tool == AGENT_TERMINATOR]
         if not candidates:
             continue
-        best = min(candidates, key=lambda a: (
-            0 if a.dst in reserved_nodes else 1,
-            -p.probs.get((last, a.dst), 0.0),
-            a.id))
+        best = candidates[0]
+        if len(candidates) > 1:
+            p.row(last)
+            best = min(candidates, key=lambda a: (
+                0 if a.dst in reserved_nodes else 1,
+                -p.probs[(last, a.dst)],
+                a.id))
         reserved_nodes[best.dst] = None
         reserved_actions[best.id] = None
 
-    pruned = ReasoningGraph(g.ir_id)
-    for nid, obs in g.nodes.items():
-        if nid in reserved_nodes:
-            pruned.add_observation(Observation.from_dict(obs.to_dict()))
-    for act in g.edges:
-        if act.id in reserved_actions:
-            pruned.add_action(Action(act.id, act.src, act.dst, act.tool, act.argument))
-    pruned.validate()
-    return ReservedGraph(pruned, g.ir_id, describe_graph(pruned))
-
-
-def target_probabilities(counted: CountedGraph,
-                         target: Counter[str]) -> EdgeProbabilities:
-    """Index, adjacency, and walk probabilities of one graph for one target's
-    term counts; they do not depend on the walk seed."""
-    index = build_index([target] + list(counted.node_counts.values()))
-    adj = build_adjacency(counted.graph, target, index, counted.node_counts)
-    return edge_probabilities(adj, counted.graph)
+    key = frozenset(reserved_actions)
+    reserved = counted.subgraphs.get(key)
+    if reserved is None:
+        pruned = ReasoningGraph(g.ir_id)
+        for nid, obs in g.nodes.items():
+            if nid in reserved_nodes:
+                pruned.add_observation(Observation.from_dict(obs.to_dict()))
+        for act in g.edges:
+            if act.id in reserved_actions:
+                pruned.add_action(Action(act.id, act.src, act.dst, act.tool, act.argument))
+        pruned.validate()
+        description = describe_graph(pruned)
+        reserved = counted.subgraphs[key] = ReservedGraph(
+            pruned, g.ir_id, description, term_counts(description))
+    return reserved
 
 
 def prune_for_target(g: ReasoningGraph | CountedGraph, target: str | Counter[str],
@@ -244,8 +367,8 @@ def prune_for_target(g: ReasoningGraph | CountedGraph, target: str | Counter[str
     counted = count_graphs([g])[0]
     if isinstance(target, str):
         target = term_counts(target)
-    probs = target_probabilities(counted, target)
-    return random_walk_prune(counted.graph, probs, walks, rng_seed)
+    return random_walk_prune(counted, target_probabilities(counted, target),
+                             walks, rng_seed)
 
 
 def graph_walk_seed(master_seed: int, ir_id: str) -> int:
@@ -271,14 +394,19 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
 
     `db` is a GraphStore or a list of graphs; a caller retrieving for many
     targets passes count_graphs(store.load_all()) once, so no graph is
-    loaded or node text counted per target. Similarities come from one
-    index spanning all pruned descriptions plus the flattened target.
-    Per-graph walk seeds derive from (seed, graph id), so results do not
-    depend on iteration or scheduling order.
+    loaded or node text counted per target, and the graphs' memos serve
+    every target: each distinct reserved subgraph of a graph is described
+    and counted once, and its walk seeds are spawned once per seed. The
+    memos hold at most one subgraph per prune made and go away with the
+    list. Similarities come from one index spanning all pruned descriptions
+    plus the flattened target. Per-graph walk seeds derive from (seed,
+    graph id), so results do not depend on iteration or scheduling order.
 
-    `cache`, when given, maps (graph id, target fingerprint) to that pair's
-    EdgeProbabilities, so a caller repeating a target under other seeds
-    walks each graph again without weighting it again.
+    Walk probabilities are made per (graph, target) and fill only the
+    source rows that a draw among several options, or a closure among
+    several terminators, reads. `cache`, when given, maps (graph id, target
+    fingerprint) to that pair's EdgeProbabilities, so a caller repeating a
+    target under other seeds reuses the rows already filled.
     """
     graphs = count_graphs(db.load_all() if hasattr(db, "load_all") else db)
     if not graphs:
@@ -297,14 +425,13 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
             probs = target_probabilities(counted, target_counts)
             if cache is not None:
                 cache[key] = probs
-        pruned.append(random_walk_prune(counted.graph, probs, walks,
+        pruned.append(random_walk_prune(counted, probs, walks,
                                         graph_walk_seed(seed, ir_id)))
-    description_counts = [term_counts(r.description) for r in pruned]
-    index = build_index(description_counts + [target_counts])
+    index = build_index([r.description_counts for r in pruned] + [target_counts])
     target_vec = index.vectorize(target_counts)
     kept: list[ReservedGraph] = []
-    for r, counts in zip(pruned, description_counts):
-        score = cosine(target_vec, index.vectorize(counts))
+    for r in pruned:
+        score = cosine(target_vec, index.vectorize(r.description_counts))
         if score > theta_sim:
             kept.append(replace(r, similarity=score))
     kept.sort(key=lambda r: (-r.similarity, r.origin_ir))

@@ -9,10 +9,11 @@ and its Counter then stands in for the text everywhere a document is taken:
 `build_index`, `TfIdfIndex.vectorize` and `TfIdfIndex.similarity` accept
 either. The counts of two texts joined by whitespace are the sum of their
 counts (no token spans whitespace), so joined texts need no re-tokenizing.
-A vector computes its norm once. There is no process-wide cache: counts live
-with the object that owns the text (a knowledge store's records, the graphs
-one stage retrieves from, one retrieval call's target and descriptions) and
-go away with it.
+A vector computes its norm once. A fixed corpus scored against many
+one-document queries tables its idf once (`CorpusIdf`), so a query builds
+no index. There is no process-wide cache: counts live with the object that
+owns the text (a knowledge store's records, the graphs one stage retrieves
+from, one retrieval call's target and descriptions) and go away with it.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is
@@ -28,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .errors import EmptyCorpus
 
@@ -107,6 +109,10 @@ class TermVector:
         return sum(self.weights[t] * other.weights[t] for t in common)
 
 
+def _smoothed_idf(n_docs: int, doc_freq: int) -> float:
+    return math.log((1 + n_docs) / (1 + doc_freq)) + 1.0
+
+
 class TfIdfIndex:
     """Frozen document-frequency statistics over a corpus.
 
@@ -120,10 +126,7 @@ class TfIdfIndex:
         self.doc_freq = doc_freq
         self.n_docs = n_docs
         self.config = config
-        self._idf = {
-            term: math.log((1 + n_docs) / (1 + doc_freq[term])) + 1.0
-            for term in vocabulary
-        }
+        self._idf = {term: _smoothed_idf(n_docs, doc_freq[term]) for term in vocabulary}
 
     def idf(self, term: str) -> float:
         return self._idf[term]
@@ -204,6 +207,43 @@ def index_from_doc_freq(doc_freq: Counter[str], n_docs: int,
     """
     vocabulary = {term: i for i, term in enumerate(sorted(doc_freq))}
     return TfIdfIndex(vocabulary, dict(doc_freq), n_docs, config)
+
+
+@dataclass(frozen=True)
+class CorpusIdf:
+    """The idf of a fixed corpus plus one query document, tabled once for
+    every query.
+
+    For a query q, idf(t) is the idf of build_index(corpus + [q]): the
+    corpus's document frequency of t, plus one when q holds t, over one more
+    document than the corpus has. The three cases are tabled here, so a query
+    costs a dict copy and no logarithm (see from_doc_freq).
+    """
+
+    absent: dict[str, float]   # corpus terms, for a query without the term
+    shared: dict[str, float]   # corpus terms, for a query with the term
+    query_only: float          # any term only the query holds
+
+    @classmethod
+    def from_doc_freq(cls, doc_freq: Counter[str], n_corpus: int) -> "CorpusIdf":
+        n_docs = n_corpus + 1
+        return cls({t: _smoothed_idf(n_docs, df) for t, df in doc_freq.items()},
+                   {t: _smoothed_idf(n_docs, df + 1) for t, df in doc_freq.items()},
+                   _smoothed_idf(n_docs, 1))
+
+    def vectorizer(self, query: Counter[str]) -> Callable[[Counter[str]], TermVector]:
+        """Tf-idf vectors under the idf for `query`, of the query's or any
+        corpus document's term counts.
+
+        The vectors are keyed by term, not by vocabulary id. An index
+        numbers its vocabulary in sorted term order, so `dot` sums in the
+        same order, and every weight, norm and cosine equals the index's.
+        """
+        idf = dict(self.absent)
+        for term in query:
+            idf[term] = self.shared.get(term, self.query_only)
+        return lambda counts: TermVector(
+            {term: count * idf[term] for term, count in counts.items()})
 
 
 def vectorize(index: TfIdfIndex, doc: str | Counter[str]) -> TermVector:

@@ -39,7 +39,7 @@ class StubScrAnalyzer:
         self.fixtures_dir = Path(fixtures_dir)
 
     def analyze(self, payload: str) -> str:
-        sidecar = self.fixtures_dir / (hashlib.sha256(payload.encode("utf-8")).hexdigest() + ".txt")
+        sidecar = self.fixtures_dir / sidecar_filename(payload)
         if not sidecar.is_file():
             raise ToolBackendUnavailable(f"no sidecar text for screenshot {payload}")
         return sidecar.read_text(encoding="utf-8").strip()

@@ -14,10 +14,9 @@ from vulrtex.errors import (
     TransportError,
 )
 from vulrtex import gateway
+from vulrtex.config import DEFAULT_TEMPERATURE, LlmSection
 from vulrtex.gateway import (
-    DEFAULT_TEMPERATURE,
     Gateway,
-    GatewayConfig,
     HttpBackend,
     LlmRequest,
     LlmResponse,
@@ -192,8 +191,8 @@ def capture_http_payloads(monkeypatch) -> list[dict]:
 
 
 def http_gateway(**overrides) -> Gateway:
-    return make_gateway(GatewayConfig(backend="http", endpoint_url="http://llm.invalid/v1",
-                                      model_name="m", **overrides))
+    return make_gateway(LlmSection(backend="http", endpoint_url="http://llm.invalid/v1",
+                                   model_name="m", **overrides))
 
 
 def test_configured_temperature_reaches_http_payload(monkeypatch):

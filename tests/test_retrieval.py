@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixturelib as fx
-from e2e_fixture import (E2E_HISTORICAL, E2E_TARGET_COUNT, write_e2e_config,
-                         write_e2e_fixture)
+from e2e_fixture import write_e2e_config, write_e2e_fixture
 from oracles import (
     ADJ_EPSILON,
     oracle_adjacency,
@@ -26,12 +25,15 @@ from vulrtex.graph import (
     VUL,
     NOT_VUL,
     Action,
+    GraphStore,
     Observation,
     ReasoningGraph,
 )
 from vulrtex.retrieval import (
     AdjacencyMatrix,
+    EdgeProbabilities,
     _choose,
+    _step,
     build_adjacency,
     count_graphs,
     edge_probabilities,
@@ -40,6 +42,7 @@ from vulrtex.retrieval import (
     prune_for_target,
     random_walk_prune,
     retrieve_relevant,
+    target_probabilities,
 )
 from vulrtex.textindex import STOPWORDS, build_index, similarity, term_counts
 
@@ -172,7 +175,7 @@ def test_fig_probabilities_match_oracle_and_sum_to_one():
 
 def test_zero_mass_row_raises():
     g = chain_graph()
-    broken = AdjacencyMatrix(list(g.nodes), np.zeros((3, 3)))
+    broken = AdjacencyMatrix({(a.src, a.dst): 0.0 for a in g.edges})
     with pytest.raises(IsolatedNonTerminal):
         edge_probabilities(broken, g)
 
@@ -223,6 +226,42 @@ def test_closure_terminates_every_open_path():
         # every screenshot branch must end in its terminator after closure
         assert {"A2.1", "A2.2", "A2.3", "A2.4"} <= {a.id for a in reserved.graph.edges}
         assert {"O3.1", "O3.2"} <= set(reserved.graph.nodes)
+
+
+def two_verdict_graph():
+    """Each screenshot node may terminate two ways, so a closure must pick
+    between two terminators by probability; the likelier one (the target's
+    words) has the larger id, so an id-only pick differs."""
+    g = ReasoningGraph("fixture/two-verdicts#1")
+    g.add_observation(Observation("O1", "ticket report with two screenshots"))
+    g.add_observation(Observation("O2.1", "the script executes on the page"))
+    g.add_observation(Observation("O2.2", "stored payload in the ticket title"))
+    for nid, text, verdict in [
+            ("O3.1", "nothing relevant observed", NOT_VUL),
+            ("O3.2", "stored xss payload executes on the ticket page", VUL),
+            ("O3.3", "nothing relevant observed", NOT_VUL),
+            ("O3.4", "the title renders the stored xss payload", VUL)]:
+        g.add_observation(Observation(nid, text, verdict=verdict))
+    g.add_action(Action("A1.1", "O1", "O2.1", SCR_ANALYZER, "[SCR1]"))
+    g.add_action(Action("A1.2", "O1", "O2.2", SCR_ANALYZER, "[SCR2]"))
+    for k, (src, dst) in enumerate([("O2.1", "O3.1"), ("O2.1", "O3.2"),
+                                    ("O2.2", "O3.3"), ("O2.2", "O3.4")], start=1):
+        g.add_action(Action(f"A2.{k}", src, dst, AGENT_TERMINATOR))
+    g.validate()
+    return g
+
+
+def test_closure_tie_break_equal_on_lazy_rows():
+    g = two_verdict_graph()
+    eager = edge_probabilities(build_adjacency(g, TARGET_TEXT, make_index(g)), g)
+    for seed in range(20):
+        counted = count_graphs([g])[0]
+        lazy = target_probabilities(counted, term_counts(TARGET_TEXT))
+        want = random_walk_prune(g, eager, walks=1, rng_seed=seed)
+        got = random_walk_prune(counted, lazy, walks=1, rng_seed=seed)
+        assert got.graph == want.graph
+        # one walk leaves one screenshot branch to the closure
+        assert len([a for a in got.graph.edges if a.tool == AGENT_TERMINATOR]) == 2
 
 
 def test_fig_description_contains_both_quoted_paths():
@@ -363,32 +402,37 @@ def test_result_independent_of_database_order():
 
 
 def test_cache_reused_on_identical_query(tmp_path, monkeypatch):
-    """Over three runs, stage_identify weights each (graph, target) pair
-    once, and its predictions equal those of runs that weight every time."""
+    """Over three runs, stage_identify computes each (graph, target, source)
+    row of walk probabilities at most once, and its predictions equal those
+    of runs that recompute rows for every run."""
     paths = write_e2e_fixture(tmp_path / "fx")
     cfg = load_config(str(write_e2e_config(
         tmp_path / "config.ini", paths, jitter=0.3,
         pipeline={"runs": 3, "db_path": tmp_path / "db"})))
     cli.stage_prepare(cfg)
-    built = Counter()
-    build_adjacency = retrieval.build_adjacency
+    # the fixture's own graphs never branch, so no walk would read a row
+    store = GraphStore(tmp_path / "db")
+    rng = random.Random(11)
+    for _ in range(6):
+        store.save(fx.random_dag(rng))
+    computed = Counter()
+    fill = retrieval.EdgeProbabilities._fill
 
-    def counting_build(g, target, *args):
-        built[(g.ir_id, tuple(target.items()))] += 1
-        return build_adjacency(g, target, *args)
+    def counting_fill(self, src):
+        computed[(self.counted.graph.ir_id, tuple(self.target.items()), src)] += 1
+        return fill(self, src)
 
-    monkeypatch.setattr(retrieval, "build_adjacency", counting_build)
+    monkeypatch.setattr(retrieval.EdgeProbabilities, "_fill", counting_fill)
     cli.stage_identify(cfg, tmp_path / "cached.jsonl")
-    assert len(built) == E2E_HISTORICAL * E2E_TARGET_COUNT
-    assert set(built.values()) == {1}
+    assert computed
+    assert set(computed.values()) == {1}
 
     retrieve = cli.retrieve_relevant
     monkeypatch.setattr(cli, "retrieve_relevant",
                         lambda *args, cache=None, **kwargs: retrieve(*args, **kwargs))
-    built.clear()
+    computed.clear()
     cli.stage_identify(cfg, tmp_path / "uncached.jsonl")
-    assert len(built) == E2E_HISTORICAL * E2E_TARGET_COUNT
-    assert set(built.values()) == {3}
+    assert max(computed.values()) > 1
     assert (tmp_path / "cached.jsonl").read_bytes() == \
         (tmp_path / "uncached.jsonl").read_bytes()
 
@@ -443,3 +487,51 @@ def test_retrieval_similarities_equal_string_path(graph_seed, walk_seed):
         got = retrieve_relevant(db, target, theta_sim=0.0, seed=walk_seed)
         assert {r.origin_ir: r.similarity for r in got} == {
             ir_id: s for ir_id, s in want.items() if s > 0.0}
+
+
+# ------------------------------------------- rows on demand, one subgraph per set
+#
+# The lazy walk probabilities and the per-stage memos must leave every
+# result bit for bit as the eager, memo-free computation gives it.
+
+@exact
+@given(st.integers(0, 2**32 - 1), targets, st.integers(0, 1000))
+def test_lazy_rows_equal_eager_probabilities(seed, target, walk_seed):
+    g = fx.random_dag(random.Random(seed))
+    eager = edge_probabilities(build_adjacency(g, target, make_index(g, target)), g)
+    counted = count_graphs([g])[0]
+    lazy = target_probabilities(counted, term_counts(target))
+    random_walk_prune(counted, lazy, 4, walk_seed)
+    assert lazy.probs.items() <= eager.probs.items()
+    for src in g.nodes:
+        lazy.row(src)
+    assert lazy.probs == eager.probs
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.lists(targets, min_size=3, max_size=3))
+def test_shared_counted_graphs_equal_fresh_ones(graph_seed, texts):
+    rng = random.Random(graph_seed)
+    graphs = [fx.random_dag(rng) for _ in range(4)]
+    shared = count_graphs(graphs)
+
+    def outcome(db, text, seed):
+        target = CanonicalIR(id="fixture/target#2", title="", content=text)
+        return [(r.origin_ir, r.similarity.hex(), r.description,
+                 set(r.graph.nodes), {a.id for a in r.graph.edges})
+                for r in retrieve_relevant(db, target, theta_sim=0.0, seed=seed)]
+
+    for text in texts:
+        for seed in (3, 4):
+            assert outcome(shared, text, seed) == outcome(count_graphs(graphs), text, seed)
+
+
+@exact
+@given(st.floats(min_value=1e-12, max_value=1.0), st.integers(0, 2**64 - 1))
+def test_one_option_step_draws_like_choose(weight, seed):
+    by_choose = np.random.default_rng(seed)
+    by_step = np.random.default_rng(seed)
+    assert _choose(by_choose, [weight]) == 0
+    # no row exists to read, so a step that consulted one would raise
+    assert _step(by_step, EdgeProbabilities({}), "O1", ["O2.1"]) == "O2.1"
+    assert by_step.bit_generator.state == by_choose.bit_generator.state
