@@ -5,18 +5,32 @@ walk) must leave these digests alone. The config hash is masked: it covers
 the fixture's absolute paths, so it differs between checkouts and tmp dirs.
 Similarities from `stage_retrieve` are written as `float.hex`, so a change in
 the last bit shows.
+
+No walk over the fixture's own graphs has two options, so `run-all` reads no
+walk-probability row. The branching case adds random DAGs to the prepared
+database and pins retrieval, every adjacency row and the golden-knowledge
+similarities as `float.hex` too.
 """
 
 import hashlib
 import json
+import random
 import re
 
 import pytest
 from click.testing import CliRunner
 
+import fixturelib
 from e2e_fixture import write_e2e_config, write_e2e_fixture
 from vulrtex import cli
 from vulrtex.config import load_config
+from vulrtex.corpus import load_corpus
+from vulrtex.graph import GraphStore
+from vulrtex.knowledge import load_store
+from vulrtex.retrieval import (build_adjacency, count_graphs, edge_probabilities,
+                               flatten_target, retrieve_relevant)
+from vulrtex.textindex import build_index
+from vulrtex.tools import StubCodeAnalyzer, StubScrAnalyzer, ToolKit
 
 ARTIFACTS = ("preds.jsonl", "report.json", "curve.csv")
 
@@ -27,6 +41,7 @@ EXPECTED = {
         "curve.csv": "b124be22357b62fe92f720a2f78de25c9e6444c73a34c10438905036f595161a",
         "retrieve": "6333221c740cc3e29b029a9acd8c9fe49400c71b61a27ede67ad65208dbbd9ed",
     },
+    "branching": "a1c1f8158d57f78ebb0e501b96d6e0a389f0277a33a0e4ba789b44645e0243e9",
     "runs3": {
         "preds.jsonl": "3f639485bf7e2399d2ad8c4134bb916a12660d7856ae86590db1eae2a0b9cd23",
         "report.json": "c597bb3ad65d65020c6f052db95f65dde542292c53810a1ccc3037045e816513",
@@ -68,3 +83,44 @@ def test_outputs_match_recorded_digests(tmp_path, runs):
     second = _run_all(tmp_path / "elsewhere" / "b", runs)
     assert first == second
     assert first == EXPECTED[f"runs{runs}"]
+
+
+def _branching(root) -> tuple[str, int]:
+    """Digest of retrieval, adjacency rows and golden similarities over the
+    e2e database plus 6 random DAGs, and the number of lazy rows filled."""
+    fx = write_e2e_fixture(root / "fx")
+    cfg = load_config(str(write_e2e_config(root / "config.ini", fx,
+                                           pipeline={"db_path": root / "db"})))
+    cli.stage_prepare(cfg)
+    store = GraphStore(root / "db")
+    rng = random.Random(11)
+    for _ in range(6):
+        store.save(fixturelib.random_dag(rng))
+    graphs = store.load_all()
+    targets = load_corpus(root / "db" / "targets.jsonl")
+    toolkit = ToolKit(StubScrAnalyzer(fx["scr_dir"]), StubCodeAnalyzer())
+    knowledge = load_store(fx["va"])
+    counted = count_graphs(graphs)
+    cache: dict = {}
+    record: dict = {"retrieve": [], "rows": [], "golden": []}
+    for t in targets:
+        text = flatten_target(t, toolkit)
+        for seed in (17, 18):
+            kept = retrieve_relevant(counted, t, 0.0, seed=seed, toolkit=toolkit,
+                                     cache=cache)
+            record["retrieve"].append([t.id, seed, [
+                [r.origin_ir, r.similarity.hex(), r.description] for r in kept]])
+        for g in graphs:
+            index = build_index([text] + [obs.text for obs in g.nodes.values()])
+            probs = edge_probabilities(build_adjacency(g, text, index), g).probs
+            record["rows"].append([t.id, g.ir_id, sorted(
+                [src, dst, p.hex()] for (src, dst), p in probs.items())])
+        record["golden"].append([t.id, [s.hex() for s in knowledge.similarities(text)]])
+    filled = sum(len(p.probs) for p in cache.values())
+    return _digest(json.dumps(record, sort_keys=True).encode("utf-8")), filled
+
+
+def test_branching_case_matches_recorded_digest(tmp_path):
+    digest, filled = _branching(tmp_path)
+    assert filled > 0
+    assert digest == EXPECTED["branching"]
