@@ -31,7 +31,7 @@ from .knowledge import KnowledgeRecord, KnowledgeStore, ingest, load_store, save
 from .metrics import ScoredLabel, build_report, pr_curve, repeated_mean
 from .reasoner import ReasonerConfig, generate_reasoning_graph
 from .retrieval import count_graphs, retrieve_relevant
-from .tools import ToolKit, make_toolkit
+from .tools import make_toolkit
 
 PREDICTIONS_KIND = "predictions"
 
@@ -104,30 +104,8 @@ def _pipeline_options(fn):
     return _config_options(fn)
 
 
-def _overrides(corpus_path, db_path, seed, runs, walks, theta_sim, theta_out) -> dict:
-    return {
-        "corpus_path": corpus_path,
-        "db_path": db_path,
-        "seed": seed,
-        "runs": runs,
-        "walks": walks,
-        "theta_sim": theta_sim,
-        "theta_out": theta_out,
-    }
-
-
 # ---------------------------------------------------------------------------
 # component builders
-
-def _build_toolkit(cfg: PipelineConfig) -> ToolKit:
-    tool = cfg.tool
-    return make_toolkit(scr_backend=tool.scr_backend,
-                        code_backend=tool.code_backend,
-                        scr_fixtures_dir=tool.scr_fixtures_dir,
-                        scr_endpoint=tool.scr_endpoint,
-                        code_endpoint=tool.code_endpoint,
-                        cache_dir=tool.cache_dir or None)
-
 
 def _build_knowledge(cfg: PipelineConfig) -> KnowledgeStore | None:
     if not cfg.va.path:
@@ -171,7 +149,7 @@ def stage_prepare(cfg: PipelineConfig) -> dict:
     split = split_corpus(irs, cfg.historical_proportion)
     knowledge = _build_knowledge(cfg)
     reasoner_cfg = ReasonerConfig(
-        llm=make_gateway(cfg.llm), tools=_build_toolkit(cfg), store=knowledge,
+        llm=make_gateway(cfg.llm), tools=make_toolkit(cfg.tool), store=knowledge,
         max_depth=cfg.max_depth, max_nodes=cfg.max_nodes,
         branch_limit=cfg.branch_limit, correction_enabled=cfg.correction_enabled,
         theta_sim=cfg.theta_sim, inclusion_order=cfg.inclusion_order)
@@ -191,21 +169,15 @@ def stage_prepare(cfg: PipelineConfig) -> dict:
         statuses[ir.id] = "partial" if g.meta.get("partial") else "ok"
     save_corpus(split.historical, db_dir / "historical.jsonl")
     save_corpus(split.target, db_dir / "targets.jsonl")
-    graph_store.write_manifest({
-        "config_hash": config_hash(cfg),
-        "historical": len(split.historical),
-        "targets": len(split.target),
-        "graphs_built": built,
-        "status": statuses,
-    })
-    return {
-        "db_path": str(db_dir),
+    summary = {
         "config_hash": config_hash(cfg),
         "historical": len(split.historical),
         "targets": len(split.target),
         "graphs_built": built,
         "status": statuses,
     }
+    graph_store.write_manifest(summary)
+    return {"db_path": str(db_dir), **summary}
 
 
 def stage_retrieve(cfg: PipelineConfig,
@@ -220,7 +192,7 @@ def stage_retrieve(cfg: PipelineConfig,
         if missing:
             raise ConfigError(f"unknown target ids: {missing}")
         targets = [by_id[t] for t in target_ids]
-    toolkit = _build_toolkit(cfg)
+    toolkit = make_toolkit(cfg.tool)
     graphs = count_graphs(graph_store.load_all())
     results = []
     for target in targets:
@@ -246,7 +218,7 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
     graph_store, _ = _open_db(cfg)
     targets = _db_targets(cfg)
     llm = make_gateway(cfg.llm)
-    toolkit = _build_toolkit(cfg)
+    toolkit = make_toolkit(cfg.tool)
     graphs = count_graphs(graph_store.load_all())
     # every run walks each (graph, target) pair again under its own seed;
     # only a repeated run can reuse the pair's walk probabilities
@@ -369,7 +341,7 @@ def main():
 @_cli_errors
 def cmd_prepare_db(config_path, as_json, dry_run, **overrides):
     """Build the reasoning database from the historical corpus half."""
-    cfg = _resolve_config(config_path, _overrides(**overrides))
+    cfg = _resolve_config(config_path, overrides)
     if dry_run:
         _print_resolved(cfg, as_json)
         return
@@ -392,7 +364,7 @@ def cmd_prepare_db(config_path, as_json, dry_run, **overrides):
 @_cli_errors
 def cmd_retrieve(config_path, as_json, target_ids, **overrides):
     """Show which stored graphs are relevant to each target."""
-    cfg = _resolve_config(config_path, _overrides(**overrides))
+    cfg = _resolve_config(config_path, overrides)
     results = stage_retrieve(cfg, target_ids)
     lines = []
     for result in results:
@@ -411,7 +383,7 @@ def cmd_retrieve(config_path, as_json, target_ids, **overrides):
 @_cli_errors
 def cmd_identify(config_path, as_json, out_path, **overrides):
     """Score every target against the reasoning database."""
-    cfg = _resolve_config(config_path, _overrides(**overrides))
+    cfg = _resolve_config(config_path, overrides)
     summary = stage_identify(cfg, out_path)
     lines = [f"wrote {summary['predictions']} predictions "
              f"({summary['targets']} targets x {summary['runs']} runs) "
@@ -437,7 +409,7 @@ def cmd_identify(config_path, as_json, out_path, **overrides):
 def cmd_evaluate(config_path, as_json, preds_path, truth_path, report_path,
                  curve_path, **overrides):
     """Compute the metric report and precision/recall curve."""
-    cfg = _resolve_config(config_path, _overrides(**overrides))
+    cfg = _resolve_config(config_path, overrides)
     summary = stage_evaluate(cfg, preds_path, truth_path, report_path, curve_path)
     if summary["excluded_unscored"]:
         click.echo(f"warning: {summary['excluded_unscored']} unscored predictions "
@@ -462,7 +434,7 @@ def cmd_evaluate(config_path, as_json, preds_path, truth_path, report_path,
 @_cli_errors
 def cmd_run_all(config_path, as_json, out_dir, dry_run, **overrides):
     """Chain prepare-db, identify, and evaluate into one run directory."""
-    cfg = _resolve_config(config_path, _overrides(**overrides))
+    cfg = _resolve_config(config_path, overrides)
     out = Path(out_dir)
     cfg.db_path = str(out / "db")
     if dry_run:

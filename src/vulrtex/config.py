@@ -33,7 +33,6 @@ class LlmSection:
     stub_jitter: float = 0.0
     max_retries: int = 3
     deadline_seconds: float = 120.0
-    concurrency_limit: int = 4
     temperature: float = DEFAULT_TEMPERATURE
 
 

@@ -11,15 +11,14 @@ import json
 import math
 import os
 import re
-import threading
 import time
 import urllib.error
 import urllib.request
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import DEFAULT_TEMPERATURE, LlmSection
+from .config import LlmSection
 from .errors import (
     BackendRejected,
     GatewayExhausted,
@@ -177,37 +176,37 @@ class HttpBackend:
 
 
 class Gateway:
-    """Retrying, concurrency-limited front over one backend."""
+    """Retrying front over one backend, within one deadline per request;
+    defaults are LlmSection's."""
 
-    def __init__(self, backend, max_retries: int = 3, deadline_seconds: float = 120.0,
-                 concurrency_limit: int = 4, backoff_base: float = 0.5,
-                 temperature: float = DEFAULT_TEMPERATURE):
+    def __init__(self, backend, max_retries: int = LlmSection.max_retries,
+                 deadline_seconds: float = LlmSection.deadline_seconds,
+                 backoff_base: float = 0.5,
+                 temperature: float = LlmSection.temperature):
         self.backend = backend
         self.temperature = temperature
         self.max_retries = max_retries
         self.deadline_seconds = deadline_seconds
         self.backoff_base = backoff_base
-        self._sem = threading.BoundedSemaphore(concurrency_limit)
         self.calls = 0
 
     def complete(self, req: LlmRequest) -> LlmResponse:
         temperature = self.temperature if req.temperature is None else req.temperature
         start = time.monotonic()
         last_error: Exception | None = None
-        with self._sem:
-            for attempt in range(self.max_retries + 1):
-                remaining = self.deadline_seconds - (time.monotonic() - start)
-                if remaining <= 0.0:
-                    break
-                try:
-                    self.calls += 1
-                    return self.backend.complete(
-                        replace(req, temperature=temperature, timeout=remaining))
-                except (TransportError, RateLimited) as exc:
-                    last_error = exc
-                    if attempt < self.max_retries:
-                        time.sleep(min(self.backoff_base * 2 ** attempt,
-                                       self.deadline_seconds / 4))
+        for attempt in range(self.max_retries + 1):
+            remaining = self.deadline_seconds - (time.monotonic() - start)
+            if remaining <= 0.0:
+                break
+            try:
+                self.calls += 1
+                return self.backend.complete(
+                    replace(req, temperature=temperature, timeout=remaining))
+            except (TransportError, RateLimited) as exc:
+                last_error = exc
+                if attempt < self.max_retries:
+                    time.sleep(min(self.backoff_base * 2 ** attempt,
+                                   self.deadline_seconds / 4))
         raise GatewayExhausted(f"gave up after retries: {last_error}")
 
 
@@ -222,7 +221,6 @@ def make_gateway(cfg: LlmSection) -> Gateway:
         raise BackendRejected(f"unknown backend {cfg.backend!r}")
     return Gateway(backend, max_retries=cfg.max_retries,
                    deadline_seconds=cfg.deadline_seconds,
-                   concurrency_limit=cfg.concurrency_limit,
                    temperature=cfg.temperature)
 
 

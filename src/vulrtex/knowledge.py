@@ -8,12 +8,12 @@ threshold: only records scoring above theta_sim come back.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DuplicateKey
-from .textindex import cosine, index_from_doc_freq, term_counts
+from .textindex import CorpusIdf, cosine, term_counts
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,9 @@ class KnowledgeRecord:
 class KnowledgeStore:
     """Immutable after ingest; retrieval is a pure function of the store.
 
-    Each record's text is counted once, here, together with the document
-    frequencies over all records.
+    Each record's text is counted once, here. The idf of the records plus
+    one query is tabled once, on the first query (`idf`), so a query builds
+    no index and a store that is only written never tables it.
     """
 
     def __init__(self, records: list[KnowledgeRecord]):
@@ -52,24 +53,22 @@ class KnowledgeStore:
             seen.add(pair)
         self.records: tuple[KnowledgeRecord, ...] = tuple(records)
         self.record_counts = tuple(term_counts(r.text) for r in self.records)
-        self.doc_freq: Counter[str] = Counter()
-        for counts in self.record_counts:
-            self.doc_freq.update(counts.keys())
 
     def __len__(self) -> int:
         return len(self.records)
 
+    @cached_property
+    def idf(self) -> CorpusIdf:
+        return CorpusIdf.from_corpus(self.record_counts)
+
     def similarities(self, text: str) -> list[float]:
         """Similarity of each record to `text`, in record order.
 
-        The index spans the stored texts plus `text`, so its own terms still
-        contribute: the store's document frequencies plus one for each of
-        its terms, over one more document.
+        The idf spans the stored texts plus `text`, so its own terms still
+        contribute: it is the idf of build_index(records + [text]).
         """
         query = term_counts(text)
-        doc_freq = self.doc_freq.copy()
-        doc_freq.update(query.keys())
-        index = index_from_doc_freq(doc_freq, len(self.records) + 1)
+        index = self.idf.index_for(query)
         query_vec = index.vectorize(query)
         return [cosine(query_vec, index.vectorize(counts)) for counts in self.record_counts]
 

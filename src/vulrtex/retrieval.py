@@ -112,10 +112,7 @@ def count_graphs(graphs) -> list[CountedGraph]:
     for g in graphs:
         if not isinstance(g, CountedGraph):
             counts = node_counts(g)
-            doc_freq: Counter[str] = Counter()
-            for c in counts.values():
-                doc_freq.update(c.keys())
-            g = CountedGraph(g, counts, CorpusIdf.from_doc_freq(doc_freq, len(counts)),
+            g = CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
                              *_out_structure(g))
         out.append(g)
     return out
@@ -194,7 +191,7 @@ class EdgeProbabilities:
     def _fill(self, src: str) -> None:
         c = self.counted
         if self._weigh is None:
-            vectorize = c.idf.vectorizer(self.target)
+            vectorize = c.idf.index_for(self.target).vectorize
             self._weigh = _PairWeights(c.node_counts, vectorize, vectorize(self.target))
         _fill_row(self.probs, src, c.dsts[src], c.degree, self._weigh)
         self._rows.add(src)

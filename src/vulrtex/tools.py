@@ -16,6 +16,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import ToolSection
 from .corpus import KIND_CODE, KIND_SCR, CanonicalIR, RichTextElement
 from .errors import KindMismatch, ToolBackendUnavailable
 from .graph import AGENT_TERMINATOR, CODE_ANALYZER, SCR_ANALYZER
@@ -176,19 +177,17 @@ class ToolKit:
         return content
 
 
-def make_toolkit(scr_backend: str = "stub", code_backend: str = "stub",
-                 scr_fixtures_dir: str | Path = "", scr_endpoint: str = "",
-                 code_endpoint: str = "", cache_dir: str | Path | None = None) -> ToolKit:
-    if scr_backend == "stub":
-        scr = StubScrAnalyzer(scr_fixtures_dir or ".")
-    elif scr_backend == "http":
-        scr = HttpAnalyzer(scr_endpoint)
+def make_toolkit(cfg: ToolSection) -> ToolKit:
+    if cfg.scr_backend == "stub":
+        scr = StubScrAnalyzer(cfg.scr_fixtures_dir or ".")
+    elif cfg.scr_backend == "http":
+        scr = HttpAnalyzer(cfg.scr_endpoint)
     else:
-        raise ValueError(f"unknown scr backend {scr_backend!r}")
-    if code_backend == "stub":
+        raise ValueError(f"unknown scr backend {cfg.scr_backend!r}")
+    if cfg.code_backend == "stub":
         code = StubCodeAnalyzer()
-    elif code_backend == "http":
-        code = HttpAnalyzer(code_endpoint)
+    elif cfg.code_backend == "http":
+        code = HttpAnalyzer(cfg.code_endpoint)
     else:
-        raise ValueError(f"unknown code backend {code_backend!r}")
-    return ToolKit(scr, code, cache_dir=cache_dir)
+        raise ValueError(f"unknown code backend {cfg.code_backend!r}")
+    return ToolKit(scr, code, cache_dir=cfg.cache_dir or None)

@@ -90,6 +90,8 @@ path = store.jsonl
     def test_unknown_section_option(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown llm option"):
             load_config(write_ini(tmp_path, "[llm]\nmodel = x\n"))
+        with pytest.raises(ConfigError, match="unknown llm option"):
+            load_config(write_ini(tmp_path, "[llm]\nconcurrency_limit = 4\n"))
 
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigError, match="bad value"):

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -9,14 +8,12 @@ from hypothesis import strategies as st
 from vulrtex.errors import EmptyCorpus
 from vulrtex.textindex import (
     STOPWORDS,
-    TfIdfIndex,
-    TokenizerConfig,
+    CorpusIdf,
     build_index,
     cosine,
     similarity,
     term_counts,
     tokenize,
-    vectorize,
 )
 
 from oracles import oracle_similarity
@@ -43,10 +40,10 @@ def test_tokenize_drops_stopwords_and_punctuation():
 
 
 def test_build_index_counts_document_frequencies():
+    # every counted term has an idf, and the one in more documents weighs less
     idx = build_index(["a b", "a"])
-    assert idx.n_docs == 2
-    assert idx.doc_freq["a"] == 2
-    assert idx.doc_freq["b"] == 1
+    assert sorted(idx.idf) == ["a", "b"]
+    assert idx.idf["a"] < idx.idf["b"]
 
 
 def test_build_index_empty_corpus_rejected():
@@ -54,26 +51,21 @@ def test_build_index_empty_corpus_rejected():
         build_index([])
 
 
-def test_vocabulary_ids_dense_and_sorted():
-    idx = build_index(["delta alpha", "charlie alpha"])
-    assert idx.vocabulary == {"alpha": 0, "charlie": 1, "delta": 2}
-
-
 def test_smoothed_idf_formula():
     idx = build_index(["a b", "a"])
-    assert idx.idf("a") == pytest.approx(math.log(3 / 3) + 1.0, abs=1e-12)
-    assert idx.idf("b") == pytest.approx(math.log(3 / 2) + 1.0, abs=1e-12)
+    assert idx.idf["a"] == pytest.approx(math.log(3 / 3) + 1.0, abs=1e-12)
+    assert idx.idf["b"] == pytest.approx(math.log(3 / 2) + 1.0, abs=1e-12)
 
 
 def test_vectorize_weight_is_tf_times_idf():
     idx = build_index(["a b", "a"])
-    vec = vectorize(idx, "b b b")
-    assert vec.weights == {idx.vocabulary["b"]: pytest.approx(3 * idx.idf("b"))}
+    vec = idx.vectorize("b b b")
+    assert vec.weights == {"b": 3 * idx.idf["b"]}
 
 
 def test_vectorize_unknown_terms_dropped():
     idx = build_index(["a b", "a"])
-    assert vectorize(idx, "zzz qqq").weights == {}
+    assert idx.vectorize("zzz qqq").weights == {}
 
 
 def test_similarity_identity():
@@ -127,7 +119,7 @@ def test_similarity_symmetric_exactly():
 def test_similarity_range():
     idx = build_index(FIVE_DOCS)
     rng = random.Random(7)
-    vocab = sorted(idx.vocabulary)
+    vocab = sorted(idx.idf)
     for _ in range(50):
         a = " ".join(rng.choices(vocab, k=rng.randint(1, 8)))
         b = " ".join(rng.choices(vocab, k=rng.randint(1, 8)))
@@ -145,28 +137,12 @@ def test_similarity_scale_invariant():
 def test_build_index_deterministic():
     a = build_index(FIVE_DOCS)
     b = build_index(FIVE_DOCS)
-    assert a.to_dict() == b.to_dict()
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-
-
-def test_index_round_trip(tmp_path):
-    idx = build_index(FIVE_DOCS)
-    path = tmp_path / "index.json"
-    idx.save(path)
-    loaded = TfIdfIndex.load(path)
-    assert loaded.to_dict() == idx.to_dict()
-    assert similarity(loaded, "xss payload page", "xss page") == similarity(
-        idx, "xss payload page", "xss page")
-
-
-def test_no_stopword_config_keeps_function_words():
-    cfg = TokenizerConfig(stopword_list="none")
-    assert tokenize("the payload", cfg) == ["the", "payload"]
+    assert list(a.idf.items()) == list(b.idf.items())
 
 
 def test_cosine_clamped_to_one():
     idx = build_index(FIVE_DOCS)
-    va = vectorize(idx, "xss payload xss payload")
+    va = idx.vectorize("xss payload xss payload")
     assert cosine(va, va) <= 1.0
 
 
@@ -197,12 +173,12 @@ def test_merged_counts_equal_counts_of_joined_text(a, b):
 def test_vectorize_merged_counts_equals_joined_text(docs, a, b):
     idx = build_index(docs + [a, b])
     from_counts = idx.vectorize(term_counts(a) + term_counts(b))
-    from_text = vectorize(idx, a + " " + b)
+    from_text = idx.vectorize(a + " " + b)
     # same keys in the same order, so norm() sums in the same order: the
     # order in which the joined text's terms first occur
     assert list(from_counts.weights.items()) == list(from_text.weights.items())
     first_seen = dict.fromkeys(tokenize(a + " " + b))
-    assert list(from_text.weights) == [idx.vocabulary[t] for t in first_seen]
+    assert list(from_text.weights) == list(first_seen)
     assert from_counts.norm() == from_text.norm()
     assert from_text.norm() == math.sqrt(sum(w * w for w in from_text.weights.values()))
 
@@ -212,6 +188,20 @@ def test_vectorize_merged_counts_equals_joined_text(docs, a, b):
 def test_counts_and_texts_give_identical_index_and_similarity(docs, a, b):
     from_text = build_index(docs)
     from_counts = build_index([term_counts(d) for d in docs])
-    assert from_counts.to_dict() == from_text.to_dict()
+    assert from_counts.idf == from_text.idf
     assert (similarity(from_counts, term_counts(a), term_counts(b))
             == similarity(from_text, a, b))
+
+
+@exact
+@given(corpora, texts)
+def test_corpus_idf_index_equals_index_over_corpus_and_query(docs, query):
+    # the tabled idf for one query must be exactly build_index's over the
+    # corpus plus that query, and vectorize every document to the same floats
+    tabled = CorpusIdf.from_corpus([term_counts(d) for d in docs]).index_for(
+        term_counts(query))
+    built = build_index(docs + [query])
+    assert tabled.idf == built.idf
+    for d in [query] + docs:
+        assert (list(tabled.vectorize(d).weights.items())
+                == list(built.vectorize(d).weights.items()))

@@ -1,5 +1,6 @@
 import pytest
 
+from vulrtex.config import ToolSection
 from vulrtex.corpus import CanonicalIR, RichTextElement
 from vulrtex.errors import KindMismatch, ToolBackendUnavailable
 from vulrtex.graph import AGENT_TERMINATOR, CODE_ANALYZER, SCR_ANALYZER
@@ -126,5 +127,6 @@ def test_flatten_unavailable_element_warns(kit):
 
 
 def test_make_toolkit_stub(tmp_path):
-    kit = make_toolkit(scr_fixtures_dir=tmp_path, cache_dir=tmp_path / "cache")
+    kit = make_toolkit(ToolSection(scr_fixtures_dir=str(tmp_path),
+                                   cache_dir=str(tmp_path / "cache")))
     assert kit.run_tool(AGENT_TERMINATOR).output_text == "TERMINATE"
