@@ -21,6 +21,9 @@ DEFAULT_PROPORTION = 0.6
 DEFAULT_WALKS = 4
 DEFAULT_SEED = 17
 DEFAULT_TEMPERATURE = 0.3
+DEFAULT_MAX_DEPTH = 6
+DEFAULT_MAX_NODES = 24
+DEFAULT_BRANCH_LIMIT = 4
 
 
 @dataclass
@@ -62,9 +65,9 @@ class PipelineConfig:
     pr_interval: float = 0.05
     correction_enabled: bool = True
     inclusion_order: bool = True
-    max_depth: int = 6
-    max_nodes: int = 24
-    branch_limit: int = 4
+    max_depth: int = DEFAULT_MAX_DEPTH
+    max_nodes: int = DEFAULT_MAX_NODES
+    branch_limit: int = DEFAULT_BRANCH_LIMIT
     corpus_path: str = ""
     db_path: str = "reasoning-db"
     llm: LlmSection = field(default_factory=LlmSection)

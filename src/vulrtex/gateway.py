@@ -48,14 +48,56 @@ class LlmResponse:
     latency_seconds: float = 0.0
 
 
+def _probe(pattern: re.Pattern, capture) -> re.Match:
+    """A match with the group numbers and names of `pattern` in which group
+    i, the whole match (group 0) included, captured capture(i)."""
+    names = {i: name for name, i in pattern.groupindex.items()}
+    texts = [capture(i) for i in range(pattern.groups + 1)]
+    # groups 1.. capture inside a lookahead, so group 0 spans only texts[0]
+    groups = "".join((f"(?P<{names[i]}>" if i in names else "(") + re.escape(texts[i]) + ")"
+                     for i in range(1, len(texts)))
+    return re.compile(f"{re.escape(texts[0])}(?={groups})").match("".join(texts))
+
+
+def _parse_template(pattern: re.Pattern, template: str) -> tuple[str | int, ...]:
+    """`template` split into literal text and group numbers, alternately.
+
+    Joining the literals with each group's text ("" for a group that did not
+    match) is exactly `m.expand(template)` for any match m of `pattern`.
+    `re` itself parses the template, by expanding it against probe matches:
+    once with empty groups, which gives every literal character (and raises
+    what `Match.expand` would for a bad escape or group reference), then with
+    each group i capturing a mark, i, a mark, where the mark is a character
+    no literal holds.
+    """
+    literal = _probe(pattern, lambda i: "").expand(template)
+    mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in literal)
+    pieces = _probe(pattern, lambda i: f"{mark}{i}{mark}").expand(template).split(mark)
+    return tuple(int(p) if k % 2 else p for k, p in enumerate(pieces))
+
+
 @dataclass
 class StubRule:
+    """One scripted reply: the first rule whose pattern matches the prompt
+    answers with its response template expanded against the match.
+
+    The template is parsed once, here, so a malformed template (a bad
+    escape, or a group the pattern lacks) is rejected when the rule is made,
+    with the error `Match.expand` raises.
+    """
+
     pattern: str
     response_text: str
     first_token_logprobs: dict[str, float] | None = None
 
     def __post_init__(self):
         self._compiled = re.compile(self.pattern, re.DOTALL)
+        self._template = _parse_template(self._compiled, self.response_text)
+
+    def expand(self, m: re.Match) -> str:
+        """`m.expand(self.response_text)`, from the parsed template."""
+        return "".join(p if k % 2 == 0 else (m.group(p) or "")
+                       for k, p in enumerate(self._template))
 
 
 class StubBackend:
@@ -91,7 +133,7 @@ class StubBackend:
             m = rule._compiled.search(prompt)
             if m is None:
                 continue
-            text = m.expand(rule.response_text)
+            text = rule.expand(m)
             logprobs = None
             if req.want_logprobs:
                 if rule.first_token_logprobs is None:

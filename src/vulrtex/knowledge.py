@@ -3,17 +3,31 @@
 Records come from external vulnerability-awareness datasets and are matched
 against reasoning-path descriptions by TF-IDF similarity with a strict
 threshold: only records scoring above theta_sim come back.
+
+A lookup costs what the query's terms reach, not what the store holds. The
+store tables, once, postings (term -> each record holding it, with its
+weight when the query holds the term too) and each record's squared weights
+with and without the query holding the term. A query then scores only the
+records that share a term with it; any other record has a zero dot, so its
+similarity is exactly 0.0. Every float equals that of an index built over
+the records plus the query, because every sum runs over the same sequence:
+the dot over the sorted common terms and each norm in the record's
+first-occurrence term order. (Python 3.12's float `sum` is compensated, so
+only summing the same sequence with `sum` keeps the floats equal on every
+interpreter.)
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .errors import DuplicateKey
-from .textindex import CorpusIdf, cosine, term_counts
+from .textindex import CorpusIdf, term_counts
 
 
 @dataclass(frozen=True)
@@ -40,8 +54,9 @@ class KnowledgeStore:
     """Immutable after ingest; retrieval is a pure function of the store.
 
     Each record's text is counted once, here. The idf of the records plus
-    one query is tabled once, on the first query (`idf`), so a query builds
-    no index and a store that is only written never tables it.
+    one query (`idf`) and the lookup tables built from it (`_lookup`) are
+    tabled once, on the first query, so a store that is only written never
+    builds them.
     """
 
     def __init__(self, records: list[KnowledgeRecord]):
@@ -61,16 +76,62 @@ class KnowledgeStore:
     def idf(self) -> CorpusIdf:
         return CorpusIdf.from_corpus(self.record_counts)
 
+    @cached_property
+    def _lookup(self) -> tuple[dict[str, list[tuple[int, float]]],
+                               tuple[tuple[tuple[str, float, float], ...], ...]]:
+        """Postings and per-record squares.
+
+        Postings map a term to (record index, count * idf.shared[term]) for
+        each record holding it: the record's weight when the query holds the
+        term too. Each record's squares are (term, w_absent ** 2,
+        w_shared ** 2) in first-occurrence order, w_absent being the weight
+        when the query lacks the term (count * idf.absent[term]).
+        """
+        absent, shared = self.idf.absent, self.idf.shared
+        postings: dict[str, list[tuple[int, float]]] = {}
+        squares = []
+        for i, counts in enumerate(self.record_counts):
+            row = []
+            for term, count in counts.items():
+                wa, ws = count * absent[term], count * shared[term]
+                postings.setdefault(term, []).append((i, ws))
+                row.append((term, wa * wa, ws * ws))
+            squares.append(tuple(row))
+        return postings, tuple(squares)
+
     def similarities(self, text: str) -> list[float]:
         """Similarity of each record to `text`, in record order.
 
         The idf spans the stored texts plus `text`, so its own terms still
-        contribute: it is the idf of build_index(records + [text]).
+        contribute: each float is bit-identical to the cosine under
+        build_index(records + [text]). Only records reached through the
+        query's postings are scored; the rest share no term, so their dot and
+        similarity are exactly 0.0.
         """
         query = term_counts(text)
-        index = self.idf.index_for(query)
-        query_vec = index.vectorize(query)
-        return [cosine(query_vec, index.vectorize(counts)) for counts in self.record_counts]
+        idf = self.idf
+        weights = {t: c * idf.shared.get(t, idf.query_only) for t, c in query.items()}
+        scores = [0.0] * len(self.records)
+        qn = math.sqrt(sum([w * w for w in weights.values()]))
+        if qn == 0.0:
+            return scores
+        postings, squares = self._lookup
+        products: dict[int, list[float]] = {}
+        for term in sorted(weights):
+            q = weights[term]
+            for i, s in postings.get(term, ()):
+                products.setdefault(i, []).append(q * s)
+        for i, dots in products.items():
+            scores[i] = min(1.0, sum(dots) / (qn * _record_norm(squares[i], query)))
+        return scores
+
+
+def _record_norm(squares: tuple[tuple[str, float, float], ...],
+                 query: Counter[str]) -> float:
+    """A record's norm under the idf of a query: each square summed in the
+    record's first-occurrence order, w_shared ** 2 where the query holds the
+    term."""
+    return math.sqrt(sum([ws if term in query else wa for term, wa, ws in squares]))
 
 
 def ingest(records: list[KnowledgeRecord]) -> KnowledgeStore:
@@ -83,8 +144,9 @@ def retrieve_golden(store: KnowledgeStore, path_text: str,
 
     Similarities are computed over an index spanning the stored texts plus
     the query (KnowledgeStore.similarities), so query-only terms still
-    contribute. Results are sorted by similarity descending, ties broken by
-    key.
+    contribute. A record sharing no term with the query scores exactly 0.0,
+    which no theta_sim >= 0 keeps. Results are sorted by similarity
+    descending, ties broken by key.
     """
     if not 0.0 <= theta_sim <= 1.0:
         raise ValueError("theta_sim must be in [0, 1]")

@@ -13,6 +13,8 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 
+from .config import (DEFAULT_BRANCH_LIMIT, DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES,
+                     DEFAULT_THETA_SIM)
 from .corpus import KIND_SCR, CanonicalIR
 from .errors import GatewayExhausted, ToolBackendUnavailable, VulrtexError
 from .gateway import Gateway, LlmRequest
@@ -87,11 +89,11 @@ class ReasonerConfig:
     llm: Gateway | None = None
     tools: ToolKit | None = None
     store: KnowledgeStore | None = None
-    max_depth: int = 6
-    max_nodes: int = 24
-    branch_limit: int = 4
+    max_depth: int = DEFAULT_MAX_DEPTH
+    max_nodes: int = DEFAULT_MAX_NODES
+    branch_limit: int = DEFAULT_BRANCH_LIMIT
     correction_enabled: bool = False
-    theta_sim: float = 0.7
+    theta_sim: float = DEFAULT_THETA_SIM
     inclusion_order: bool = True
 
     def __post_init__(self):

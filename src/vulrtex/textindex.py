@@ -11,11 +11,11 @@ and its Counter then stands in for the text everywhere a document is taken:
 counts of two texts joined by whitespace are the sum of their counts (no
 token spans whitespace), so joined texts need no re-tokenizing. A vector
 computes its norm once. A fixed corpus scored against many one-document
-queries tables its idf once (`CorpusIdf`), and `CorpusIdf.index_for` makes
-each query's index without counting or taking a logarithm. There is no
-process-wide cache: counts live with the object that owns the text (a
-knowledge store's records, the graphs one stage retrieves from, one
-retrieval call's target and descriptions) and go away with it.
+queries tables its idf once (`CorpusIdf`), so a query's idf needs no
+counting and no logarithm. There is no process-wide cache: counts live with
+the object that owns the text (a knowledge store's records, the graphs one
+stage retrieves from, one retrieval call's target and descriptions) and go
+away with it.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is
@@ -137,7 +137,9 @@ class CorpusIdf:
     For a query q, idf(t) is the idf of build_index(corpus + [q]): the
     corpus's document frequency of t, plus one when q holds t, over one more
     document than the corpus has. The three cases are tabled here, so a query
-    costs a dict copy and no logarithm (see index_for).
+    takes no logarithm. A knowledge store reads the tables directly, to
+    weigh only the terms a query reaches; index_for, whose caller is
+    retrieval's EdgeProbabilities._fill, copies them into a whole index.
     """
 
     absent: dict[str, float]   # corpus terms, for a query without the term

@@ -158,6 +158,11 @@ class TestConfigHash:
         assert len(h1) == 16
         int(h1, 16)
 
+    def test_default_hash_pinned(self):
+        # the defaults are part of every run's identity; moving where one is
+        # defined must not move the hash
+        assert config_hash(PipelineConfig()) == "0e1057cc7b4e59c9"
+
     def test_identity_keys_change_hash(self):
         base = config_hash(PipelineConfig())
         for key, value in [("seed", 18), ("theta_sim", 0.71), ("runs", 2),

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulrtex.errors import (
     BackendRejected,
@@ -70,6 +73,34 @@ def test_stub_jitter_deterministic_but_seed_sensitive():
     r8 = backend.complete(make_request("classify this", want_logprobs=True, seed=8))
     assert r7a.top_token_logprobs == r7b.top_token_logprobs
     assert r7a.top_token_logprobs != r8.top_token_logprobs
+
+
+# Response templates are parsed once per rule; expanding the parsed template
+# must give exactly Match.expand's text, or raise exactly its error.
+_TEMPLATE_PIECES = ["a", "Z", " ", "\n", "\ue000", "1", "7", r"\n", r"\t", r"\\", r"\.",
+                    r"\q", "\\", r"\0", r"\07", r"\123", r"\1", r"\2", r"\3", r"\12",
+                    r"\g<0>", r"\g<2>", r"\g<9>", r"\g<name>", r"\g<nope>", r"\g<1"]
+_TEMPLATE_CASES = [(r"(?P<name>a+)(b)?", "a"), (r"(?P<name>a+)(b)?", "xaab"),
+                   (r"((?P<name>a)(b)?)", "ab"), (r"(a)(b)(c)?(?P<name>d)", "abd"),
+                   (r"a", "a")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_TEMPLATE_CASES),
+       st.lists(st.sampled_from(_TEMPLATE_PIECES), max_size=8).map("".join))
+def test_parsed_template_expands_like_match_expand(case, template):
+    pattern, subject = case
+    m = re.compile(pattern, re.DOTALL).search("system\n" + subject)
+    try:
+        want = m.expand(template)
+    except (re.error, IndexError) as e:
+        with pytest.raises(type(e)) as got:
+            StubRule(pattern, template)
+        assert str(got.value) == str(e)
+        return
+    rule = StubRule(pattern, template)
+    assert rule.expand(m) == want
+    assert StubBackend([rule]).complete(make_request(subject)).text == want
 
 
 def test_yes_probability_equal_logprobs_is_half():

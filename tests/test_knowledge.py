@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulrtex import knowledge
 from vulrtex.errors import DuplicateKey
 from vulrtex.knowledge import (
     KnowledgeRecord,
@@ -16,6 +17,7 @@ from vulrtex.knowledge import (
 from vulrtex.textindex import STOPWORDS, build_index, similarity
 
 from oracles import oracle_similarity
+from test_textindex import texts
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,3 +125,46 @@ def test_similarities_equal_per_call_index(store, query):
     idx = build_index([r.text for r in store.records] + [query])
     want = [similarity(idx, query, r.text) for r in store.records]
     assert store.similarities(query) == want
+
+
+# Stores of generated texts, with stopword-only records, repeated terms,
+# query-only terms and the empty query forced in; compared with == and
+# float.hex, never approx.
+_record_texts = st.one_of(texts.filter(bool),
+                          st.sampled_from(["the of", ", . (", "xss XSS xss payload",
+                                           "token token Token page-x"]))
+_queries = st.one_of(st.just(""), texts, texts.map(lambda t: t + " query-only"),
+                     st.sampled_from(["the", "xss xss xss", "payload query-only token"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_record_texts, max_size=8), _queries)
+def test_similarities_equal_index_over_records_and_query(records, query):
+    store = ingest([KnowledgeRecord("hyp", f"k{i}", r) for i, r in enumerate(records)])
+    idx = build_index(records + [query])
+    want = [similarity(idx, query, r) for r in records]
+    got = store.similarities(query)
+    assert got == want
+    assert [s.hex() for s in got] == [s.hex() for s in want]
+
+
+def test_records_sharing_no_term_are_never_scored(store, monkeypatch):
+    normed = []
+    record_norm = knowledge._record_norm
+
+    def counting(squares, query):
+        normed.append(squares)
+        return record_norm(squares, query)
+
+    monkeypatch.setattr(knowledge, "_record_norm", counting)
+    query = "stored xss payload unknownterm"
+    got = store.similarities(query)
+    terms = {"stored", "xss", "payload", "unknownterm"}
+    sharing = [i for i, counts in enumerate(store.record_counts) if counts.keys() & terms]
+    assert 0 < len(sharing) < len(store)
+    assert len(normed) == len(sharing)
+    for i, s in enumerate(got):
+        if i in sharing:
+            assert s > 0.0
+        else:
+            assert s.hex() == (0.0).hex()

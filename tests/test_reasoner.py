@@ -3,6 +3,7 @@
 import pytest
 
 import fixturelib as fx
+from vulrtex.config import PipelineConfig
 from vulrtex.corpus import CanonicalIR, RichTextElement
 from vulrtex.errors import TransportError
 from vulrtex.gateway import Gateway, LlmRequest, StubBackend, StubRule
@@ -425,3 +426,9 @@ def test_ordering_family_member_counts(tmp_path):
 def test_generation_requires_llm_and_tools():
     with pytest.raises(ValueError):
         generate_reasoning_graph(fx.fig_ir(), ReasonerConfig())
+
+
+def test_reasoner_defaults_are_the_pipeline_defaults():
+    r, p = ReasonerConfig(), PipelineConfig()
+    assert ((r.max_depth, r.max_nodes, r.branch_limit, r.theta_sim)
+            == (p.max_depth, p.max_nodes, p.branch_limit, p.theta_sim))
