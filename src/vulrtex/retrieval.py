@@ -10,19 +10,30 @@ A prune costs only the work that can change its result:
   a draw reads it. A walk step with one unvisited option and a closure with
   one terminator candidate read none, so most rows are never computed.
 - What no target changes is computed once per stage, on the CountedGraph:
-  node term counts, the idf tables of the node texts, degrees and each
-  source's destinations, and the spawned walk seeds of each (seed, walks).
+  - node term counts, the idf tables of the node texts, degrees and each
+    source's destinations;
+  - the walk's structure: each node's sorted successors, each (src, dst)
+    hop's action ids and whether it holds a terminator, and each node's
+    terminator out-actions, so no walk step or closure calls a graph method;
+  - one generator per spawned walk stream of each (seed, walks), with its
+    initial state, which every walk resets before drawing;
+  - the term table of each node text and of each joined pair text a row
+    reads (_term_table), so a pair weight for a target is two sums over
+    tabled floats, with no index, Counter sum or vector per pair.
 - The reserved subgraph is a pure function of its action ids, so each
   distinct set is built, validated, described and counted once per stage.
 
-build_adjacency and edge_probabilities compute every weight and row at once
-with the same per-pair and per-row code; the acceptance gates check them
-against the oracles.
+build_adjacency and edge_probabilities compute every weight and row at once,
+weighing each pair through a whole tf-idf index (_PairWeights) with the same
+per-row code. They are the reference: the acceptance gates check them
+against the oracles, and the tests check the tabled weights against them
+bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -46,6 +57,9 @@ from .textindex import (CorpusIdf, TermVector, TfIdfIndex, build_index, cosine,
 from .tools import ToolKit
 
 ADJ_EPSILON = 1e-6
+
+# one text's weights under a graph's idf, for any target (see _term_table)
+TermTable = tuple[tuple[tuple[str, float, float], ...], tuple[tuple[str, float], ...]]
 
 
 @dataclass
@@ -74,11 +88,19 @@ class CountedGraph:
 
     `node_counts` and `idf` (over the node texts) feed the edge weights;
     `degree` and `dsts` (each source's distinct destinations, in out_actions
-    order) shape the walk probabilities. Two memos fill as the stage walks
-    and go away with it: `walk_seeds` holds the spawned seeds of each
-    (seed, walks) asked for, and `subgraphs` the ReservedGraph of each
+    order) shape the walk probabilities. The walk reads its structure from
+    three tables: `succ` (each node's distinct successors, sorted), `hops`
+    (each connected (src, dst) pair's action ids, and whether one of them
+    is an AgentTerminator) and `terminators` (each node's AgentTerminator
+    out-actions, in out_actions order).
+
+    Three memos fill as the stage walks and go away with it: `walk_seeds`
+    holds, per (seed, walks) asked for, each spawned stream's generator and
+    its initial bit_generator state; `subgraphs` the ReservedGraph of each
     distinct set of reserved action ids the walks reach, so it never holds
-    more entries than prunes were made.
+    more entries than prunes were made; and `term_tables` the term table
+    (_term_table) of each node text, keyed by node id, and of each joined
+    pair text, keyed (src, dst), that a walk-probability row has read.
     """
 
     graph: ReasoningGraph
@@ -86,10 +108,26 @@ class CountedGraph:
     idf: CorpusIdf
     degree: dict[str, int]
     dsts: dict[str, list[str]]
-    walk_seeds: dict[tuple[int, int], list[np.random.SeedSequence]] = field(
+    succ: dict[str, tuple[str, ...]]
+    hops: dict[tuple[str, str], tuple[tuple[str, ...], bool]]
+    terminators: dict[str, tuple[Action, ...]]
+    walk_seeds: dict[tuple[int, int], list[tuple[np.random.Generator, dict]]] = field(
         default_factory=dict, repr=False, compare=False)
     subgraphs: dict[frozenset[str], ReservedGraph] = field(
         default_factory=dict, repr=False, compare=False)
+    term_tables: dict[str | tuple[str, str], TermTable] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def terms(self, src: str, dst: str | None = None) -> TermTable:
+        """The term table of src's text, or of "src dst" joined."""
+        key = src if dst is None else (src, dst)
+        table = self.term_tables.get(key)
+        if table is None:
+            counts = self.node_counts[src]
+            if dst is not None:
+                counts = counts + self.node_counts[dst]
+            table = self.term_tables[key] = _term_table(counts, self.idf)
+        return table
 
 
 def node_counts(g: ReasoningGraph) -> dict[str, Counter[str]]:
@@ -105,17 +143,52 @@ def _out_structure(g: ReasoningGraph) -> tuple[dict[str, int], dict[str, list[st
     return degree, dsts
 
 
+def _walk_tables(g: ReasoningGraph) -> tuple[
+        dict[str, tuple[str, ...]],
+        dict[tuple[str, str], tuple[tuple[str, ...], bool]],
+        dict[str, tuple[Action, ...]]]:
+    """The succ, hops and terminators tables of CountedGraph."""
+    succ = {nid: tuple(g.successors(nid)) for nid in g.nodes}
+    pairs: dict[tuple[str, str], list[Action]] = {}
+    for act in g.edges:
+        pairs.setdefault((act.src, act.dst), []).append(act)
+    hops = {pair: (tuple(a.id for a in acts),
+                   any(a.tool == AGENT_TERMINATOR for a in acts))
+            for pair, acts in pairs.items()}
+    terminators = {nid: tuple(a for a in g.out_actions(nid) if a.tool == AGENT_TERMINATOR)
+                   for nid in g.nodes}
+    return succ, hops, terminators
+
+
 def count_graphs(graphs) -> list[CountedGraph]:
-    """Pair every graph with its target-independent statistics; counted
-    graphs pass through."""
+    """Pair every graph with its target-independent statistics and walk
+    tables; counted graphs pass through."""
     out = []
     for g in graphs:
         if not isinstance(g, CountedGraph):
             counts = node_counts(g)
             g = CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
-                             *_out_structure(g))
+                             *_out_structure(g), *_walk_tables(g))
         out.append(g)
     return out
+
+
+def _term_table(counts: Counter[str], idf: CorpusIdf) -> TermTable:
+    """One text's weights under a graph's idf, for any target.
+
+    A term's weight is w_absent = count * idf.absent[term] when the target
+    lacks it and w_shared = count * idf.shared[term] when the target holds
+    it. The table is (term, w_absent ** 2, w_shared ** 2) in the counts'
+    first-occurrence order, the order TermVector.norm sums in, and (term,
+    w_shared) in sorted term order, the order TermVector.dot sums in.
+    """
+    squares = []
+    shared = {}
+    for term, count in counts.items():
+        wa, ws = count * idf.absent[term], count * idf.shared[term]
+        squares.append((term, wa * wa, ws * ws))
+        shared[term] = ws
+    return tuple(squares), tuple(sorted(shared.items()))
 
 
 class _PairWeights:
@@ -138,6 +211,43 @@ class _PairWeights:
             base = self.base[src] = cosine(self.target_vec, self.vectorize(self.counts[src]))
         joined = self.counts[src] + self.counts[dst]
         gain = cosine(self.target_vec, self.vectorize(joined)) - base
+        return max(0.0, gain) + ADJ_EPSILON
+
+
+class _TabledWeights:
+    """The _PairWeights of a counted graph for one target, read from the
+    graph's term tables.
+
+    Every float is the one _PairWeights gives under
+    build_index([target] + node texts), because every sum runs over the
+    same sequence: the target's norm over its weights in first-occurrence
+    order, a text's norm over its table's squares (w_shared ** 2 where the
+    target holds the term), and the dot over the sorted common terms.
+    (Python 3.12's float `sum` is compensated, so only summing the same
+    sequence with `sum` keeps the floats equal on every interpreter.)
+    """
+
+    def __init__(self, counted: CountedGraph, target: Counter[str]):
+        idf = counted.idf
+        self.counted = counted
+        self.target = {t: c * idf.shared.get(t, idf.query_only) for t, c in target.items()}
+        self.norm = math.sqrt(sum(w * w for w in self.target.values()))
+        self.base: dict[str, float] = {}
+
+    def cosine(self, table: TermTable) -> float:
+        squares, shared = table
+        target = self.target
+        norm = math.sqrt(sum([ws if t in target else wa for t, wa, ws in squares]))
+        if self.norm == 0.0 or norm == 0.0:
+            return 0.0
+        dot = sum([target[t] * w for t, w in shared if t in target])
+        return min(1.0, dot / (self.norm * norm))
+
+    def __call__(self, src: str, dst: str) -> float:
+        base = self.base.get(src)
+        if base is None:
+            base = self.base[src] = self.cosine(self.counted.terms(src))
+        gain = self.cosine(self.counted.terms(src, dst)) - base
         return max(0.0, gain) + ADJ_EPSILON
 
 
@@ -180,7 +290,7 @@ class EdgeProbabilities:
     probs: dict[tuple[str, str], float]
     counted: CountedGraph | None = None  # set while rows may be missing
     target: Counter[str] | None = None
-    _weigh: _PairWeights | None = field(default=None, repr=False)
+    _weigh: _TabledWeights | None = field(default=None, repr=False)
     _rows: set[str] = field(default_factory=set, repr=False)
 
     def row(self, src: str) -> None:
@@ -191,12 +301,12 @@ class EdgeProbabilities:
     def _fill(self, src: str) -> None:
         c = self.counted
         if self._weigh is None:
-            vectorize = c.idf.index_for(self.target).vectorize
-            self._weigh = _PairWeights(c.node_counts, vectorize, vectorize(self.target))
+            self._weigh = _TabledWeights(c, self.target)
         _fill_row(self.probs, src, c.dsts[src], c.degree, self._weigh)
         self._rows.add(src)
 
     def outgoing(self, src: str) -> list[tuple[str, float]]:
+        self.row(src)
         return [(dst, p) for (s, dst), p in self.probs.items() if s == src]
 
 
@@ -216,7 +326,7 @@ def target_probabilities(counted: CountedGraph,
     row by row as walks need them; they do not depend on the walk seed.
 
     The idf is that of build_index([target] + node texts), tabled per graph
-    (counted.idf), so no index is built here.
+    (counted.idf) and read through its term tables, so no index is built.
     """
     return EdgeProbabilities({}, counted, target)
 
@@ -283,6 +393,7 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
         raise ValueError("walks must be at least 1")
     counted = count_graphs([g])[0]
     g = counted.graph
+    succ, hops = counted.succ, counted.hops
     reserved_nodes: dict[str, None] = {ROOT_ID: None}
     reserved_actions: dict[str, None] = {}
     for act in g.out_actions(ROOT_ID):
@@ -290,14 +401,16 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
         reserved_actions[act.id] = None
 
     def unvisited_successors(node_id: str) -> list[str]:
-        return [v for v in g.successors(node_id) if v not in reserved_nodes]
+        return [v for v in succ.get(node_id, ()) if v not in reserved_nodes]
 
-    seeds = counted.walk_seeds.get((rng_seed, walks))
-    if seeds is None:
-        seeds = counted.walk_seeds[(rng_seed, walks)] = \
-            np.random.SeedSequence(rng_seed).spawn(walks)
-    for stream in seeds:
-        rng = np.random.default_rng(stream)
+    streams = counted.walk_seeds.get((rng_seed, walks))
+    if streams is None:
+        streams = counted.walk_seeds[(rng_seed, walks)] = [
+            (rng, rng.bit_generator.state) for rng in map(
+                np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(walks))]
+    for rng, initial in streams:
+        # every walk draws from its stream's start, whatever drew before
+        rng.bit_generator.state = initial
         frontier = [u for u in reserved_nodes if unvisited_successors(u)]
         if not frontier:
             continue
@@ -307,15 +420,17 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
             if not options:
                 break
             nxt = _step(rng, p, current, options)
-            hop = g.actions_between(current, nxt)
-            for act in hop:
-                reserved_actions[act.id] = None
+            hop, terminates = hops[(current, nxt)]
+            for act_id in hop:
+                reserved_actions[act_id] = None
             reserved_nodes[nxt] = None
-            if any(act.tool == AGENT_TERMINATOR for act in hop):
+            if terminates:
                 break
             current = nxt
 
-    # closure: terminate every open reserved path when the origin graph can
+    # closure: terminate every open reserved path when the origin graph can.
+    # Every hop in out_map is reserved whole (a walk hop or a root hop), so
+    # a hop holding a terminator holds a reserved one.
     out_map: dict[str, list[Action]] = {}
     for act in g.edges:
         if act.id in reserved_actions:
@@ -324,10 +439,9 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
         last = seq[-1]
         if g.nodes[last].decided():
             continue
-        if len(seq) > 1 and any(a.tool == AGENT_TERMINATOR and a.id in reserved_actions
-                                for a in g.actions_between(seq[-2], last)):
+        if len(seq) > 1 and hops[(seq[-2], last)][1]:
             continue
-        candidates = [a for a in g.out_actions(last) if a.tool == AGENT_TERMINATOR]
+        candidates = counted.terminators[last]
         if not candidates:
             continue
         best = candidates[0]

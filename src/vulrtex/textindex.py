@@ -137,9 +137,9 @@ class CorpusIdf:
     For a query q, idf(t) is the idf of build_index(corpus + [q]): the
     corpus's document frequency of t, plus one when q holds t, over one more
     document than the corpus has. The three cases are tabled here, so a query
-    takes no logarithm. A knowledge store reads the tables directly, to
-    weigh only the terms a query reaches; index_for, whose caller is
-    retrieval's EdgeProbabilities._fill, copies them into a whole index.
+    takes no logarithm. Callers read the tables directly: a knowledge store
+    to weigh only the terms a query reaches, and retrieval to table each
+    node text's weights once for every target (retrieval._term_table).
     """
 
     absent: dict[str, float]   # corpus terms, for a query without the term
@@ -156,14 +156,6 @@ class CorpusIdf:
         return cls({t: _smoothed_idf(n_docs, df) for t, df in doc_freq.items()},
                    {t: _smoothed_idf(n_docs, df + 1) for t, df in doc_freq.items()},
                    _smoothed_idf(n_docs, 1))
-
-    def index_for(self, query: Counter[str]) -> TfIdfIndex:
-        """The index of build_index(corpus + [query]), which vectorizes the
-        query and every corpus document with the same floats."""
-        idf = dict(self.absent)
-        for term in query:
-            idf[term] = self.shared.get(term, self.query_only)
-        return TfIdfIndex(idf)
 
 
 def similarity(index: TfIdfIndex, a: str | Counter[str], b: str | Counter[str]) -> float:

@@ -230,3 +230,40 @@ def random_dag(rng: random.Random, max_nodes: int = 15) -> ReasoningGraph:
             g.nodes[node_id].verdict = rng.choice([VUL, NOT_VUL])
     g.validate()
     return g
+
+
+def terminated_dag(rng: random.Random, max_nodes: int = 15) -> ReasoningGraph:
+    """Random rooted DAG whose paths end in AgentTerminator actions into one
+    to three shared verdict terminals.
+
+    The inner nodes are those of random_dag without verdicts. Each inner
+    node gets terminators into a random subset of the terminals (never an
+    empty one when it has no other out-action), some of them with a
+    parallel CodeAnalyzer action, so closures meet several terminator
+    candidates and walk hops hold several actions.
+    """
+    inner = random_dag(rng, max_nodes)
+    g = ReasoningGraph(inner.ir_id.replace("rand", "terminated"))
+    for obs in inner.nodes.values():
+        g.add_observation(Observation(obs.id, obs.text))
+    for act in inner.edges:
+        g.add_action(act)
+    inner_ids = list(g.nodes)
+    terminals = [f"O3.{i}" for i in range(1, rng.randint(1, 3) + 1)]
+    for node_id in terminals:
+        text = " ".join(rng.choices(WORDS, k=rng.randint(3, 8)))
+        g.add_observation(Observation(node_id, text, verdict=rng.choice([VUL, NOT_VUL])))
+    k = 0
+    for node_id in inner_ids:
+        low = 1 if g.is_terminal(node_id) else 0
+        for dst in rng.sample(terminals, rng.randint(low, len(terminals))):
+            k += 1
+            g.add_action(Action(f"T{k}", node_id, dst, AGENT_TERMINATOR))
+            if rng.random() < 0.25:
+                g.add_action(Action(f"C{k}", node_id, dst, CODE_ANALYZER, f"[CODE{k}]"))
+    for dst in terminals:
+        if not g.in_actions(dst):
+            k += 1
+            g.add_action(Action(f"T{k}", rng.choice(inner_ids), dst, AGENT_TERMINATOR))
+    g.validate()
+    return g

@@ -33,6 +33,7 @@ from vulrtex.retrieval import (
     AdjacencyMatrix,
     EdgeProbabilities,
     _choose,
+    _maximal_paths,
     _step,
     build_adjacency,
     count_graphs,
@@ -450,6 +451,9 @@ def test_invalid_theta_rejected():
 exact = settings(max_examples=60, deadline=None, derandomize=True)
 targets = st.lists(st.sampled_from(fx.WORDS + ["the", "Page", "cross-site"]),
                    min_size=1, max_size=10).map(" ".join)
+# random_dag emits no terminator; terminated_dag ends its paths in
+# terminators into shared terminals, so closures choose among several
+dag_makers = st.sampled_from([fx.random_dag, fx.terminated_dag])
 
 
 @exact
@@ -495,9 +499,9 @@ def test_retrieval_similarities_equal_string_path(graph_seed, walk_seed):
 # result bit for bit as the eager, memo-free computation gives it.
 
 @exact
-@given(st.integers(0, 2**32 - 1), targets, st.integers(0, 1000))
-def test_lazy_rows_equal_eager_probabilities(seed, target, walk_seed):
-    g = fx.random_dag(random.Random(seed))
+@given(dag_makers, st.integers(0, 2**32 - 1), targets, st.integers(0, 1000))
+def test_lazy_rows_equal_eager_probabilities(make, seed, target, walk_seed):
+    g = make(random.Random(seed))
     eager = edge_probabilities(build_adjacency(g, target, make_index(g, target)), g)
     counted = count_graphs([g])[0]
     lazy = target_probabilities(counted, term_counts(target))
@@ -509,10 +513,10 @@ def test_lazy_rows_equal_eager_probabilities(seed, target, walk_seed):
 
 
 @exact
-@given(st.integers(0, 2**32 - 1), st.lists(targets, min_size=3, max_size=3))
-def test_shared_counted_graphs_equal_fresh_ones(graph_seed, texts):
+@given(dag_makers, st.integers(0, 2**32 - 1), st.lists(targets, min_size=3, max_size=3))
+def test_shared_counted_graphs_equal_fresh_ones(make, graph_seed, texts):
     rng = random.Random(graph_seed)
-    graphs = [fx.random_dag(rng) for _ in range(4)]
+    graphs = [make(rng) for _ in range(4)]
     shared = count_graphs(graphs)
 
     def outcome(db, text, seed):
@@ -524,6 +528,36 @@ def test_shared_counted_graphs_equal_fresh_ones(graph_seed, texts):
     for text in texts:
         for seed in (3, 4):
             assert outcome(shared, text, seed) == outcome(count_graphs(graphs), text, seed)
+
+
+@exact
+@given(dag_makers, st.integers(0, 2**32 - 1), targets)
+def test_lazy_outgoing_equals_eager_outgoing(make, seed, target):
+    g = make(random.Random(seed))
+    eager = edge_probabilities(build_adjacency(g, target, make_index(g, target)), g)
+    lazy = target_probabilities(count_graphs([g])[0], term_counts(target))
+    for src in g.nodes:
+        assert lazy.outgoing(src) == eager.outgoing(src)
+
+
+@exact
+@given(dag_makers, st.integers(0, 2**32 - 1), targets, st.integers(0, 1000),
+       st.integers(1, 6))
+def test_reserved_subgraph_is_a_tree_with_fan_in_at_terminals(make, seed, target,
+                                                              walk_seed, walks):
+    # a walk steps only into unvisited nodes and a closure only into
+    # terminal ones, so the closure's maximal paths stay linear in size
+    g = make(random.Random(seed))
+    reserved = prune_for_target(g, target, walks, walk_seed).graph
+    in_pairs = {nid: {a.src for a in reserved.in_actions(nid)} for nid in reserved.nodes}
+    for nid, srcs in in_pairs.items():
+        if nid != "O1" and not g.is_terminal(nid):
+            assert len(srcs) == 1, nid
+    out_map = {}
+    for act in reserved.edges:
+        out_map.setdefault(act.src, []).append(act)
+    pairs = {(a.src, a.dst) for a in reserved.edges}
+    assert len(_maximal_paths(out_map)) <= len(pairs)
 
 
 @exact

@@ -197,11 +197,16 @@ def test_counts_and_texts_give_identical_index_and_similarity(docs, a, b):
 @given(corpora, texts)
 def test_corpus_idf_index_equals_index_over_corpus_and_query(docs, query):
     # the tabled idf for one query must be exactly build_index's over the
-    # corpus plus that query, and vectorize every document to the same floats
-    tabled = CorpusIdf.from_corpus([term_counts(d) for d in docs]).index_for(
-        term_counts(query))
+    # corpus plus that query: absent for a corpus term the query lacks,
+    # shared for one it holds, query_only for a term only the query holds
+    tabled = CorpusIdf.from_corpus([term_counts(d) for d in docs])
+    q = term_counts(query)
     built = build_index(docs + [query])
-    assert tabled.idf == built.idf
-    for d in [query] + docs:
-        assert (list(tabled.vectorize(d).weights.items())
-                == list(built.vectorize(d).weights.items()))
+    assert tabled.absent.keys() | q.keys() == built.idf.keys()
+    for term, idf in built.idf.items():
+        if term not in q:
+            assert tabled.absent[term] == idf
+        elif term in tabled.shared:
+            assert tabled.shared[term] == idf
+        else:
+            assert tabled.query_only == idf
