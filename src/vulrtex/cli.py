@@ -288,19 +288,16 @@ def stage_evaluate(cfg: PipelineConfig, preds_path: str | Path,
     excluded = len(preds) - len(scored)
     if not scored:
         raise ConfigError("every prediction is unscored; nothing to evaluate")
+    # each run's rows stay in file order, the order mean_latency sums in
+    by_run: dict[int, list[ScoredLabel]] = {}
     for p in scored:
         if p.ir_id not in truth:
             raise ConfigError(f"prediction {p.ir_id} has no ground-truth record")
-    runs = sorted({p.run for p in scored})
-    per_run = []
-    first_rows: list[ScoredLabel] | None = None
-    for run in runs:
-        rows = [ScoredLabel(p.ir_id, p.p_yes, truth[p.ir_id][0],
-                            truth[p.ir_id][1], p.cwe_id, p.latency_seconds)
-                for p in scored if p.run == run]
-        per_run.append(build_report(rows, cfg.theta_out))
-        if first_rows is None:
-            first_rows = rows
+        label, cwe = truth[p.ir_id]
+        by_run.setdefault(p.run, []).append(
+            ScoredLabel(p.ir_id, p.p_yes, label, cwe, p.cwe_id, p.latency_seconds))
+    runs = sorted(by_run)
+    per_run = [build_report(by_run[run], cfg.theta_out) for run in runs]
     mean = repeated_mean(per_run)
     digest = config_hash(cfg)
     payload = {
@@ -313,7 +310,7 @@ def stage_evaluate(cfg: PipelineConfig, preds_path: str | Path,
     }
     Path(report_path).write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    curve = pr_curve(first_rows, cfg.pr_interval)
+    curve = pr_curve(by_run[runs[0]], cfg.pr_interval)
     lines = [f"# config_hash={digest}", "theta,precision,recall"]
     lines += [f"{theta!r},{precision!r},{recall!r}"
               for theta, precision, recall in curve]

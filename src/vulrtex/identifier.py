@@ -163,10 +163,12 @@ def read_predictions(path: str | Path) -> list[Prediction]:
 
 
 def read_predictions_header(path: str | Path) -> dict | None:
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        d = json.loads(line)
-        return d if "kind" in d else None
+    """The header record, read from the file's first non-empty line alone;
+    None when that line is a prediction row or the file is empty."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                d = json.loads(line)
+                return d if "kind" in d else None
     return None

@@ -7,21 +7,27 @@ kept when the description's similarity to the target clears the threshold.
 A prune costs only the work that can change its result:
 
 - Walk probabilities are computed one source row at a time, the first time
-  a draw reads it. A walk step with one unvisited option and a closure with
-  one terminator candidate read none, so most rows are never computed.
+  a choice reads it. A walk step with one unvisited option and a closure
+  with one terminator candidate read none, so most rows are never computed.
 - What no target changes is computed once per stage, on the CountedGraph:
   - node term counts, the idf tables of the node texts, degrees and each
     source's destinations;
   - the walk's structure: each node's sorted successors, each (src, dst)
     hop's action ids and whether it holds a terminator, and each node's
     terminator out-actions, so no walk step or closure calls a graph method;
-  - one generator per spawned walk stream of each (seed, walks), with its
-    initial state, which every walk resets before drawing;
   - the term table of each node text and of each joined pair text a row
     reads (_term_table), so a pair weight for a target is two sums over
     tabled floats, with no index, Counter sum or vector per pair.
-- The reserved subgraph is a pure function of its action ids, so each
-  distinct set is built, validated, described and counted once per stage.
+- For a fixed (graph, seed, walks), a prune is a pure function of the
+  outcomes of the choices that read the target: a walk step among several
+  unvisited options, and a closure among several terminator candidates.
+  Every other draw, frontier and hop follows from the earlier outcomes.
+  So the CountedGraph keeps, per (seed, walks), a trie of those choices
+  (_Choice) whose leaves are reserved subgraphs. A prune descends it,
+  computing each outcome from the target's rows, and walks only when an
+  outcome is new; that walk adds one leaf. A leaf is a pure function of
+  its reserved action ids, so each distinct set is built, validated,
+  described and counted once per stage.
 
 build_adjacency and edge_probabilities compute every weight and row at once,
 weighing each pair through a whole tf-idf index (_PairWeights) with the same
@@ -94,13 +100,15 @@ class CountedGraph:
     is an AgentTerminator) and `terminators` (each node's AgentTerminator
     out-actions, in out_actions order).
 
-    Three memos fill as the stage walks and go away with it: `walk_seeds`
-    holds, per (seed, walks) asked for, each spawned stream's generator and
-    its initial bit_generator state; `subgraphs` the ReservedGraph of each
-    distinct set of reserved action ids the walks reach, so it never holds
-    more entries than prunes were made; and `term_tables` the term table
-    (_term_table) of each node text, keyed by node id, and of each joined
-    pair text, keyed (src, dst), that a walk-probability row has read.
+    Three memos fill as the stage walks and go away with it: `prunes`
+    holds, per (seed, walks) asked for, random_walk_prune's trie of choices
+    (the root _Choice, or the ReservedGraph when the prune makes no
+    choice), so it holds at most one leaf per prune that had to walk;
+    `subgraphs` the ReservedGraph of each distinct set of reserved action
+    ids those walks reached, which leaves under other seeds or choices
+    share; and `term_tables` the term table (_term_table) of each node
+    text, keyed by node id, and of each joined pair text, keyed (src, dst),
+    that a walk-probability row has read.
     """
 
     graph: ReasoningGraph
@@ -111,7 +119,7 @@ class CountedGraph:
     succ: dict[str, tuple[str, ...]]
     hops: dict[tuple[str, str], tuple[tuple[str, ...], bool]]
     terminators: dict[str, tuple[Action, ...]]
-    walk_seeds: dict[tuple[int, int], list[tuple[np.random.Generator, dict]]] = field(
+    prunes: dict[tuple[int, int], _Choice | ReservedGraph] = field(
         default_factory=dict, repr=False, compare=False)
     subgraphs: dict[frozenset[str], ReservedGraph] = field(
         default_factory=dict, repr=False, compare=False)
@@ -345,55 +353,73 @@ def _maximal_paths(out_map: dict[str, list[Action]]) -> list[tuple[str, ...]]:
     return sorted(paths)
 
 
-def _choose(rng: np.random.Generator, weights: list[float]) -> int:
-    """rng.choice(len(weights), p=normalized weights) without its argument
-    checks: the same cumulative-sum search over the same single double, so
-    the index and the generator's next state are exactly choice's."""
+def _pick(u: float, weights: list[float]) -> int:
+    """The index a draw of u selects from normalized weights, by the
+    cumulative-sum search Generator.choice makes."""
     w = np.array(weights)
     cdf = np.cumsum(w / w.sum())
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def _choose(rng: np.random.Generator, weights: list[float]) -> int:
+    """rng.choice(len(weights), p=normalized weights) without its argument
+    checks: the same search over the same single double, so the index and
+    the generator's next state are exactly choice's."""
+    return _pick(rng.random(), weights)
+
+
+@dataclass(eq=False)
+class _Choice:
+    """One choice of a prune that reads the target, with all else it reads
+    fixed: from `src` to one of `dsts`, by the walk step's drawn double `u`
+    over its unvisited options, or, when `u` is None, by the closure's rank
+    of its terminator candidates, (`ranks[i]` = (0 if dsts[i] was already
+    reserved else 1, action id), -probability) ascending. `children` maps
+    each outcome met so far to the next choice or to the prune's result."""
+
+    src: str
+    dsts: tuple[str, ...]
+    u: float | None = None
+    ranks: tuple[tuple[int, str], ...] = ()
+    children: dict[int, _Choice | ReservedGraph] = field(default_factory=dict)
+
+    def pick(self, p: EdgeProbabilities) -> int:
+        """The index into dsts that p selects."""
+        p.row(self.src)
+        weights = [p.probs[(self.src, dst)] for dst in self.dsts]
+        if self.u is not None:
+            return _pick(self.u, weights)
+        return min(range(len(weights)), key=lambda i: (
+            self.ranks[i][0], -weights[i], self.ranks[i][1]))
 
 
 def _step(rng: np.random.Generator, p: EdgeProbabilities, src: str,
-          options: list[str]) -> str:
-    """One walk step from src: options[_choose(rng, src's probabilities)].
+          options: list[str], made: list[tuple[_Choice, int]]) -> str:
+    """One walk step from src, as options[_choose(rng, src's
+    probabilities)]; a choice among several options is appended to `made`
+    with its outcome.
 
     With one option no row is read: _choose takes it whatever its positive
     weight, after drawing one double, which is drawn here too.
     """
+    u = rng.random()
     if len(options) == 1:
-        rng.random()
         return options[0]
-    p.row(src)
-    return options[_choose(rng, [p.probs[(src, v)] for v in options])]
+    choice = _Choice(src, tuple(options), u)
+    picked = choice.pick(p)
+    made.append((choice, picked))
+    return options[picked]
 
 
-def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
-                      walks: int, rng_seed: int) -> ReservedGraph:
-    """Reserve a rooted subgraph by seeded random walks.
-
-    The root and all of its direct children are adopted up front. Each walk
-    starts from a uniformly chosen visited node that still has unvisited
-    successors and samples forward by p, renormalized over the unvisited
-    ones, until it traverses a terminator hop or dead-ends; traversing a hop
-    reserves every parallel action on it. Reserved paths that still lack a
-    termination are closed with the cheapest terminator action the origin
-    graph offers from their last node, preferring one whose target is
-    already reserved, then the higher-probability one.
-
-    Only a draw among several options and a closure choosing among several
-    terminators read p, so only their source rows are asked for. The
-    result is a pure function of the reserved action ids: a counted graph
-    builds, validates and describes each distinct set once and hands the
-    same ReservedGraph out again. A plain graph is counted afresh, so its
-    memos last one call.
-    """
-    if walks < 1:
-        raise ValueError("walks must be at least 1")
-    counted = count_graphs([g])[0]
+def _walk(counted: CountedGraph, p: EdgeProbabilities, walks: int,
+          rng_seed: int) -> tuple[list[tuple[_Choice, int]], ReservedGraph]:
+    """The walks and closure of random_walk_prune, from freshly spawned
+    streams: the choices made, each with its outcome, in order, and the
+    reserved subgraph (_reserve)."""
     g = counted.graph
     succ, hops = counted.succ, counted.hops
+    made: list[tuple[_Choice, int]] = []
     reserved_nodes: dict[str, None] = {ROOT_ID: None}
     reserved_actions: dict[str, None] = {}
     for act in g.out_actions(ROOT_ID):
@@ -403,14 +429,7 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
     def unvisited_successors(node_id: str) -> list[str]:
         return [v for v in succ.get(node_id, ()) if v not in reserved_nodes]
 
-    streams = counted.walk_seeds.get((rng_seed, walks))
-    if streams is None:
-        streams = counted.walk_seeds[(rng_seed, walks)] = [
-            (rng, rng.bit_generator.state) for rng in map(
-                np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(walks))]
-    for rng, initial in streams:
-        # every walk draws from its stream's start, whatever drew before
-        rng.bit_generator.state = initial
+    for rng in map(np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(walks)):
         frontier = [u for u in reserved_nodes if unvisited_successors(u)]
         if not frontier:
             continue
@@ -419,7 +438,7 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
             options = unvisited_successors(current)
             if not options:
                 break
-            nxt = _step(rng, p, current, options)
+            nxt = _step(rng, p, current, options, made)
             hop, terminates = hops[(current, nxt)]
             for act_id in hop:
                 reserved_actions[act_id] = None
@@ -446,28 +465,83 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
             continue
         best = candidates[0]
         if len(candidates) > 1:
-            p.row(last)
-            best = min(candidates, key=lambda a: (
-                0 if a.dst in reserved_nodes else 1,
-                -p.probs[(last, a.dst)],
-                a.id))
+            choice = _Choice(last, tuple(a.dst for a in candidates), ranks=tuple(
+                (0 if a.dst in reserved_nodes else 1, a.id) for a in candidates))
+            picked = choice.pick(p)
+            made.append((choice, picked))
+            best = candidates[picked]
         reserved_nodes[best.dst] = None
         reserved_actions[best.id] = None
 
-    key = frozenset(reserved_actions)
+    return made, _reserve(counted, reserved_nodes, reserved_actions)
+
+
+def _reserve(counted: CountedGraph, nodes: dict[str, None],
+             actions: dict[str, None]) -> ReservedGraph:
+    """The subgraph of the reserved nodes and actions, described; built
+    once per distinct set of action ids, which fixes the nodes too."""
+    key = frozenset(actions)
     reserved = counted.subgraphs.get(key)
     if reserved is None:
+        g = counted.graph
         pruned = ReasoningGraph(g.ir_id)
         for nid, obs in g.nodes.items():
-            if nid in reserved_nodes:
+            if nid in nodes:
                 pruned.add_observation(Observation.from_dict(obs.to_dict()))
         for act in g.edges:
-            if act.id in reserved_actions:
+            if act.id in actions:
                 pruned.add_action(Action(act.id, act.src, act.dst, act.tool, act.argument))
         pruned.validate()
         description = describe_graph(pruned)
         reserved = counted.subgraphs[key] = ReservedGraph(
             pruned, g.ir_id, description, term_counts(description))
+    return reserved
+
+
+def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
+                      walks: int, rng_seed: int) -> ReservedGraph:
+    """Reserve a rooted subgraph by seeded random walks.
+
+    The root and all of its direct children are adopted up front. Each walk
+    starts from a uniformly chosen visited node that still has unvisited
+    successors and samples forward by p, renormalized over the unvisited
+    ones, until it traverses a terminator hop or dead-ends; traversing a hop
+    reserves every parallel action on it. Reserved paths that still lack a
+    termination are closed with the cheapest terminator action the origin
+    graph offers from their last node, preferring one whose target is
+    already reserved, then the higher-probability one.
+
+    Only a draw among several options and a closure choosing among several
+    terminators read p, so only their source rows are asked for, and the
+    result is a pure function of those choices' outcomes. A counted graph
+    keeps them as a trie per (rng_seed, walks): a prune descends it,
+    computing each outcome from p, and walks (_walk) only when it meets an
+    outcome not met before, then grafts the new choices and result on.
+    Walks that reserve the same action ids share one ReservedGraph. A plain
+    graph is counted afresh, so its memos last one call.
+    """
+    if walks < 1:
+        raise ValueError("walks must be at least 1")
+    counted = count_graphs([g])[0]
+    key = (rng_seed, walks)
+    node = counted.prunes.get(key)
+    parent, picked, depth = None, 0, 0
+    while isinstance(node, _Choice):
+        parent, picked = node, node.pick(p)
+        node = node.children.get(picked)
+        depth += 1
+    if node is not None:
+        return node
+    # a walk makes the choices just descended first, with the same outcomes
+    made, reserved = _walk(counted, p, walks, rng_seed)
+    node = reserved
+    for choice, outcome in reversed(made[depth:]):
+        choice.children[outcome] = node
+        node = choice
+    if parent is None:
+        counted.prunes[key] = node
+    else:
+        parent.children[picked] = node
     return reserved
 
 
@@ -506,12 +580,14 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
     `db` is a GraphStore or a list of graphs; a caller retrieving for many
     targets passes count_graphs(store.load_all()) once, so no graph is
     loaded or node text counted per target, and the graphs' memos serve
-    every target: each distinct reserved subgraph of a graph is described
-    and counted once, and its walk seeds are spawned once per seed. The
-    memos hold at most one subgraph per prune made and go away with the
-    list. Similarities come from one index spanning all pruned descriptions
-    plus the flattened target. Per-graph walk seeds derive from (seed,
-    graph id), so results do not depend on iteration or scheduling order.
+    every target: a prune whose choices all meet outcomes an earlier
+    prune of the graph met under the same seed does not walk, and each
+    distinct reserved subgraph of a graph is described and counted once.
+    The memos hold at most one leaf per prune that walked and go away
+    with the list. Similarities come from one index spanning all pruned
+    descriptions plus the flattened target. Per-graph walk seeds derive
+    from (seed, graph id), so results do not depend on iteration or
+    scheduling order.
 
     Walk probabilities are made per (graph, target) and fill only the
     source rows that a draw among several options, or a closure among

@@ -513,11 +513,14 @@ def test_lazy_rows_equal_eager_probabilities(make, seed, target, walk_seed):
 
 
 @exact
-@given(dag_makers, st.integers(0, 2**32 - 1), st.lists(targets, min_size=3, max_size=3))
-def test_shared_counted_graphs_equal_fresh_ones(make, graph_seed, texts):
+@given(dag_makers, st.integers(0, 2**32 - 1), st.lists(targets, min_size=3, max_size=3),
+       st.permutations(range(6)))
+def test_shared_counted_graphs_equal_fresh_ones(make, graph_seed, texts, order):
     rng = random.Random(graph_seed)
     graphs = [make(rng) for _ in range(4)]
     shared = count_graphs(graphs)
+    # the memos grow in whatever order the (text, seed) pairs come
+    pairs = [(text, seed) for text in texts for seed in (3, 4)]
 
     def outcome(db, text, seed):
         target = CanonicalIR(id="fixture/target#2", title="", content=text)
@@ -525,9 +528,80 @@ def test_shared_counted_graphs_equal_fresh_ones(make, graph_seed, texts):
                  set(r.graph.nodes), {a.id for a in r.graph.edges})
                 for r in retrieve_relevant(db, target, theta_sim=0.0, seed=seed)]
 
-    for text in texts:
-        for seed in (3, 4):
-            assert outcome(shared, text, seed) == outcome(count_graphs(graphs), text, seed)
+    for text, seed in (pairs[i] for i in order):
+        assert outcome(shared, text, seed) == outcome(count_graphs(graphs), text, seed)
+
+
+def reserved_ids(r):
+    return set(r.graph.nodes), {a.id for a in r.graph.edges}, r.description
+
+
+def diverging_targets(make, closure):
+    """A graph from `make`, a walk seed and two one-word targets whose
+    prunes of it meet one choice, take different outcomes there (a
+    closure's choice among terminators, or else a walk step's) and reserve
+    different subgraphs."""
+    words = [Counter([w]) for w in fx.WORDS]
+    for graph_seed in range(200):
+        g = make(random.Random(graph_seed))
+        for walk_seed in range(3):
+            counted = count_graphs([g])[0]
+            probs = [target_probabilities(counted, w) for w in words]
+            results = [reserved_ids(random_walk_prune(counted, p, 4, walk_seed))
+                       for p in probs]
+            for i, j in [(i, j) for i in range(len(words)) for j in range(i)
+                         if results[i] != results[j]]:
+                node = counted.prunes[(walk_seed, 4)]
+                while isinstance(node, retrieval._Choice):
+                    a, b = node.pick(probs[i]), node.pick(probs[j])
+                    if a != b:
+                        if (node.u is None) == closure:
+                            return g, walk_seed, words[i], words[j]
+                        break
+                    node = node.children[a]
+    raise AssertionError("no two targets diverge at such a choice")
+
+
+@pytest.mark.parametrize("make, closure", [(fx.random_dag, False),
+                                           (fx.terminated_dag, True)])
+def test_memo_answers_each_target_by_its_own_choices(make, closure):
+    g, seed, *pair = diverging_targets(make, closure)
+    want = [reserved_ids(prune_for_target(g, t, 4, seed)) for t in pair]
+    assert want[0] != want[1]
+    for order in ((0, 1), (1, 0)):
+        counted = count_graphs([g])[0]
+        for k in order + order:
+            p = target_probabilities(counted, pair[k])
+            assert reserved_ids(random_walk_prune(counted, p, 4, seed)) == want[k]
+
+
+def test_memo_keyed_by_walk_count():
+    for g in (fx.build_fig_graph(), two_verdict_graph()):
+        counted = count_graphs([g])[0]
+        p = target_probabilities(counted, term_counts(TARGET_TEXT))
+        for walks in (1, 4, 2, 1, 100, 4):
+            assert reserved_ids(random_walk_prune(counted, p, walks, 7)) == \
+                reserved_ids(prune_for_target(g, TARGET_TEXT, walks, 7))
+
+
+def test_repeated_prune_neither_walks_nor_fills_rows(monkeypatch):
+    # a step among two options and a closure among two terminators
+    counted = count_graphs([two_verdict_graph()])[0]
+    target = term_counts(TARGET_TEXT)
+    p = target_probabilities(counted, target)
+    first = random_walk_prune(counted, p, 1, 3)
+    rows = dict(p.probs)
+    assert rows
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a repeated prune spawned walk streams")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_walk)
+    assert random_walk_prune(counted, p, 1, 3) is first
+    assert p.probs == rows
+    again = target_probabilities(counted, target)
+    assert random_walk_prune(counted, again, 1, 3) is first
+    assert again.probs == rows
 
 
 @exact
@@ -567,5 +641,5 @@ def test_one_option_step_draws_like_choose(weight, seed):
     by_step = np.random.default_rng(seed)
     assert _choose(by_choose, [weight]) == 0
     # no row exists to read, so a step that consulted one would raise
-    assert _step(by_step, EdgeProbabilities({}), "O1", ["O2.1"]) == "O2.1"
+    assert _step(by_step, EdgeProbabilities({}), "O1", ["O2.1"], []) == "O2.1"
     assert by_step.bit_generator.state == by_choose.bit_generator.state
