@@ -42,7 +42,9 @@ ir = CanonicalIR(
 # OCR, which keeps the demo hermetic. Write one sidecar per screenshot.
 # ------------------------------------------------------------------------
 
-workdir = Path(tempfile.mkdtemp(prefix="vulrtex-demo-"))
+# the work directory is removed at the end, or at exit if a step fails
+tmp = tempfile.TemporaryDirectory(prefix="vulrtex-demo-")
+workdir = Path(tmp.name)
 scr_dir = workdir / "scr"
 scr_dir.mkdir()
 (scr_dir / sidecar_filename("https://demo.test/forum/render.png")).write_text(
@@ -97,3 +99,5 @@ reserved = prune_for_target(graph, target_text, walks=2,
                             rng_seed=graph_walk_seed(17, graph.ir_id))
 print(f"\npruned to {len(reserved.graph.nodes)} nodes; description:")
 print("  " + describe_graph(reserved.graph).replace("\n", "\n  "))
+
+tmp.cleanup()

@@ -25,7 +25,9 @@ from vulrtex.corpus import CanonicalIR, RichTextElement, save_corpus
 from vulrtex.knowledge import KnowledgeRecord, ingest, save_store
 from vulrtex.tools import sidecar_filename
 
-workdir = Path(tempfile.mkdtemp(prefix="vulrtex-demo-"))
+# the work directory is removed at the end, or at exit if a step fails
+tmp = tempfile.TemporaryDirectory(prefix="vulrtex-demo-")
+workdir = Path(tmp.name)
 scr_dir = workdir / "scr"
 scr_dir.mkdir()
 
@@ -151,3 +153,5 @@ print("\nartifacts:")
 for path in sorted(out_dir.rglob("*")):
     if path.is_file():
         print(f"  {path.relative_to(workdir)}")
+
+tmp.cleanup()

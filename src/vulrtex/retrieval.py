@@ -3,6 +3,10 @@
 For one target report, every stored graph is weighted edge-by-edge against
 the target text, walked down to a reserved subgraph, described as text, and
 kept when the description's similarity to the target clears the threshold.
+That similarity is taken under an index over the target and the pruned
+descriptions; each description's terms are tabled once per stage, with its
+reserved subgraph, and textindex.query_cosines scores a target against them
+with no index or vector.
 
 A prune costs only the work that can change its result:
 
@@ -27,7 +31,7 @@ A prune costs only the work that can change its result:
   computing each outcome from the target's rows, and walks only when an
   outcome is new; that walk adds one leaf. A leaf is a pure function of
   its reserved action ids, so each distinct set is built, validated,
-  described and counted once per stage.
+  described and its description's terms tabled once per stage.
 
 build_adjacency and edge_probabilities compute every weight and row at once,
 weighing each pair through a whole tf-idf index (_PairWeights) with the same
@@ -41,8 +45,10 @@ from __future__ import annotations
 import hashlib
 import math
 import zlib
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -58,8 +64,8 @@ from .graph import (
     ReasoningGraph,
     describe_graph,
 )
-from .textindex import (CorpusIdf, TermVector, TfIdfIndex, build_index, cosine,
-                        term_counts)
+from .textindex import (CorpusIdf, DocTerms, TermVector, TfIdfIndex, cosine,
+                        query_cosines, term_counts)
 from .tools import ToolKit
 
 ADJ_EPSILON = 1e-6
@@ -83,7 +89,7 @@ class ReservedGraph:
     graph: ReasoningGraph
     origin_ir: str
     description: str
-    description_counts: Counter[str]
+    description_terms: DocTerms
     similarity: float = 0.0
 
 
@@ -355,7 +361,19 @@ def _maximal_paths(out_map: dict[str, list[Action]]) -> list[tuple[str, ...]]:
 
 def _pick(u: float, weights: list[float]) -> int:
     """The index a draw of u selects from normalized weights, by the
-    cumulative-sum search Generator.choice makes."""
+    cumulative-sum search Generator.choice makes.
+
+    numpy sums fewer than 8 values one by one, left to right, so below 8
+    the same floats come from sequential `+` (not `sum`, which 3.12
+    compensates); from 8 up it sums pairwise, and only numpy gives its
+    floats."""
+    if len(weights) < 8:
+        total = weights[0]
+        for w in weights[1:]:
+            total += w
+        cdf = list(accumulate([w / total for w in weights]))
+        last = cdf[-1]
+        return bisect_right([c / last for c in cdf], u)
     w = np.array(weights)
     cdf = np.cumsum(w / w.sum())
     cdf /= cdf[-1]
@@ -494,7 +512,7 @@ def _reserve(counted: CountedGraph, nodes: dict[str, None],
         pruned.validate()
         description = describe_graph(pruned)
         reserved = counted.subgraphs[key] = ReservedGraph(
-            pruned, g.ir_id, description, term_counts(description))
+            pruned, g.ir_id, description, DocTerms.of(term_counts(description)))
     return reserved
 
 
@@ -582,10 +600,11 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
     loaded or node text counted per target, and the graphs' memos serve
     every target: a prune whose choices all meet outcomes an earlier
     prune of the graph met under the same seed does not walk, and each
-    distinct reserved subgraph of a graph is described and counted once.
-    The memos hold at most one leaf per prune that walked and go away
-    with the list. Similarities come from one index spanning all pruned
-    descriptions plus the flattened target. Per-graph walk seeds derive
+    distinct reserved subgraph of a graph is described and its terms
+    tabled once. The memos hold at most one leaf per prune that walked and
+    go away with the list. Similarities are those of an index over all
+    pruned descriptions plus the flattened target, computed from the
+    tabled terms (textindex.query_cosines). Per-graph walk seeds derive
     from (seed, graph id), so results do not depend on iteration or
     scheduling order.
 
@@ -602,7 +621,8 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
         raise ValueError("theta_sim must be in [0, 1]")
     target_text = flatten_target(target, toolkit)
     target_counts = term_counts(target_text)
-    fingerprint = hashlib.sha256(target_text.encode("utf-8")).hexdigest()
+    fingerprint = (hashlib.sha256(target_text.encode("utf-8")).hexdigest()
+                   if cache is not None else None)
     pruned: list[ReservedGraph] = []
     for counted in graphs:
         ir_id = counted.graph.ir_id
@@ -614,12 +634,8 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
                 cache[key] = probs
         pruned.append(random_walk_prune(counted, probs, walks,
                                         graph_walk_seed(seed, ir_id)))
-    index = build_index([r.description_counts for r in pruned] + [target_counts])
-    target_vec = index.vectorize(target_counts)
-    kept: list[ReservedGraph] = []
-    for r in pruned:
-        score = cosine(target_vec, index.vectorize(r.description_counts))
-        if score > theta_sim:
-            kept.append(replace(r, similarity=score))
+    scores = query_cosines(target_counts, [r.description_terms for r in pruned])
+    kept = [ReservedGraph(r.graph, r.origin_ir, r.description, r.description_terms, score)
+            for r, score in zip(pruned, scores) if score > theta_sim]
     kept.sort(key=lambda r: (-r.similarity, r.origin_ir))
     return kept

@@ -1,4 +1,4 @@
-"""Term-statistics index and the cosine similarity used by every retrieval step.
+"""Term statistics and tf-idf cosine similarity, with and without an index.
 
 An index is an idf table, immutable once built. Similarities are always in
 [0, 1]: weights are nonnegative (raw term counts times a smoothed idf), so
@@ -10,12 +10,18 @@ and its Counter then stands in for the text everywhere a document is taken:
 `build_index`, `TfIdfIndex.vectorize` and `similarity` accept either. The
 counts of two texts joined by whitespace are the sum of their counts (no
 token spans whitespace), so joined texts need no re-tokenizing. A vector
-computes its norm once. A fixed corpus scored against many one-document
-queries tables its idf once (`CorpusIdf`), so a query's idf needs no
-counting and no logarithm. There is no process-wide cache: counts live with
-the object that owns the text (a knowledge store's records, the graphs one
-stage retrieves from, one retrieval call's target and descriptions) and go
-away with it.
+computes its norm once. Two scoring shapes skip the index altogether and
+give its floats bit for bit:
+
+- a fixed corpus scored against many one-document queries tables its idf
+  once (`CorpusIdf`), so a query's idf needs no counting and no logarithm;
+- a query scored against a small, changing set of documents
+  (`query_cosines`) reads each document's tabled terms (`DocTerms`) and
+  takes one logarithm per document frequency, not per term.
+
+There is no process-wide cache: counts live with the object that owns the
+text (a knowledge store's records, the graphs one stage retrieves from and
+their pruned descriptions, one retrieval call's target) and go away with it.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is
@@ -30,6 +36,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import EmptyCorpus
 
@@ -127,6 +134,59 @@ def build_index(docs: list[str | Counter[str]]) -> TfIdfIndex:
         doc_freq.update(_counts(doc).keys())
     n_docs = len(docs)
     return TfIdfIndex({t: _smoothed_idf(n_docs, df) for t, df in doc_freq.items()})
+
+
+@dataclass(frozen=True)
+class DocTerms:
+    """One document's term counts, tabled once for query_cosines: `terms`
+    and `counts` in first-occurrence order, the order TermVector.norm sums
+    in, and `by_term`, each term with its position in `terms`, in sorted
+    term order, the order TermVector.dot sums in."""
+
+    terms: tuple[str, ...]
+    counts: tuple[int, ...]
+    by_term: tuple[tuple[str, int], ...]
+
+    @classmethod
+    def of(cls, counts: Counter[str]) -> "DocTerms":
+        terms = tuple(counts)
+        return cls(terms, tuple(counts.values()),
+                   tuple(sorted(zip(terms, range(len(terms))))))
+
+
+def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
+    """The similarity of the query to each doc under an index over the docs
+    and the query: cosine(index.vectorize(query), index.vectorize(doc))
+    with index = build_index(docs + [query]), bit for bit, but with no index
+    or vector.
+
+    The idf depends on a term only through its document frequency, so it is
+    tabled per frequency, one logarithm for each of 0 .. n_docs. Every sum
+    runs over the sequence the index path sums (Python 3.12's float `sum` is
+    compensated, so only the same sequence keeps the floats equal on every
+    interpreter): a norm over a document's weights in first-occurrence
+    order, and a dot over the sorted terms the doc shares with the query.
+    """
+    doc_freq: Counter[str] = Counter(query.keys())
+    for doc in docs:
+        doc_freq.update(doc.terms)
+    n_docs = len(docs) + 1
+    idf = [_smoothed_idf(n_docs, df) for df in range(n_docs + 1)]
+    weights = {t: c * idf[doc_freq[t]] for t, c in query.items()}
+    norm = math.sqrt(sum([w * w for w in weights.values()]))
+    if norm == 0.0:
+        return [0.0] * len(docs)
+    df_of, idf_of = doc_freq.__getitem__, idf.__getitem__
+    scores = []
+    for doc in docs:
+        ws = list(map(mul, doc.counts, map(idf_of, map(df_of, doc.terms))))
+        doc_norm = math.sqrt(sum(map(mul, ws, ws)))
+        if doc_norm == 0.0:
+            scores.append(0.0)
+            continue
+        dot = sum([weights[t] * ws[i] for t, i in doc.by_term if t in weights])
+        scores.append(min(1.0, dot / (norm * doc_norm)))
+    return scores
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from vulrtex.retrieval import (
     EdgeProbabilities,
     _choose,
     _maximal_paths,
+    _pick,
     _step,
     build_adjacency,
     count_graphs,
@@ -283,14 +284,20 @@ def test_fig_description_contains_both_quoted_paths():
 # numpy's sum adds 8 or more values pairwise, fewer one by one
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=16),
-       st.integers(0, 2**64 - 1))
-def test_walk_draw_equals_generator_choice(weights, seed):
+       st.integers(0, 2**64 - 1), st.integers(0, 15))
+def test_walk_draw_equals_generator_choice(weights, seed, entry):
     w = np.array(weights)
     by_choice = np.random.default_rng(seed)
     by_search = np.random.default_rng(seed)
     want = int(by_choice.choice(len(w), p=w / w.sum()))
     assert _choose(by_search, weights) == want
     assert by_search.bit_generator.state == by_choice.bit_generator.state
+    # a draw exactly on a cdf entry, where the search's side="right" decides;
+    # the cdf is the one Generator.choice searches
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    u = float(cdf[entry % len(cdf)])
+    assert _pick(u, weights) == int(cdf.searchsorted(u, side="right"))
 
 
 def test_walks_must_be_positive():

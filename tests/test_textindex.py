@@ -2,15 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vulrtex.errors import EmptyCorpus
 from vulrtex.textindex import (
     STOPWORDS,
     CorpusIdf,
+    DocTerms,
     build_index,
     cosine,
+    query_cosines,
     similarity,
     term_counts,
     tokenize,
@@ -210,3 +212,29 @@ def test_corpus_idf_index_equals_index_over_corpus_and_query(docs, query):
             assert tabled.shared[term] == idf
         else:
             assert tabled.query_only == idf
+
+
+# terms no document strategy draws, so a query can hold terms no doc holds
+query_texts = st.lists(
+    st.tuples(st.sampled_from(_PIECES + ["zero-day", "unseen"]), st.sampled_from(_SEPARATORS)),
+    max_size=14).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
+@exact
+@given(st.lists(texts, max_size=6), st.lists(st.integers(0, 5), max_size=3), query_texts)
+@example(["xss payload", "sql token"], [0], "xss page")             # a doc twice
+@example(["xss payload", "sql token"], [], "csrf form")             # no shared term
+@example(["xss payload", "sql token"], [], "xss zero-day unseen")   # terms no doc holds
+@example(["xss payload", "sql token"], [], "")                      # an empty query
+@example(["xss payload", "sql token"], [], "the of")                # stopwords only
+# a dot whose last bit depends on summing in sorted term order
+@example(["a-b", "42 payload tag page"], [], "page page 42 tag 42")
+def test_query_cosines_equal_index_path(docs, repeats, query):
+    # every float must be the index path's, bit for bit
+    counts = [term_counts(d) for d in docs]
+    counts += [counts[i % len(counts)] for i in repeats if counts]
+    q = term_counts(query)
+    index = build_index(counts + [q])
+    want = [cosine(index.vectorize(q), index.vectorize(c)) for c in counts]
+    got = query_cosines(q, [DocTerms.of(c) for c in counts])
+    assert [s.hex() for s in got] == [s.hex() for s in want]
