@@ -30,7 +30,7 @@ from .identifier import (Prediction, generate_guidance, identify,
 from .knowledge import KnowledgeRecord, KnowledgeStore, ingest, load_store, save_store
 from .metrics import ScoredLabel, build_report, pr_curve, repeated_mean
 from .reasoner import ReasonerConfig, generate_reasoning_graph
-from .retrieval import count_graphs, retrieve_relevant
+from .retrieval import Target, count_graphs, retrieve_relevant
 from .tools import make_toolkit
 
 PREDICTIONS_KIND = "predictions"
@@ -221,15 +221,15 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
     toolkit = make_toolkit(cfg.tool)
     graphs = count_graphs(graph_store.load_all())
     # every run walks each (graph, target) pair again under its own seed;
-    # only a repeated run can reuse the pair's walk probabilities
-    cache = {} if cfg.runs > 1 else None
+    # each target is flattened, counted and serialized once for all runs,
+    # and only a repeated run can reuse the pairs' walk probabilities
+    prepared = [Target(t, toolkit, {} if cfg.runs > 1 else None) for t in targets]
     preds: list[Prediction] = []
     for run in range(cfg.runs):
         run_seed = cfg.seed + run
-        for target in targets:
+        for target in prepared:
             kept = retrieve_relevant(graphs, target, cfg.theta_sim,
-                                     walks=cfg.walks, seed=run_seed,
-                                     toolkit=toolkit, cache=cache)
+                                     walks=cfg.walks, seed=run_seed)
             guide = generate_guidance(kept, target, llm)
             pred = identify(target, guide, llm, cfg.theta_out, seed=run_seed)
             preds.append(replace(pred, run=run))

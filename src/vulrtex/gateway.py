@@ -64,14 +64,13 @@ def _parse_template(pattern: re.Pattern, template: str) -> tuple[str | int, ...]
 
     Joining the literals with each group's text ("" for a group that did not
     match) is exactly `m.expand(template)` for any match m of `pattern`.
-    `re` itself parses the template, by expanding it against probe matches:
-    once with empty groups, which gives every literal character (and raises
-    what `Match.expand` would for a bad escape or group reference), then with
-    each group i capturing a mark, i, a mark, where the mark is a character
-    no literal holds.
+    `re` itself parses the template, by expanding it once against a probe
+    match in which each group i captures a mark, i, a mark (which raises
+    what `Match.expand` would for a bad escape or group reference). The
+    mark is a private-use character the template lacks, so no literal
+    holds it: a template escape only yields characters up to U+00FF.
     """
-    literal = _probe(pattern, lambda i: "").expand(template)
-    mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in literal)
+    mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in template)
     pieces = _probe(pattern, lambda i: f"{mark}{i}{mark}").expand(template).split(mark)
     return tuple(int(p) if k % 2 else p for k, p in enumerate(pieces))
 

@@ -18,7 +18,7 @@ from .corpus import CanonicalIR
 from .errors import NoLabelToken
 from .gateway import Gateway, LlmRequest, yes_probability
 from .prompts import build_guidance_prompt, build_identify_prompt
-from .retrieval import ReservedGraph
+from .retrieval import ReservedGraph, Target
 
 log = logging.getLogger(__name__)
 
@@ -81,9 +81,10 @@ class Prediction:
                    d.get("latency_seconds", 0.0), d.get("run", 0))
 
 
-def generate_guidance(graphs: list[ReservedGraph], target: CanonicalIR,
+def generate_guidance(graphs: list[ReservedGraph], target: CanonicalIR | Target,
                       llm: Gateway) -> GuidancePrompt:
-    """Ask for numbered steps over the retrieved descriptions.
+    """Ask for numbered steps over the retrieved descriptions and the
+    target's JSON (Target.json, so a Target is serialized once).
 
     With nothing retrieved the guidance stays empty and identification runs
     on the bare prompt. A reply that ignores the STEP-n grammar becomes a
@@ -92,8 +93,8 @@ def generate_guidance(graphs: list[ReservedGraph], target: CanonicalIR,
     if not graphs:
         return GuidancePrompt()
     descriptions = [g.description for g in graphs]
-    resp = llm.complete(LlmRequest(
-        system_prompt="", user_prompt=build_guidance_prompt(descriptions, target)))
+    prompt = build_guidance_prompt(descriptions, Target.of(target).json)
+    resp = llm.complete(LlmRequest(system_prompt="", user_prompt=prompt))
     steps = [m.group(2) for m in _STEP_RE.finditer(resp.text)]
     raw_fallback = False
     if not steps:
@@ -104,7 +105,7 @@ def generate_guidance(graphs: list[ReservedGraph], target: CanonicalIR,
                           raw_fallback)
 
 
-def identify(target: CanonicalIR, guide: GuidancePrompt, llm: Gateway,
+def identify(target: CanonicalIR | Target, guide: GuidancePrompt, llm: Gateway,
              theta_out: float = DEFAULT_THETA_OUT,
              seed: int | None = None) -> Prediction:
     """Score the target and threshold the Yes-probability.
@@ -115,7 +116,7 @@ def identify(target: CanonicalIR, guide: GuidancePrompt, llm: Gateway,
     """
     if not 0.0 <= theta_out <= 1.0:
         raise ValueError("theta_out must be in [0, 1]")
-    prompt = build_identify_prompt(guide.steps, target, guide.descriptions)
+    prompt = build_identify_prompt(guide.steps, Target.of(target).json, guide.descriptions)
     resp = llm.complete(LlmRequest(
         system_prompt="", user_prompt=prompt, want_logprobs=True, seed=seed))
     guidance_used = bool(guide.steps)

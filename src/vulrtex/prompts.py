@@ -107,7 +107,9 @@ def build_correction_prompt(golden_texts: list[str], path_description: str) -> s
     ])
 
 
-def build_guidance_prompt(descriptions: list[str], ir: CanonicalIR) -> str:
+def build_guidance_prompt(descriptions: list[str], target_json: str) -> str:
+    """The guidance request over the descriptions and the target's JSON
+    (ir_json)."""
     graphs = "\n".join(descriptions) if descriptions else "(none)"
     return "\n".join([
         GUIDANCE_REQUEST,
@@ -115,14 +117,14 @@ def build_guidance_prompt(descriptions: list[str], ir: CanonicalIR) -> str:
         "Relevant reasoning graphs:",
         graphs,
         "",
-        "Target IR (JSON): " + ir_json(ir),
+        "Target IR (JSON): " + target_json,
     ])
 
 
-def build_identify_prompt(steps: list[str], ir: CanonicalIR,
+def build_identify_prompt(steps: list[str], target_json: str,
                           descriptions: list[str]) -> str:
-    """P_identify, then the guidance steps, then the JSON target, then the
-    graph descriptions, in that order."""
+    """P_identify, then the guidance steps, then the target's JSON
+    (ir_json), then the graph descriptions, in that order."""
     parts = [P_IDENTIFY]
     if steps:
         parts += ["", P_GUIDE_HEADER]
@@ -130,7 +132,7 @@ def build_identify_prompt(steps: list[str], ir: CanonicalIR,
     parts += [
         "",
         "- Input: The content of target IR, which is formatted as JSON.",
-        ir_json(ir),
+        target_json,
         "",
         "- Input: The textual description of all the selected graphs.",
     ]

@@ -33,6 +33,11 @@ A prune costs only the work that can change its result:
   its reserved action ids, so each distinct set is built, validated,
   described and its description's terms tabled once per stage.
 
+What no walk seed changes of a target is computed once per Target: its
+flattened text, term counts and JSON, on first use, and, when the Target
+keeps rows, each graph's walk probabilities, so a stage repeating its
+targets under new seeds reuses the rows earlier runs filled.
+
 build_adjacency and edge_probabilities compute every weight and row at once,
 weighing each pair through a whole tf-idf index (_PairWeights) with the same
 per-row code. They are the reference: the acceptance gates check them
@@ -42,12 +47,12 @@ bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import zlib
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable
 
@@ -64,6 +69,7 @@ from .graph import (
     ReasoningGraph,
     describe_graph,
 )
+from .prompts import ir_json
 from .textindex import (CorpusIdf, DocTerms, TermVector, TfIdfIndex, cosine,
                         query_cosines, term_counts)
 from .tools import ToolKit
@@ -579,19 +585,71 @@ def graph_walk_seed(master_seed: int, ir_id: str) -> int:
     return zlib.crc32(f"{master_seed}:{ir_id}".encode("utf-8"))
 
 
-def flatten_target(target: CanonicalIR, toolkit: ToolKit | None) -> str:
-    if toolkit is not None:
-        return toolkit.flatten_ir(target)
-    if target.title:
-        return f"{target.title}\n{target.content}"
-    return target.content
+@dataclass(eq=False)
+class Target:
+    """A target report with what retrieval and identification read of it,
+    each computed on first use and kept while the Target lives: the
+    flattened text, its term counts and the report's JSON (prompts.ir_json).
+    None of them depends on the walk seed, so a stage that builds one Target
+    per report for all its runs flattens, tokenizes and serializes each
+    report once.
+
+    `rows`, when not None, keeps this target's walk probabilities per graph
+    id (EdgeProbabilities), so a run under another seed reuses the rows
+    earlier runs filled. A Target made with `rows=None` keeps none past
+    each retrieval call.
+    """
+
+    ir: CanonicalIR
+    toolkit: ToolKit | None = None
+    rows: dict[str, EdgeProbabilities] | None = None
+
+    @property
+    def id(self) -> str:
+        return self.ir.id
+
+    @cached_property
+    def text(self) -> str:
+        """Title and content; with a toolkit, every rich-text tag expanded
+        by its tool (ToolKit.flatten_ir)."""
+        if self.toolkit is not None:
+            return self.toolkit.flatten_ir(self.ir)
+        if self.ir.title:
+            return f"{self.ir.title}\n{self.ir.content}"
+        return self.ir.content
+
+    @cached_property
+    def counts(self) -> Counter[str]:
+        return term_counts(self.text)
+
+    @cached_property
+    def json(self) -> str:
+        return ir_json(self.ir)
+
+    @classmethod
+    def of(cls, target: CanonicalIR | Target, toolkit: ToolKit | None = None) -> Target:
+        """`target` itself when it is a Target, else `target` wrapped."""
+        if not isinstance(target, Target):
+            return cls(target, toolkit)
+        if toolkit is not None and toolkit is not target.toolkit:
+            raise ValueError(f"target {target.id} flattens with its own toolkit")
+        return target
+
+    def probabilities(self, counted: CountedGraph) -> EdgeProbabilities:
+        """This target's walk probabilities over a counted graph; the kept
+        ones when `rows` holds them for this very graph."""
+        if self.rows is None:
+            return target_probabilities(counted, self.counts)
+        probs = self.rows.get(counted.graph.ir_id)
+        if probs is None or probs.counted is not counted:
+            probs = self.rows[counted.graph.ir_id] = target_probabilities(
+                counted, self.counts)
+        return probs
 
 
-def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
+def retrieve_relevant(db, target: CanonicalIR | Target, theta_sim: float,
                       walks: int = DEFAULT_WALKS, seed: int = 0,
-                      toolkit: ToolKit | None = None,
-                      cache: dict[tuple[str, str], EdgeProbabilities] | None = None,
-                      ) -> list[ReservedGraph]:
+                      toolkit: ToolKit | None = None) -> list[ReservedGraph]:
     """Prune every stored graph for this target, keep the ones whose
     description scores strictly above theta_sim, best first.
 
@@ -608,33 +666,24 @@ def retrieve_relevant(db, target: CanonicalIR, theta_sim: float,
     from (seed, graph id), so results do not depend on iteration or
     scheduling order.
 
-    Walk probabilities are made per (graph, target) and fill only the
-    source rows that a draw among several options, or a closure among
-    several terminators, reads. `cache`, when given, maps (graph id, target
-    fingerprint) to that pair's EdgeProbabilities, so a caller repeating a
-    target under other seeds reuses the rows already filled.
+    `target` is a Target or a CanonicalIR, which is wrapped as a Target
+    flattened with `toolkit`; a caller repeating a target under other
+    seeds passes the same Target each time, so it is flattened and counted
+    once. Walk probabilities fill only the source rows that a draw among
+    several options, or a closure among several terminators, reads; a
+    Target that keeps rows (Target.rows) hands the rows filled so far to
+    the next call.
     """
     graphs = count_graphs(db.load_all() if hasattr(db, "load_all") else db)
     if not graphs:
         raise EmptyDatabase("no reasoning graphs to retrieve from")
     if not 0.0 <= theta_sim <= 1.0:
         raise ValueError("theta_sim must be in [0, 1]")
-    target_text = flatten_target(target, toolkit)
-    target_counts = term_counts(target_text)
-    fingerprint = (hashlib.sha256(target_text.encode("utf-8")).hexdigest()
-                   if cache is not None else None)
-    pruned: list[ReservedGraph] = []
-    for counted in graphs:
-        ir_id = counted.graph.ir_id
-        key = (ir_id, fingerprint)
-        probs = cache.get(key) if cache is not None else None
-        if probs is None:
-            probs = target_probabilities(counted, target_counts)
-            if cache is not None:
-                cache[key] = probs
-        pruned.append(random_walk_prune(counted, probs, walks,
-                                        graph_walk_seed(seed, ir_id)))
-    scores = query_cosines(target_counts, [r.description_terms for r in pruned])
+    target = Target.of(target, toolkit)
+    pruned = [random_walk_prune(counted, target.probabilities(counted), walks,
+                                graph_walk_seed(seed, counted.graph.ir_id))
+              for counted in graphs]
+    scores = query_cosines(target.counts, [r.description_terms for r in pruned])
     kept = [ReservedGraph(r.graph, r.origin_ir, r.description, r.description_terms, score)
             for r, score in zip(pruned, scores) if score > theta_sim]
     kept.sort(key=lambda r: (-r.similarity, r.origin_ir))

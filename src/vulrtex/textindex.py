@@ -21,7 +21,7 @@ give its floats bit for bit:
 
 There is no process-wide cache: counts live with the object that owns the
 text (a knowledge store's records, the graphs one stage retrieves from and
-their pruned descriptions, one retrieval call's target) and go away with it.
+their pruned descriptions, one identify stage's targets) and go away with it.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is

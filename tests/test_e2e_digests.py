@@ -27,8 +27,8 @@ from vulrtex.config import load_config
 from vulrtex.corpus import load_corpus
 from vulrtex.graph import GraphStore
 from vulrtex.knowledge import load_store
-from vulrtex.retrieval import (build_adjacency, count_graphs, edge_probabilities,
-                               flatten_target, retrieve_relevant)
+from vulrtex.retrieval import (Target, build_adjacency, count_graphs, edge_probabilities,
+                               retrieve_relevant)
 from vulrtex.textindex import build_index
 from vulrtex.tools import StubCodeAnalyzer, StubScrAnalyzer, ToolKit
 
@@ -101,13 +101,12 @@ def _branching(root) -> tuple[str, int]:
     toolkit = ToolKit(StubScrAnalyzer(fx["scr_dir"]), StubCodeAnalyzer())
     knowledge = load_store(fx["va"])
     counted = count_graphs(graphs)
-    cache: dict = {}
+    prepared = [Target(t, toolkit, {}) for t in targets]
     record: dict = {"retrieve": [], "rows": [], "golden": []}
-    for t in targets:
-        text = flatten_target(t, toolkit)
+    for t in prepared:
+        text = t.text
         for seed in (17, 18):
-            kept = retrieve_relevant(counted, t, 0.0, seed=seed, toolkit=toolkit,
-                                     cache=cache)
+            kept = retrieve_relevant(counted, t, 0.0, seed=seed)
             record["retrieve"].append([t.id, seed, [
                 [r.origin_ir, r.similarity.hex(), r.description] for r in kept]])
         for g in graphs:
@@ -116,7 +115,7 @@ def _branching(root) -> tuple[str, int]:
             record["rows"].append([t.id, g.ir_id, sorted(
                 [src, dst, p.hex()] for (src, dst), p in probs.items())])
         record["golden"].append([t.id, [s.hex() for s in knowledge.similarities(text)]])
-    filled = sum(len(p.probs) for p in cache.values())
+    filled = sum(len(p.probs) for t in prepared for p in t.rows.values())
     return _digest(json.dumps(record, sort_keys=True).encode("utf-8")), filled
 
 

@@ -77,9 +77,12 @@ def test_stub_jitter_deterministic_but_seed_sensitive():
 
 # Response templates are parsed once per rule; expanding the parsed template
 # must give exactly Match.expand's text, or raise exactly its error.
-_TEMPLATE_PIECES = ["a", "Z", " ", "\n", "\ue000", "1", "7", r"\n", r"\t", r"\\", r"\.",
-                    r"\q", "\\", r"\0", r"\07", r"\123", r"\1", r"\2", r"\3", r"\12",
-                    r"\g<0>", r"\g<2>", r"\g<9>", r"\g<name>", r"\g<nope>", r"\g<1"]
+# Private-use characters push the parser's mark past U+E000; octal escapes
+# give literal characters up to U+00FF.
+_TEMPLATE_PIECES = ["a", "Z", " ", "\n", "\ue000", "\ue001", "\uf8ff", "\U000f0000", "1",
+                    "7", r"\n", r"\t", r"\\", r"\.", r"\q", "\\", r"\0", r"\07", r"\012",
+                    r"\123", r"\177", r"\377", r"\1", r"\2", r"\3", r"\12", r"\g<0>",
+                    r"\g<2>", r"\g<9>", r"\g<name>", r"\g<nope>", r"\g<1"]
 _TEMPLATE_CASES = [(r"(?P<name>a+)(b)?", "a"), (r"(?P<name>a+)(b)?", "xaab"),
                    (r"((?P<name>a)(b)?)", "ab"), (r"(a)(b)(c)?(?P<name>d)", "abd"),
                    (r"a", "a")]

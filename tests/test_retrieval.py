@@ -17,7 +17,7 @@ from oracles import (
 )
 from vulrtex import cli, retrieval
 from vulrtex.config import load_config
-from vulrtex.corpus import CanonicalIR
+from vulrtex.corpus import CanonicalIR, load_corpus
 from vulrtex.errors import EmptyDatabase, IsolatedNonTerminal
 from vulrtex.graph import (
     AGENT_TERMINATOR,
@@ -32,6 +32,7 @@ from vulrtex.graph import (
 from vulrtex.retrieval import (
     AdjacencyMatrix,
     EdgeProbabilities,
+    Target,
     _choose,
     _maximal_paths,
     _pick,
@@ -47,6 +48,7 @@ from vulrtex.retrieval import (
     target_probabilities,
 )
 from vulrtex.textindex import STOPWORDS, build_index, similarity, term_counts
+from vulrtex.tools import ToolKit
 
 import numpy as np
 
@@ -409,10 +411,25 @@ def test_result_independent_of_database_order():
         [(r.origin_ir, r.similarity) for r in backward]
 
 
-def test_cache_reused_on_identical_query(tmp_path, monkeypatch):
-    """Over three runs, stage_identify computes each (graph, target, source)
-    row of walk probabilities at most once, and its predictions equal those
-    of runs that recompute rows for every run."""
+def test_target_rows_serve_only_the_graphs_that_filled_them():
+    """A new count of the same graphs fills fresh rows and retrieves the
+    same; a Target flattens with its own toolkit, not the call's."""
+    target = Target(target_ir(), rows={})
+    first = retrieve_relevant(count_graphs(retrieval_db()), target, theta_sim=0.0, seed=5)
+    rows = dict(target.rows)
+    again = retrieve_relevant(count_graphs(retrieval_db()), target, theta_sim=0.0, seed=5)
+    assert [(r.origin_ir, r.similarity) for r in again] == \
+        [(r.origin_ir, r.similarity) for r in first]
+    assert rows and all(target.rows[ir_id] is not probs for ir_id, probs in rows.items())
+    with pytest.raises(ValueError, match="own toolkit"):
+        retrieve_relevant(retrieval_db(), target, theta_sim=0.0, toolkit=ToolKit(None, None))
+
+
+def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
+    """Over three runs, stage_identify flattens each target once and
+    computes each (graph, target, source) row of walk probabilities at most
+    once, and its predictions equal those of a stage that hands every run a
+    fresh Target, which fills its rows again."""
     paths = write_e2e_fixture(tmp_path / "fx")
     cfg = load_config(str(write_e2e_config(
         tmp_path / "config.ini", paths, jitter=0.3,
@@ -430,19 +447,29 @@ def test_cache_reused_on_identical_query(tmp_path, monkeypatch):
         computed[(self.counted.graph.ir_id, tuple(self.target.items()), src)] += 1
         return fill(self, src)
 
+    flattened = Counter()
+    flatten = ToolKit.flatten_ir
+
+    def counting_flatten(self, ir):
+        flattened[ir.id] += 1
+        return flatten(self, ir)
+
     monkeypatch.setattr(retrieval.EdgeProbabilities, "_fill", counting_fill)
-    cli.stage_identify(cfg, tmp_path / "cached.jsonl")
+    monkeypatch.setattr(ToolKit, "flatten_ir", counting_flatten)
+    cli.stage_identify(cfg, tmp_path / "kept.jsonl")
     assert computed
     assert set(computed.values()) == {1}
+    targets = load_corpus(tmp_path / "db" / "targets.jsonl")
+    assert flattened == Counter({t.id: 1 for t in targets})
 
     retrieve = cli.retrieve_relevant
-    monkeypatch.setattr(cli, "retrieve_relevant",
-                        lambda *args, cache=None, **kwargs: retrieve(*args, **kwargs))
+    monkeypatch.setattr(cli, "retrieve_relevant", lambda db, target, *args, **kwargs: retrieve(
+        db, Target(target.ir, target.toolkit, {}), *args, **kwargs))
     computed.clear()
-    cli.stage_identify(cfg, tmp_path / "uncached.jsonl")
+    cli.stage_identify(cfg, tmp_path / "fresh.jsonl")
     assert max(computed.values()) > 1
-    assert (tmp_path / "cached.jsonl").read_bytes() == \
-        (tmp_path / "uncached.jsonl").read_bytes()
+    assert (tmp_path / "kept.jsonl").read_bytes() == \
+        (tmp_path / "fresh.jsonl").read_bytes()
 
 
 def test_invalid_theta_rejected():
