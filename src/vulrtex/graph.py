@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import urllib.parse
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .errors import CycleIntroduced, DanglingEndpoint, DuplicateId
@@ -234,34 +235,37 @@ def extract_terminated_paths(g: ReasoningGraph) -> list[Path]:
     action id) represents the hop. A path counts as terminated when its last
     hop is an AgentTerminator action or its last node carries a decided
     verdict; dead ends that just ran out of actions are dropped. Result is
-    sorted lexicographically by node-id sequence.
+    sorted lexicographically by node-id sequence: the depth-first walk takes
+    successors in sorted order and no end is a prefix of another path, so it
+    meets the paths in that order. The walk keeps an explicit stack, so it
+    leaves no reference cycle behind for the garbage collector.
     """
     if ROOT_ID not in g.nodes:
         return []
-
-    def representative(src: str, dst: str) -> Action:
-        candidates = g.actions_between(src, dst)
-        for a in candidates:
-            if a.tool == AGENT_TERMINATOR:
-                return a
-        return min(candidates, key=lambda a: a.id)
-
     paths: list[Path] = []
-
-    def walk(node_seq: list[str], act_seq: list[Action]) -> None:
+    stack: list[tuple[tuple[str, ...], tuple[Action, ...]]] = [((ROOT_ID,), ())]
+    while stack:
+        node_seq, act_seq = stack.pop()
         cur = node_seq[-1]
         succ = g.successors(cur)
         if not succ:
-            p = Path(tuple(g.nodes[n] for n in node_seq), tuple(act_seq))
+            p = Path(tuple(g.nodes[n] for n in node_seq), act_seq)
             if p.terminated():
                 paths.append(p)
-            return
-        for nxt in succ:
-            walk(node_seq + [nxt], act_seq + [representative(cur, nxt)])
-
-    walk([ROOT_ID], [])
-    paths.sort(key=lambda p: p.node_ids())
+            continue
+        for nxt in reversed(succ):
+            stack.append((node_seq + (nxt,), act_seq + (_representative(g, cur, nxt),)))
     return paths
+
+
+def _representative(g: ReasoningGraph, src: str, dst: str) -> Action:
+    """The action standing for the hop src -> dst: the terminator if one
+    joins the pair, else the smallest action id."""
+    candidates = g.actions_between(src, dst)
+    for a in candidates:
+        if a.tool == AGENT_TERMINATOR:
+            return a
+    return min(candidates, key=attrgetter("id"))
 
 
 def describe_path(p: Path) -> str:
@@ -295,8 +299,8 @@ class GraphStore:
     def save(self, g: ReasoningGraph) -> FsPath:
         self.graphs_dir.mkdir(parents=True, exist_ok=True)
         path = self.graphs_dir / graph_filename(g.ir_id)
-        path.write_text(json.dumps(g.to_dict(), sort_keys=True, indent=1) + "\n",
-                        encoding="utf-8")
+        # compact, so that json's C encoder writes it
+        path.write_text(json.dumps(g.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
         return path
 
     def load(self, ir_id: str) -> ReasoningGraph:

@@ -9,12 +9,13 @@ store tables, once, postings (term -> each record holding it, with its
 weight when the query holds the term too) and each record's squared weights
 with and without the query holding the term. A query then scores only the
 records that share a term with it; any other record has a zero dot, so its
-similarity is exactly 0.0. Every float equals that of an index built over
-the records plus the query, because every sum runs over the same sequence:
-the dot over the sorted common terms and each norm in the record's
-first-occurrence term order. (Python 3.12's float `sum` is compensated, so
-only summing the same sequence with `sum` keeps the floats equal on every
-interpreter.)
+similarity is exactly 0.0. A record's norm is computed once per set of its
+terms that queries hold, and reused by every later query holding that set.
+Every float equals that of an index built over the records plus the query,
+because every sum runs over the same sequence: the dot over the sorted
+common terms and each norm in the record's first-occurrence term order.
+(Python 3.12's float `sum` is compensated, so only summing the same sequence
+with `sum` keeps the floats equal on every interpreter.)
 """
 
 from __future__ import annotations
@@ -77,70 +78,90 @@ class KnowledgeStore:
         return CorpusIdf.from_corpus(self.record_counts)
 
     @cached_property
-    def _lookup(self) -> tuple[dict[str, list[tuple[int, float]]],
-                               tuple[tuple[tuple[str, float, float], ...], ...]]:
-        """Postings and per-record squares.
+    def _lookup(self) -> tuple[dict[str, list[tuple[int, float, int]]],
+                               tuple[tuple[tuple[int, float, float], ...], ...],
+                               tuple[dict[int, float], ...]]:
+        """Postings, per-record squares and per-record norm memos.
 
-        Postings map a term to (record index, count * idf.shared[term]) for
-        each record holding it: the record's weight when the query holds the
-        term too. Each record's squares are (term, w_absent ** 2,
-        w_shared ** 2) in first-occurrence order, w_absent being the weight
-        when the query lacks the term (count * idf.absent[term]).
+        A record's term at position j of its first-occurrence order has bit
+        1 << j. Postings map a term to (record index, count *
+        idf.shared[term], bit) for each record holding it: the record's
+        weight when the query holds the term too. Each record's squares are
+        (bit, w_absent ** 2, w_shared ** 2) in first-occurrence order,
+        w_absent being the weight when the query lacks the term (count *
+        idf.absent[term]). A record's norm depends on the query only through
+        which of the record's terms it holds, so each record's memo maps that
+        set, as a mask of bits, to the norm; it holds one entry per distinct
+        set the queries reached.
         """
         absent, shared = self.idf.absent, self.idf.shared
-        postings: dict[str, list[tuple[int, float]]] = {}
+        postings: dict[str, list[tuple[int, float, int]]] = {}
         squares = []
         for i, counts in enumerate(self.record_counts):
             row = []
-            for term, count in counts.items():
+            for j, (term, count) in enumerate(counts.items()):
                 wa, ws = count * absent[term], count * shared[term]
-                postings.setdefault(term, []).append((i, ws))
-                row.append((term, wa * wa, ws * ws))
+                postings.setdefault(term, []).append((i, ws, 1 << j))
+                row.append((1 << j, wa * wa, ws * ws))
             squares.append(tuple(row))
-        return postings, tuple(squares)
+        return postings, tuple(squares), tuple({} for _ in self.records)
 
-    def similarities(self, text: str) -> list[float]:
-        """Similarity of each record to `text`, in record order.
+    def similarities(self, text: str | Counter[str]) -> list[float]:
+        """Similarity of each record to a text or its term counts, in record
+        order.
 
-        The idf spans the stored texts plus `text`, so its own terms still
+        The idf spans the stored texts plus the query, so its own terms still
         contribute: each float is bit-identical to the cosine under
         build_index(records + [text]). Only records reached through the
-        query's postings are scored; the rest share no term, so their dot and
-        similarity are exactly 0.0.
+        postings of the query's stored terms are scored, each dot summed over
+        the sorted terms it shares with the query; the rest share no term, so
+        their dot and similarity are exactly 0.0.
         """
-        query = term_counts(text)
+        query = term_counts(text) if isinstance(text, str) else text
         idf = self.idf
-        weights = {t: c * idf.shared.get(t, idf.query_only) for t, c in query.items()}
+        shared, query_only = idf.shared, idf.query_only
+        weights = {t: c * shared.get(t, query_only) for t, c in query.items()}
         scores = [0.0] * len(self.records)
         qn = math.sqrt(sum([w * w for w in weights.values()]))
         if qn == 0.0:
             return scores
-        postings, squares = self._lookup
+        postings, squares, norms = self._lookup
         products: dict[int, list[float]] = {}
-        for term in sorted(weights):
+        masks: dict[int, int] = {}
+        for term in sorted(weights.keys() & postings.keys()):
             q = weights[term]
-            for i, s in postings.get(term, ()):
-                products.setdefault(i, []).append(q * s)
+            for i, s, bit in postings[term]:
+                dots = products.get(i)
+                if dots is None:
+                    products[i] = [q * s]
+                    masks[i] = bit
+                else:
+                    dots.append(q * s)
+                    masks[i] |= bit
         for i, dots in products.items():
-            scores[i] = min(1.0, sum(dots) / (qn * _record_norm(squares[i], query)))
+            mask, memo = masks[i], norms[i]
+            norm = memo.get(mask)
+            if norm is None:
+                norm = memo[mask] = _record_norm(squares[i], mask)
+            scores[i] = min(1.0, sum(dots) / (qn * norm))
         return scores
 
 
-def _record_norm(squares: tuple[tuple[str, float, float], ...],
-                 query: Counter[str]) -> float:
-    """A record's norm under the idf of a query: each square summed in the
-    record's first-occurrence order, w_shared ** 2 where the query holds the
-    term."""
-    return math.sqrt(sum([ws if term in query else wa for term, wa, ws in squares]))
+def _record_norm(squares: tuple[tuple[int, float, float], ...], mask: int) -> float:
+    """A record's norm under the idf of a query holding the record's terms
+    in `mask`: each square summed in the record's first-occurrence order,
+    w_shared ** 2 where the query holds the term."""
+    return math.sqrt(sum([ws if mask & bit else wa for bit, wa, ws in squares]))
 
 
 def ingest(records: list[KnowledgeRecord]) -> KnowledgeStore:
     return KnowledgeStore(records)
 
 
-def retrieve_golden(store: KnowledgeStore, path_text: str,
+def retrieve_golden(store: KnowledgeStore, path_text: str | Counter[str],
                     theta_sim: float) -> list[KnowledgeRecord]:
-    """Records whose text scores strictly above theta_sim against path_text.
+    """Records whose text scores strictly above theta_sim against path_text,
+    given as a text or its term counts.
 
     Similarities are computed over an index spanning the stored texts plus
     the query (KnowledgeStore.similarities), so query-only terms still

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .config import (DEFAULT_BRANCH_LIMIT, DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES,
@@ -21,6 +22,7 @@ from .gateway import Gateway, LlmRequest
 from .graph import (
     AGENT_TERMINATOR,
     CODE_ANALYZER,
+    HOP_TEMPLATE,
     ROOT_ID,
     SCR_ANALYZER,
     TOOLS,
@@ -36,6 +38,7 @@ from .graph import (
 )
 from .knowledge import KnowledgeStore, retrieve_golden
 from .prompts import build_correction_prompt, build_reason_prompt
+from .textindex import tokenize
 from .tools import ToolKit
 
 log = logging.getLogger(__name__)
@@ -59,12 +62,6 @@ class StepParse:
     cwe_id: str | None = None
     actions: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    def chosen_elements(self) -> list[str]:
-        return [tag for tool, tag in self.actions if tool != AGENT_TERMINATOR]
-
-    def chosen_tool_per_element(self) -> dict[str, str]:
-        return {tag: tool for tool, tag in self.actions if tool != AGENT_TERMINATOR}
 
     def terminates(self) -> bool:
         return any(tool == AGENT_TERMINATOR for tool, _ in self.actions)
@@ -163,20 +160,59 @@ def enforce_inclusion_order(parse: StepParse, path_state: PathState) -> StepPars
 _CORRECTION_LINE_RE = re.compile(r"^\s*(O[0-9][0-9.]*):\s*(.+?)\s*$", re.MULTILINE)
 
 
+class _PathTerms:
+    """Term counts of path descriptions, from token lists tabled by text.
+
+    describe_path joins hop sentences, node ids and node texts with "; ",
+    ": ", " (" and ")", none of which holds a token character, so no token
+    spans a join: the counts of a description are its pieces' tokens counted
+    in description order, keys in first-occurrence order included. Each
+    piece is tabled by its text (a hop by the three ids that fill
+    HOP_TEMPLATE), so a node text rewritten by a correction is a new key
+    and is tokenized afresh.
+    """
+
+    def __init__(self):
+        self._tokens: dict[object, list[str]] = {}
+
+    def _of(self, key: object, text: str) -> list[str]:
+        tokens = self._tokens.get(key)
+        if tokens is None:
+            tokens = self._tokens[key] = tokenize(text)
+        return tokens
+
+    def counts(self, p: Path) -> Counter[str]:
+        """term_counts(describe_path(p))."""
+        if not p.actions:
+            text = p.nodes[0].text
+            return Counter(self._of(text, text))
+        tokens: list[str] = []
+        for src, act, dst in zip(p.nodes, p.actions, p.nodes[1:]):
+            hop = (src.id, act.id, dst.id)
+            tokens += self._of(hop, HOP_TEMPLATE.format(src=src.id, action=act.id,
+                                                        dst=dst.id))
+        for o in p.nodes:
+            tokens += self._of(o.id, o.id)
+            tokens += self._of(o.text, o.text)
+        return Counter(tokens)
+
+
 def correct_path(path: Path, store: KnowledgeStore, llm: Gateway,
                  theta_sim: float, cap: int = GOLDEN_PROMPT_CAP,
-                 warnings: list[str] | None = None) -> Path:
+                 warnings: list[str] | None = None,
+                 terms: _PathTerms | None = None) -> Path:
     """Rewrite observation texts against golden knowledge, structure untouched.
 
     The correction prompt carries at most `cap` golden records. Responses may
     only rewrite texts of observations already on the path; anything else in
     the reply is ignored. On gateway failure the original path is kept.
+    `terms` tables the pieces of path descriptions across calls; the path is
+    described in full only when a record is retrieved.
     """
-    description = describe_path(path)
-    golden = retrieve_golden(store, description, theta_sim)
+    golden = retrieve_golden(store, (terms or _PathTerms()).counts(path), theta_sim)
     if not golden:
         return path
-    prompt = build_correction_prompt([g.text for g in golden[:cap]], description)
+    prompt = build_correction_prompt([g.text for g in golden[:cap]], describe_path(path))
     try:
         resp = llm.complete(LlmRequest(system_prompt="", user_prompt=prompt))
     except VulrtexError as exc:
@@ -235,6 +271,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
     frontier: list[str] = [ROOT_ID]
     level = 1
     aborted = False
+    path_terms = _PathTerms()
 
     while frontier and not aborted:
         if level >= cfg.max_depth or len(g.nodes) >= cfg.max_nodes:
@@ -356,7 +393,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
             for p in extract_terminated_paths(g):
                 if p.actions and p.actions[-1].id in new_terminator_ids:
                     correct_path(p, cfg.store, cfg.llm, cfg.theta_sim,
-                                 warnings=meta_warnings)
+                                 warnings=meta_warnings, terms=path_terms)
             if not g.meta["warnings"]:
                 del g.meta["warnings"]
 

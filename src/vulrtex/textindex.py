@@ -36,6 +36,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from operator import mul
 
 from .errors import EmptyCorpus
@@ -58,7 +59,7 @@ _TOKEN = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
 
 def tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN.findall(text.lower()) if t not in STOPWORDS]
+    return list(filterfalse(STOPWORDS.__contains__, _TOKEN.findall(text.lower())))
 
 
 def term_counts(text: str) -> Counter[str]:

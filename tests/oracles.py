@@ -131,3 +131,36 @@ def oracle_edge_probabilities(pair_weights: dict[tuple[str, str], float],
         for p in out_pairs:
             probs[p] = raw[p] / total
     return probs
+
+
+def oracle_terminated_paths(decided: dict[str, bool],
+                            edges: list[tuple[str, str, str, str]],
+                            root: str = "O1",
+                            terminator: str = "AgentTerminator",
+                            ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(node ids, action ids) of every terminated root-to-end path, listed by
+    exhaustive recursion and then sorted by node ids.
+
+    decided maps a node id to whether it carries a verdict; edges are
+    (action id, src, dst, tool). Parallel actions between one pair count as
+    one hop, represented by a terminator if there is one, else the smallest
+    action id. A path terminated if its last action is a terminator or its
+    end is decided.
+    """
+    out = []
+
+    def walk(seq: list[str], acts: list[tuple[str, str]]) -> None:
+        successors = sorted({dst for _, src, dst, _ in edges if src == seq[-1]})
+        if not successors:
+            if (acts and acts[-1][1] == terminator) or decided[seq[-1]]:
+                out.append((tuple(seq), tuple(a for a, _ in acts)))
+            return
+        for nxt in successors:
+            between = [(a, tool) for a, src, dst, tool in edges
+                       if src == seq[-1] and dst == nxt]
+            terminators = [x for x in between if x[1] == terminator]
+            walk(seq + [nxt], acts + [terminators[0] if terminators else min(between)])
+
+    if root in decided:
+        walk([root], [])
+    return sorted(out)

@@ -1,4 +1,10 @@
+import gc
+import random
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulrtex.errors import CycleIntroduced, DanglingEndpoint, DuplicateId
 from vulrtex.graph import (
@@ -16,7 +22,8 @@ from vulrtex.graph import (
     graph_filename,
 )
 
-from fixturelib import build_fig_graph
+from fixturelib import build_fig_graph, random_dag, terminated_dag
+from oracles import oracle_terminated_paths
 
 
 def chain_graph() -> ReasoningGraph:
@@ -96,6 +103,37 @@ def test_undecided_dead_end_not_a_terminated_path():
     g.add_action(Action("A1", "O1", "O2", SCR_ANALYZER, "[SCR1]"))
     assert extract_terminated_paths(g) == []
     assert describe_graph(g) == ""
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_terminated_paths_equal_list_and_sort_oracle(seed, terminators):
+    g = (terminated_dag if terminators else random_dag)(random.Random(seed))
+    got = [(p.node_ids(), tuple(a.id for a in p.actions))
+           for p in extract_terminated_paths(g)]
+    want = oracle_terminated_paths(
+        {nid: obs.decided() for nid, obs in g.nodes.items()},
+        [(a.id, a.src, a.dst, a.tool) for a in g.edges])
+    assert got == want
+
+
+def test_path_extraction_and_save_leave_no_reference_cycle(tmp_path):
+    # with the cyclic collector off, reference counting alone must free the
+    # graph once its last reference goes: nothing may tie it into a cycle
+    store = GraphStore(tmp_path / "db")
+    g = build_fig_graph()
+    alive = weakref.ref(g)
+    gc.collect()
+    gc.disable()
+    try:
+        paths = extract_terminated_paths(g)
+        store.save(g)
+        assert len(paths) == 4
+        del g, paths
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_describe_path_template():

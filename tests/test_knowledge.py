@@ -14,7 +14,7 @@ from vulrtex.knowledge import (
     retrieve_golden,
     save_store,
 )
-from vulrtex.textindex import STOPWORDS, build_index, similarity
+from vulrtex.textindex import STOPWORDS, build_index, similarity, term_counts
 
 from oracles import oracle_similarity
 from test_textindex import texts
@@ -148,13 +148,31 @@ def test_similarities_equal_index_over_records_and_query(records, query):
     assert [s.hex() for s in got] == [s.hex() for s in want]
 
 
-def test_records_sharing_no_term_are_never_scored(store, monkeypatch):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_record_texts, min_size=1, max_size=8),
+       st.lists(st.one_of(_queries, st.lists(st.sampled_from(QUERY_WORDS), max_size=12)
+                          .map(" ".join)), min_size=1, max_size=12))
+def test_memoized_norms_equal_index_over_many_queries(records, queries):
+    # one store answers every query, so later queries read norms memoized by
+    # earlier ones; each float must still be that of a per-call index, and
+    # counts in place of the text must give the same floats
+    store = ingest([KnowledgeRecord("hyp", f"k{i}", r) for i, r in enumerate(records)])
+    for query in queries + queries[::-1]:
+        idx = build_index(records + [query])
+        want = [similarity(idx, query, r).hex() for r in records]
+        assert [s.hex() for s in store.similarities(query)] == want
+        assert [s.hex() for s in store.similarities(term_counts(query))] == want
+
+
+def test_records_sharing_no_term_are_never_scored(monkeypatch):
+    # a fresh store: the module's fixture has normed records for other tests
+    store = load_store(DATA / "va_store.jsonl")
     normed = []
     record_norm = knowledge._record_norm
 
-    def counting(squares, query):
+    def counting(squares, mask):
         normed.append(squares)
-        return record_norm(squares, query)
+        return record_norm(squares, mask)
 
     monkeypatch.setattr(knowledge, "_record_norm", counting)
     query = "stored xss payload unknownterm"
@@ -162,9 +180,13 @@ def test_records_sharing_no_term_are_never_scored(store, monkeypatch):
     terms = {"stored", "xss", "payload", "unknownterm"}
     sharing = [i for i, counts in enumerate(store.record_counts) if counts.keys() & terms]
     assert 0 < len(sharing) < len(store)
-    assert len(normed) == len(sharing)
+    assert sorted(normed) == sorted(store._lookup[1][i] for i in sharing)
     for i, s in enumerate(got):
         if i in sharing:
             assert s > 0.0
         else:
             assert s.hex() == (0.0).hex()
+    # a repeat holds the same terms of every record, so it norms none
+    normed.clear()
+    assert store.similarities(query) == got
+    assert normed == []

@@ -1,8 +1,13 @@
 """Step parsing, exploration ordering, path correction, graph generation."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixturelib as fx
+from vulrtex import reasoner
 from vulrtex.config import PipelineConfig
 from vulrtex.corpus import CanonicalIR, RichTextElement
 from vulrtex.errors import TransportError
@@ -18,6 +23,7 @@ from vulrtex.graph import (
     Observation,
     Path,
     ReasoningGraph,
+    describe_path,
     extract_terminated_paths,
 )
 from vulrtex.knowledge import KnowledgeRecord, ingest
@@ -30,6 +36,7 @@ from vulrtex.reasoner import (
     generate_reasoning_graph,
     parse_step,
 )
+from vulrtex.textindex import term_counts
 from vulrtex.tools import StubCodeAnalyzer, StubScrAnalyzer, ToolKit
 
 
@@ -189,6 +196,78 @@ def test_correct_path_keeps_original_on_gateway_failure():
     assert out is path
     assert g.nodes["O2.1"].text == "the login form passes raw input into the query"
     assert warnings and "correction failed" in warnings[0]
+
+
+# Node texts built to break a description cut into pieces: hyphens at either
+# end, describe_path's own joins inside a text, and characters whose
+# lowercase is longer (U+0130), ASCII (the Kelvin sign) or context-dependent
+# (capital sigma).
+_hostile_texts = st.lists(
+    st.sampled_from(["xss", "Payload", "O2.1", "the", "x-y", "-", "--", "a-", "-b", "42",
+                     "; ", ": ", " (", ")", " ", "\u0130", "\u212a", "\u03a3", "A\u03a3",
+                     "\u03c3", "\u0130nput"]),
+    max_size=10).map("".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(_hostile_texts, min_size=15, max_size=15))
+def test_tabled_path_counts_equal_description_counts(seed, texts):
+    g = fx.random_dag(random.Random(seed))
+    for obs, text in zip(g.nodes.values(), texts):
+        obs.text = text
+    terms = reasoner._PathTerms()
+    paths = extract_terminated_paths(g) + [Path((g.nodes["O1"],), ())]
+    for p in paths + paths:  # the second round reads only tabled pieces
+        assert list(terms.counts(p).items()) == list(term_counts(describe_path(p)).items())
+
+
+def test_correction_of_a_shared_terminal_reaches_the_next_level(tmp_path, monkeypatch):
+    # O2.1 decides at level 2 and O3.1 at level 3 with the same verdict, so
+    # both paths end in the shared terminal O3.1; the level-2 correction
+    # rewrites it, and the level-3 path must be scored on the new text
+    ir = CanonicalIR(
+        id="fixture/shared-terminal#1", title="shared terminal",
+        content="screenshots [SCR1] [SCR2] [SCR3]",
+        rich_text=[RichTextElement("SCR", f"[SCR{k}]", f"https://term.test/{k}.png")
+                   for k in (1, 2, 3)])
+    from vulrtex.tools import sidecar_filename
+    scr = tmp_path / "scr"
+    scr.mkdir()
+    for k in (1, 2, 3):
+        (scr / sidecar_filename(f"https://term.test/{k}.png")).write_text(f"shot {k}")
+    gateway, toolkit = make_env([
+        StubRule(r"may contain factual errors.*the next operation is O3\.1 \(O1",
+                 "O3.1: rewritten verdict wording"),
+        StubRule(r"may contain factual errors", "no corrections needed"),
+        StubRule(r"the next operation is O2\.1 \(|the next operation is O3\.2 \(",
+                 "Observation: original verdict wording\n"
+                 "vulnerability identified: Yes CWE-79\nAction: AgentTerminator()"),
+        StubRule(r"the next operation is O2\.2 \(",
+                 "Observation: look further\nAction: ScrAnalyzer([SCR3])"),
+        StubRule(r"IR title: shared terminal",
+                 "Observation: start\nAction: ScrAnalyzer([SCR1])\n"
+                 "Action: ScrAnalyzer([SCR2])"),
+    ], scr)
+    store = ingest([KnowledgeRecord("kb-fix", "ADV-7", "verdict wording screenshot shot")])
+    counted = []
+    original = reasoner._PathTerms.counts
+
+    def checked(self, p):
+        got = original(self, p)
+        assert list(got.items()) == list(term_counts(describe_path(p)).items())
+        counted.append((p.node_ids(), got))
+        return got
+
+    monkeypatch.setattr(reasoner._PathTerms, "counts", checked)
+    cfg = ReasonerConfig(llm=gateway, tools=toolkit, store=store,
+                         correction_enabled=True, theta_sim=0.01)
+    g = generate_reasoning_graph(ir, cfg)
+    assert g.nodes["O3.1"].text == "rewritten verdict wording"
+    assert [ids for ids, _ in counted] == [("O1", "O2.1", "O3.1"),
+                                          ("O1", "O2.2", "O3.2", "O3.1")]
+    first, second = (counts for _, counts in counted)
+    assert first["original"] == 1 and first["rewritten"] == 0
+    assert second["original"] == 0 and second["rewritten"] == 1
 
 
 # ---------------------------------------------------------------- generation
