@@ -284,18 +284,25 @@ def stage_evaluate(cfg: PipelineConfig, preds_path: str | Path,
     if not preds:
         raise ConfigError(f"no predictions in {preds_path}")
     truth = _load_truth(truth_path)
-    scored = [p for p in preds if not p.unscored]
-    excluded = len(preds) - len(scored)
-    if not scored:
-        raise ConfigError("every prediction is unscored; nothing to evaluate")
     # each run's rows stay in file order, the order mean_latency sums in
     by_run: dict[int, list[ScoredLabel]] = {}
-    for p in scored:
+    seen: dict[int, set[str]] = {}
+    excluded = 0
+    for p in preds:
+        ids = seen.setdefault(p.run, set())
+        if p.ir_id in ids:
+            raise ConfigError(f"predictions file repeats {p.ir_id} in run {p.run}")
+        ids.add(p.ir_id)
+        if p.unscored:
+            excluded += 1
+            continue
         if p.ir_id not in truth:
             raise ConfigError(f"prediction {p.ir_id} has no ground-truth record")
         label, cwe = truth[p.ir_id]
         by_run.setdefault(p.run, []).append(
             ScoredLabel(p.ir_id, p.p_yes, label, cwe, p.cwe_id, p.latency_seconds))
+    if not by_run:
+        raise ConfigError("every prediction is unscored; nothing to evaluate")
     runs = sorted(by_run)
     per_run = [build_report(by_run[run], cfg.theta_out) for run in runs]
     mean = repeated_mean(per_run)

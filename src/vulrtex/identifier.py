@@ -38,7 +38,7 @@ class GuidancePrompt:
             raise ValueError("guidance built from graphs must carry at least one step")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prediction:
     ir_id: str
     p_yes: float | None

@@ -8,11 +8,12 @@ degenerate run reports zeros instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import NoPositiveRows, SingleClass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScoredLabel:
     ir_id: str
     p_yes: float
@@ -75,24 +76,32 @@ def classification_metrics(rows: list[ScoredLabel],
 
 
 def auroc(rows: list[ScoredLabel]) -> float:
-    """Tie-corrected rank statistic: P(score_pos > score_neg) + half-ties."""
-    pos = [r.p_yes for r in rows if r.truth_vul]
-    neg = [r.p_yes for r in rows if not r.truth_vul]
-    if not pos or not neg:
-        raise SingleClass("auroc needs both classes")
-    ranked = sorted(rows, key=lambda r: r.p_yes)
-    ranks: dict[int, float] = {}
+    """Tie-corrected rank statistic: P(score_pos > score_neg) + half-ties.
+
+    One sort by score; each tie group adds its midrank once per positive in
+    it. Midranks are half-integers, so the rank sum is exact and equals the
+    per-row sum in any order.
+    """
+    ranked = sorted(rows, key=attrgetter("p_yes"))
+    n = len(ranked)
+    n_pos = 0
+    rank_sum = 0.0
     i = 0
-    while i < len(ranked):
+    while i < n:
+        score = ranked[i].p_yes
         j = i
-        while j < len(ranked) and ranked[j].p_yes == ranked[i].p_yes:
+        group_pos = 0
+        while j < n and ranked[j].p_yes == score:
+            if ranked[j].truth_vul:
+                group_pos += 1
             j += 1
-        midrank = (i + 1 + j) / 2.0
-        for k in range(i, j):
-            ranks[id(ranked[k])] = midrank
+        if group_pos:
+            rank_sum += (i + 1 + j) / 2.0 * group_pos
+            n_pos += group_pos
         i = j
-    rank_sum = sum(ranks[id(r)] for r in rows if r.truth_vul)
-    n_pos, n_neg = len(pos), len(neg)
+    n_neg = n - n_pos
+    if not n_pos or not n_neg:
+        raise SingleClass("auroc needs both classes")
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

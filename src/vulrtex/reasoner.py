@@ -189,8 +189,11 @@ class _PathTerms:
         tokens: list[str] = []
         for src, act, dst in zip(p.nodes, p.actions, p.nodes[1:]):
             hop = (src.id, act.id, dst.id)
-            tokens += self._of(hop, HOP_TEMPLATE.format(src=src.id, action=act.id,
-                                                        dst=dst.id))
+            hop_tokens = self._tokens.get(hop)
+            if hop_tokens is None:
+                hop_tokens = self._tokens[hop] = tokenize(HOP_TEMPLATE.format(
+                    src=src.id, action=act.id, dst=dst.id))
+            tokens += hop_tokens
         for o in p.nodes:
             tokens += self._of(o.id, o.id)
             tokens += self._of(o.text, o.text)

@@ -72,6 +72,31 @@ def oracle_auroc(y_true: list[int], scores: list[float]) -> float:
     return wins / (len(pos) * len(neg))
 
 
+def oracle_midrank_auroc(rows) -> float:
+    """Midrank AUROC the direct way: rows sorted by score, every row's
+    midrank stored under id(row), then the positives' midranks summed in row
+    order. rows carry .p_yes and .truth_vul; the library must match the
+    result bit for bit, not approximately."""
+    pos = [r.p_yes for r in rows if r.truth_vul]
+    neg = [r.p_yes for r in rows if not r.truth_vul]
+    if not pos or not neg:
+        raise ValueError("AUROC needs both classes")
+    ranked = sorted(rows, key=lambda r: r.p_yes)
+    ranks: dict[int, float] = {}
+    i = 0
+    while i < len(ranked):
+        j = i
+        while j < len(ranked) and ranked[j].p_yes == ranked[i].p_yes:
+            j += 1
+        midrank = (i + 1 + j) / 2.0
+        for k in range(i, j):
+            ranks[id(ranked[k])] = midrank
+        i = j
+    rank_sum = sum(ranks[id(r)] for r in rows if r.truth_vul)
+    n_pos, n_neg = len(pos), len(neg)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def oracle_auprc(y_true: list[int], scores: list[float]) -> float:
     """Area under the precision-recall step curve by full threshold re-scan."""
     n_pos = sum(y_true)

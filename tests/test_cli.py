@@ -271,6 +271,18 @@ class TestEvaluate:
                           "--curve", str(env.root / "curve.csv"))
         assert "no ground-truth" in result.output
 
+    def test_repeated_prediction_row_is_an_error(self, env):
+        preds, truth = self.finished_run(env)
+        rows = preds.read_text().splitlines()
+        repeated = next(l for l in rows if "e2e/shop#14" in l)
+        preds.write_text("\n".join(rows + [repeated] * 5) + "\n", encoding="utf-8")
+        result = run_fail(env, "evaluate", "-c", env.config, "--preds", str(preds),
+                          "--truth", str(truth),
+                          "--report", str(env.root / "report.json"),
+                          "--curve", str(env.root / "curve.csv"))
+        assert "repeats e2e/shop#14 in run 0" in result.output
+        assert not (env.root / "report.json").exists()
+
 
 class TestRunAll:
     def test_repeated_runs_are_byte_identical(self, env):

@@ -1,5 +1,6 @@
 """Guidance parsing and verdict thresholding."""
 
+import json
 import math
 
 import pytest
@@ -179,13 +180,23 @@ def test_invalid_theta_rejected():
                  theta_out=1.2)
 
 
-def test_prediction_invariants():
-    with pytest.raises(ValueError):
-        Prediction("a#1", 0.9, False, None, 0.55, False)
-    with pytest.raises(ValueError):
-        Prediction("a#1", 0.4, False, "CWE-79", 0.55, False)
-    with pytest.raises(ValueError):
-        Prediction("a#1", 1.5, True, None, 0.55, False)
+def test_prediction_invariants(tmp_path):
+    invalid = [
+        (0.9, False, None),       # verdict disagrees with p_yes >= theta_out
+        (0.4, False, "CWE-79"),   # CWE on a negative verdict
+        (1.5, True, None),        # p_yes outside [0, 1]
+        (-0.1, False, None),
+    ]
+    path = tmp_path / "preds.jsonl"
+    for p_yes, verdict, cwe_id in invalid:
+        with pytest.raises(ValueError):
+            Prediction("a#1", p_yes, verdict, cwe_id, 0.55, False)
+        # the reading path builds rows through the same checks
+        path.write_text(json.dumps({"ir_id": "a#1", "p_yes": p_yes, "verdict": verdict,
+                                    "cwe_id": cwe_id, "theta_out": 0.55}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_predictions(path)
 
 
 def test_predictions_roundtrip(tmp_path):

@@ -3,8 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_auprc, oracle_auroc, oracle_precision_recall_f1
+from oracles import (
+    oracle_auprc,
+    oracle_auroc,
+    oracle_midrank_auroc,
+    oracle_precision_recall_f1,
+)
 from vulrtex.errors import NoPositiveRows, SingleClass
 from vulrtex.metrics import (
     MetricsReport,
@@ -103,6 +110,20 @@ def test_rank_metrics_match_oracles_on_random_fixtures():
         labels = [1 if r.truth_vul else 0 for r in rows]
         assert auroc(rows) == pytest.approx(oracle_auroc(labels, scores), abs=1e-9)
         assert auprc(rows) == pytest.approx(oracle_auprc(labels, scores), abs=1e-9)
+
+
+# few distinct scores, so most rows share a tie group with rows of both classes
+_tied_rows = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.1, 0.3, 1 / 3, 0.5, 0.7, 1.0]), st.booleans()),
+    min_size=2, max_size=300,
+).filter(lambda pairs: len({vul for _, vul in pairs}) == 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tied_rows)
+def test_auroc_bit_equal_to_midrank_oracle_under_heavy_ties(pairs):
+    rows = [row(i, p, vul) for i, (p, vul) in enumerate(pairs)]
+    assert auroc(rows).hex() == oracle_midrank_auroc(rows).hex()
 
 
 # -------------------------------------------------------------------- pr_curve
