@@ -20,6 +20,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyCorpus, InvalidCweId, MalformedPage
+from .jsonl import read_jsonl
 from .textindex import build_index, similarity, term_counts
 
 KIND_SCR = "SCR"
@@ -434,18 +435,13 @@ def split_corpus(irs: list[CanonicalIR], proportion: float) -> CorpusSplit:
 
 
 def load_corpus(path: str | Path) -> list[CanonicalIR]:
-    out: list[CanonicalIR] = []
+    irs = read_jsonl(path, CanonicalIR.from_dict)
     seen: set[str] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        ir = CanonicalIR.from_dict(json.loads(line))
+    for ir in irs:
         if ir.id in seen:
             raise DuplicateId(f"corpus repeats IR id {ir.id}")
         seen.add(ir.id)
-        out.append(ir)
-    return out
+    return irs
 
 
 def save_corpus(irs: list[CanonicalIR], path: str | Path) -> None:

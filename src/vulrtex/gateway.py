@@ -27,6 +27,7 @@ from .errors import (
     RateLimited,
     TransportError,
 )
+from .jsonl import read_jsonl
 
 
 @dataclass
@@ -116,14 +117,8 @@ class StubBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, jitter: float = 0.0) -> "StubBackend":
-        rules = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            rules.append(StubRule(d["pattern"], d["response_text"],
-                                  d.get("first_token_logprobs")))
+        rules = read_jsonl(path, lambda d: StubRule(
+            d["pattern"], d["response_text"], d.get("first_token_logprobs")))
         return cls(rules, jitter=jitter)
 
     def complete(self, req: LlmRequest) -> LlmResponse:

@@ -17,6 +17,7 @@ from .config import DEFAULT_THETA_OUT
 from .corpus import CanonicalIR
 from .errors import NoLabelToken
 from .gateway import Gateway, LlmRequest, yes_probability
+from .jsonl import read_jsonl
 from .prompts import build_guidance_prompt, build_identify_prompt
 from .retrieval import ReservedGraph, Target
 
@@ -150,26 +151,26 @@ def write_predictions(preds: list[Prediction], path: str | Path,
             fh.write(json.dumps(pred.to_dict(), sort_keys=True) + "\n")
 
 
+def _prediction_row(d: dict) -> Prediction | None:
+    return None if "kind" in d else Prediction.from_dict(d)
+
+
 def read_predictions(path: str | Path) -> list[Prediction]:
-    preds = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        d = json.loads(line)
-        if "kind" in d:
-            continue
-        preds.append(Prediction.from_dict(d))
-    return preds
+    """The prediction rows of a file, header records dropped; a bad line
+    raises ValueError naming its path and line number."""
+    return [p for p in read_jsonl(path, _prediction_row) if p is not None]
 
 
 def read_predictions_header(path: str | Path) -> dict | None:
     """The header record, read from the file's first non-empty line alone;
     None when that line is a prediction row or the file is empty."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                d = json.loads(line)
+                try:
+                    d = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 return d if "kind" in d else None
     return None

@@ -28,6 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DuplicateKey
+from .jsonl import read_jsonl
 from .textindex import CorpusIdf, term_counts
 
 
@@ -180,12 +181,7 @@ def retrieve_golden(store: KnowledgeStore, path_text: str | Counter[str],
 
 
 def load_store(path: str | Path) -> KnowledgeStore:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            records.append(KnowledgeRecord.from_dict(json.loads(line)))
-    return KnowledgeStore(records)
+    return KnowledgeStore(read_jsonl(path, KnowledgeRecord.from_dict))
 
 
 def save_store(store: KnowledgeStore, path: str | Path) -> None:

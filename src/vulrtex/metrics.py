@@ -3,10 +3,20 @@
 Verdicts derive from p_yes thresholded at theta_out; ranking metrics use the
 raw scores. Zero-denominator cases follow the 0-convention throughout so a
 degenerate run reports zeros instead of raising.
+
+A run's rows are sorted once, by descending score, and swept once into the
+cumulative (tp, fp) counts at each distinct score (_ties). Every metric
+reads those points: AUROC and AUPRC share one sweep over them, and the
+counts at any threshold are the last point scoring at or above it, so
+build_report sorts each run once and pr_curve bisects one sorted order for
+all its grid thresholds. Counts are integers, so every float equals that of
+counting the rows directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -65,72 +75,83 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def classification_metrics(rows: list[ScoredLabel],
-                           theta_out: float) -> tuple[float, float, float]:
+def _ties(rows: list[ScoredLabel]) -> list[tuple[float, int, int]]:
+    """(score, tp, fp) after the last row of each distinct score, in
+    descending score order: tp and fp count the positive and negative rows
+    scoring at or above it. The one sort of a run's rows."""
     if not rows:
-        raise ValueError("no rows to score")
-    tp = sum(1 for r in rows if r.truth_vul and r.p_yes >= theta_out)
-    fp = sum(1 for r in rows if not r.truth_vul and r.p_yes >= theta_out)
-    fn = sum(1 for r in rows if r.truth_vul and r.p_yes < theta_out)
-    return _prf(tp, fp, fn)
-
-
-def auroc(rows: list[ScoredLabel]) -> float:
-    """Tie-corrected rank statistic: P(score_pos > score_neg) + half-ties.
-
-    One sort by score; each tie group adds its midrank once per positive in
-    it. Midranks are half-integers, so the rank sum is exact and equals the
-    per-row sum in any order.
-    """
-    ranked = sorted(rows, key=attrgetter("p_yes"))
-    n = len(ranked)
-    n_pos = 0
-    rank_sum = 0.0
-    i = 0
-    while i < n:
-        score = ranked[i].p_yes
-        j = i
-        group_pos = 0
-        while j < n and ranked[j].p_yes == score:
-            if ranked[j].truth_vul:
-                group_pos += 1
-            j += 1
-        if group_pos:
-            rank_sum += (i + 1 + j) / 2.0 * group_pos
-            n_pos += group_pos
-        i = j
-    n_neg = n - n_pos
-    if not n_pos or not n_neg:
-        raise SingleClass("auroc needs both classes")
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def auprc(rows: list[ScoredLabel]) -> float:
-    """Area under the precision-recall step curve over all distinct scores.
-
-    One sort and one sweep (Davis & Goadrich, ICML 2006): rows are taken in
-    descending score order, and a curve point is emitted after the last row
-    of each distinct score, when tp and fp count every row at or above it.
-    """
-    n_pos = sum(1 for r in rows if r.truth_vul)
-    if n_pos == 0 or n_pos == len(rows):
-        raise SingleClass("auprc needs both classes")
-    ranked = sorted(rows, key=lambda r: r.p_yes, reverse=True)
-    area = 0.0
-    prev_recall = 0.0
+        return []
+    ranked = sorted(rows, key=attrgetter("p_yes"), reverse=True)
+    points = []
     tp = fp = 0
-    for i, r in enumerate(ranked):
+    score = ranked[0].p_yes
+    for r in ranked:
+        if r.p_yes != score:
+            points.append((score, tp, fp))
+            score = r.p_yes
         if r.truth_vul:
             tp += 1
         else:
             fp += 1
-        if i + 1 < len(ranked) and ranked[i + 1].p_yes == r.p_yes:
-            continue
-        precision = tp / (tp + fp)
+    points.append((score, tp, fp))
+    return points
+
+
+def _scored(rows: list[ScoredLabel]) -> list[tuple[float, int, int]]:
+    if not rows:
+        raise ValueError("no rows to score")
+    return _ties(rows)
+
+
+def _counts_at(points: list[tuple[float, int, int]],
+               theta: float) -> tuple[int, int, int]:
+    """(tp, fp, fn) of the verdicts p_yes >= theta."""
+    k = bisect_right(points, -theta, key=lambda point: -point[0])
+    tp, fp = points[k - 1][1:] if k else (0, 0)
+    return tp, fp, points[-1][1] - tp
+
+
+def _rank_areas(points: list[tuple[float, int, int]],
+                metric: str) -> tuple[float, float]:
+    """AUROC and AUPRC from one sweep over the tie groups.
+
+    AUROC is the tie-corrected rank statistic P(score_pos > score_neg) +
+    half-ties: a group holding descending positions [i, j) of n adds its
+    midrank (2n - i - j + 1) / 2 once per positive in it. Midranks are
+    half-integers, so the rank sum is exact and equals the per-row sum in
+    any order. AUPRC is the area under the precision-recall step curve
+    (Davis & Goadrich, ICML 2006), a point per group with tp and fp counting
+    every row at or above its score.
+    """
+    n_pos, n_neg = points[-1][1:] if points else (0, 0)
+    if not n_pos or not n_neg:
+        raise SingleClass(f"{metric} needs both classes")
+    n = n_pos + n_neg
+    rank_sum = area = prev_recall = 0.0
+    prev_tp = prev_end = 0
+    for _, tp, fp in points:
+        end = tp + fp
+        if tp != prev_tp:
+            rank_sum += (2 * n - prev_end - end + 1) / 2.0 * (tp - prev_tp)
         recall = tp / n_pos
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return area
+        area += (recall - prev_recall) * (tp / end)
+        prev_recall, prev_tp, prev_end = recall, tp, end
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg), area
+
+
+def classification_metrics(rows: list[ScoredLabel],
+                           theta_out: float) -> tuple[float, float, float]:
+    return _prf(*_counts_at(_scored(rows), theta_out))
+
+
+def auroc(rows: list[ScoredLabel]) -> float:
+    """Tie-corrected rank statistic: P(score_pos > score_neg) + half-ties."""
+    return _rank_areas(_ties(rows), "auroc")[0]
+
+
+def auprc(rows: list[ScoredLabel]) -> float:
+    """Area under the precision-recall step curve over all distinct scores."""
+    return _rank_areas(_ties(rows), "auprc")[1]
 
 
 def pr_curve(rows: list[ScoredLabel],
@@ -142,6 +163,7 @@ def pr_curve(rows: list[ScoredLabel],
     """
     if not 0.0 < interval < 1.0:
         raise ValueError("interval must be in (0, 1)")
+    points = _scored(rows)
     thetas = []
     i = 0
     while True:
@@ -152,41 +174,44 @@ def pr_curve(rows: list[ScoredLabel],
         i += 1
     if thetas[-1] != 1.0:
         thetas.append(1.0)
-    out = []
-    for theta in thetas:
-        precision, recall, _ = classification_metrics(rows, theta)
-        out.append((theta, precision, recall))
-    return out
+    return [(theta, *_prf(*_counts_at(points, theta))[:2]) for theta in thetas]
 
 
 def macro_cwe_metrics(rows: list[ScoredLabel]) -> tuple[float, float, float]:
     """One-vs-rest macro average over the CWE labels present in the truth.
 
     Only rows whose truth marks a vulnerability take part; a label the
-    predictor never emits contributes zero precision for that label.
+    predictor never emits contributes zero precision for that label. The
+    rows are counted once, by (truth, predicted) label pair.
     """
-    vul_rows = [r for r in rows if r.truth_vul and r.truth_cwe]
-    if not vul_rows:
+    pairs = Counter((r.truth_cwe, r.pred_cwe) for r in rows if r.truth_vul and r.truth_cwe)
+    if not pairs:
         raise NoPositiveRows("no labeled vulnerable rows for macro metrics")
-    labels = sorted({r.truth_cwe for r in vul_rows})
+    truth: Counter[str] = Counter()
+    predicted: Counter[str | None] = Counter()
+    for (truth_cwe, pred_cwe), k in pairs.items():
+        truth[truth_cwe] += k
+        predicted[pred_cwe] += k
     p_sum = r_sum = f_sum = 0.0
-    for label in labels:
-        tp = sum(1 for r in vul_rows if r.truth_cwe == label and r.pred_cwe == label)
-        fp = sum(1 for r in vul_rows if r.truth_cwe != label and r.pred_cwe == label)
-        fn = sum(1 for r in vul_rows if r.truth_cwe == label and r.pred_cwe != label)
-        precision, recall, f1 = _prf(tp, fp, fn)
+    for label in sorted(truth):
+        tp = pairs[label, label]
+        precision, recall, f1 = _prf(tp, predicted[label] - tp, truth[label] - tp)
         p_sum += precision
         r_sum += recall
         f_sum += f1
-    n = len(labels)
+    n = len(truth)
     return p_sum / n, r_sum / n, f_sum / n
 
 
 def build_report(rows: list[ScoredLabel], theta_out: float) -> MetricsReport:
-    precision, recall, f1 = classification_metrics(rows, theta_out)
+    """Every metric of one run from one sort of its rows; mean_latency sums
+    the rows in the order given."""
+    points = _scored(rows)
+    precision, recall, f1 = _prf(*_counts_at(points, theta_out))
     macro_p, macro_r, macro_f1 = macro_cwe_metrics(rows)
     mean_latency = sum(r.latency_seconds for r in rows) / len(rows)
-    return MetricsReport(precision, recall, f1, auroc(rows), auprc(rows),
+    auroc_, auprc_ = _rank_areas(points, "auroc")
+    return MetricsReport(precision, recall, f1, auroc_, auprc_,
                          macro_p, macro_r, macro_f1, mean_latency)
 
 

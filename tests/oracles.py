@@ -97,6 +97,82 @@ def oracle_midrank_auroc(rows) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def _oracle_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    precision = tp / (tp + fp) if (tp + fp) else 0.0
+    recall = tp / (tp + fn) if (tp + fn) else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision > 0.0 and recall > 0.0 else 0.0)
+    return precision, recall, f1
+
+
+def _oracle_counts(rows, theta: float) -> tuple[int, int, int]:
+    tp = sum(1 for r in rows if r.truth_vul and r.p_yes >= theta)
+    fp = sum(1 for r in rows if not r.truth_vul and r.p_yes >= theta)
+    fn = sum(1 for r in rows if r.truth_vul and r.p_yes < theta)
+    return tp, fp, fn
+
+
+def _oracle_step_auprc(rows) -> float:
+    """Descending sweep with a curve point after each distinct score."""
+    n_pos = sum(1 for r in rows if r.truth_vul)
+    ranked = sorted(rows, key=lambda r: r.p_yes, reverse=True)
+    area = 0.0
+    prev_recall = 0.0
+    tp = fp = 0
+    for i, r in enumerate(ranked):
+        if r.truth_vul:
+            tp += 1
+        else:
+            fp += 1
+        if i + 1 < len(ranked) and ranked[i + 1].p_yes == r.p_yes:
+            continue
+        precision = tp / (tp + fp)
+        recall = tp / n_pos
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+    return area
+
+
+def oracle_build_report(rows, theta_out: float) -> dict[str, float]:
+    """One run's report fields the direct way: each count by its own pass
+    over the rows, each macro label by three more, AUROC by the midrank
+    oracle and AUPRC by its own descending sweep. rows carry .p_yes,
+    .truth_vul, .truth_cwe, .pred_cwe and .latency_seconds and hold both
+    classes and a labeled positive; the library must match bit for bit."""
+    precision, recall, f1 = _oracle_prf(*_oracle_counts(rows, theta_out))
+    vul_rows = [r for r in rows if r.truth_vul and r.truth_cwe]
+    labels = sorted({r.truth_cwe for r in vul_rows})
+    p_sum = r_sum = f_sum = 0.0
+    for label in labels:
+        tp = sum(1 for r in vul_rows if r.truth_cwe == label and r.pred_cwe == label)
+        fp = sum(1 for r in vul_rows if r.truth_cwe != label and r.pred_cwe == label)
+        fn = sum(1 for r in vul_rows if r.truth_cwe == label and r.pred_cwe != label)
+        lp, lr, lf = _oracle_prf(tp, fp, fn)
+        p_sum += lp
+        r_sum += lr
+        f_sum += lf
+    n = len(labels)
+    return {
+        "precision": precision, "recall": recall, "f1": f1,
+        "auroc": oracle_midrank_auroc(rows), "auprc": _oracle_step_auprc(rows),
+        "macro_p": p_sum / n, "macro_r": r_sum / n, "macro_f1": f_sum / n,
+        "mean_latency": sum(r.latency_seconds for r in rows) / len(rows),
+    }
+
+
+def oracle_pr_curve(rows, interval: float) -> list[tuple[float, float, float]]:
+    """(theta, precision, recall) at each grid theta, rows re-counted at
+    every theta."""
+    thetas = []
+    i = 0
+    while round(i * interval, 12) <= 1.0:
+        thetas.append(round(i * interval, 12))
+        i += 1
+    if thetas[-1] != 1.0:
+        thetas.append(1.0)
+    return [(theta, *_oracle_prf(*_oracle_counts(rows, theta))[:2]) for theta in thetas]
+
+
 def oracle_auprc(y_true: list[int], scores: list[float]) -> float:
     """Area under the precision-recall step curve by full threshold re-scan."""
     n_pos = sum(y_true)

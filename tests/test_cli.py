@@ -283,6 +283,33 @@ class TestEvaluate:
         assert "repeats e2e/shop#14 in run 0" in result.output
         assert not (env.root / "report.json").exists()
 
+    def test_malformed_truth_line_names_file_and_line(self, env):
+        preds, truth = self.finished_run(env)
+        rows = truth.read_text().splitlines()
+        rows[1] = rows[1][:len(rows[1]) // 2]  # a truncated second row
+        truth.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = env.runner.invoke(main, [
+            "evaluate", "-c", env.config, "--preds", str(preds), "--truth", str(truth),
+            "--report", str(env.root / "report.json"),
+            "--curve", str(env.root / "curve.csv")])
+        assert result.exit_code == 1
+        assert "truth.jsonl:2: " in result.output
+        assert "Traceback" not in result.output
+
+    def test_invalid_prediction_row_names_file_and_line(self, env):
+        preds, truth = self.finished_run(env)
+        rows = preds.read_text().splitlines()
+        bad = json.loads(rows[3])
+        bad["verdict"] = not bad["verdict"]
+        rows[3] = json.dumps(bad)
+        preds.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = env.runner.invoke(main, [
+            "evaluate", "-c", env.config, "--preds", str(preds), "--truth", str(truth),
+            "--report", str(env.root / "report.json"),
+            "--curve", str(env.root / "curve.csv")])
+        assert result.exit_code == 1
+        assert "preds.jsonl:4: verdict must equal p_yes >= theta_out" in result.output
+
 
 class TestRunAll:
     def test_repeated_runs_are_byte_identical(self, env):
@@ -384,6 +411,16 @@ class TestVaIngest:
                            encoding="utf-8")
         result = run_fail(env, "va", "ingest", "--records", str(records))
         assert "--out" in result.output
+
+    def test_record_without_text_names_file_and_line(self, env):
+        records = env.root / "records.jsonl"
+        record = e2e_knowledge()[0].to_dict()
+        del record["text"]
+        records.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        result = env.runner.invoke(main, ["va", "ingest", "--records", str(records),
+                                          "--out", str(env.root / "store.jsonl")])
+        assert result.exit_code == 1
+        assert "records.jsonl:2: missing key 'text'" in result.output
 
 
 class TestFetch:

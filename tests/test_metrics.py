@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import (
     oracle_auprc,
     oracle_auroc,
+    oracle_build_report,
     oracle_midrank_auroc,
+    oracle_pr_curve,
     oracle_precision_recall_f1,
 )
 from vulrtex.errors import NoPositiveRows, SingleClass
@@ -124,6 +126,42 @@ _tied_rows = st.lists(
 def test_auroc_bit_equal_to_midrank_oracle_under_heavy_ties(pairs):
     rows = [row(i, p, vul) for i, (p, vul) in enumerate(pairs)]
     assert auroc(rows).hex() == oracle_midrank_auroc(rows).hex()
+
+
+_SCORES = [0.0, 0.1, 0.3, 1 / 3, 0.5, 0.55, 0.7, 1.0]
+_CWES = [None, "CWE-79", "CWE-89", "CWE-352"]
+
+# tied scores as above, plus CWE labels, predicted labels and latencies
+_report_rows = st.lists(
+    st.tuples(st.sampled_from(_SCORES), st.booleans(), st.sampled_from(_CWES),
+              st.sampled_from(_CWES), st.sampled_from([0.0, 0.1, 0.25, 1.7, 3.0])),
+    min_size=1, max_size=300,
+)
+
+
+def _labeled(tuples):
+    return [row(i, p, vul, t_cwe if vul else None, p_cwe, latency)
+            for i, (p, vul, t_cwe, p_cwe, latency) in enumerate(tuples)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_report_rows.filter(lambda ts: len({t[1] for t in ts}) == 2
+                           and any(t[1] and t[2] for t in ts)),
+       st.sampled_from(_SCORES + [0.2, 0.99]))
+def test_build_report_bit_equal_to_oracle_under_heavy_ties(tuples, theta_out):
+    rows = _labeled(tuples)
+    report = build_report(rows, theta_out).to_dict()
+    want = oracle_build_report(rows, theta_out)
+    assert {k: report[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}
+    assert report["n_runs"] == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_report_rows, st.sampled_from([0.05, 0.1, 0.07, 0.3, 1 / 3, 0.55]))
+def test_pr_curve_bit_equal_to_oracle_under_heavy_ties(tuples, interval):
+    rows = _labeled(tuples)
+    got = [tuple(x.hex() for x in point) for point in pr_curve(rows, interval)]
+    assert got == [tuple(x.hex() for x in point) for point in oracle_pr_curve(rows, interval)]
 
 
 # -------------------------------------------------------------------- pr_curve
