@@ -100,6 +100,15 @@ class StubRule:
                        for k, p in enumerate(self._template))
 
 
+def _rule_row(d: dict) -> StubRule:
+    """A rules-file row as a StubRule; a bad pattern or template raises
+    ValueError, so the reader names the file and line."""
+    try:
+        return StubRule(d["pattern"], d["response_text"], d.get("first_token_logprobs"))
+    except (re.error, IndexError) as exc:
+        raise ValueError(f"bad stub rule: {exc}") from exc
+
+
 class StubBackend:
     """Rule-table backend: first regex matching the prompt wins.
 
@@ -117,9 +126,7 @@ class StubBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, jitter: float = 0.0) -> "StubBackend":
-        rules = read_jsonl(path, lambda d: StubRule(
-            d["pattern"], d["response_text"], d.get("first_token_logprobs")))
-        return cls(rules, jitter=jitter)
+        return cls(read_jsonl(path, _rule_row), jitter=jitter)
 
     def complete(self, req: LlmRequest) -> LlmResponse:
         prompt = req.system_prompt + "\n" + req.user_prompt

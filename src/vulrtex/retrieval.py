@@ -4,9 +4,10 @@ For one target report, every stored graph is weighted edge-by-edge against
 the target text, walked down to a reserved subgraph, described as text, and
 kept when the description's similarity to the target clears the threshold.
 That similarity is taken under an index over the target and the pruned
-descriptions; each description's terms are tabled once per stage, with its
-reserved subgraph, and textindex.query_cosines scores a target against them
-with no index or vector.
+descriptions; each description's term counts are tabled once per stage, with
+its reserved subgraph, as arrays over the stage's one numbering of terms
+(textindex.TermIds), and textindex.query_cosines scores a target against
+all of them in one numpy pass, with no index or vector.
 
 A prune costs only the work that can change its result:
 
@@ -21,7 +22,9 @@ A prune costs only the work that can change its result:
     terminator out-actions, so no walk step or closure calls a graph method;
   - the term table of each node text and of each joined pair text a row
     reads (_term_table), so a pair weight for a target is two sums over
-    tabled floats, with no index, Counter sum or vector per pair.
+    tabled floats, with no index, Counter sum or vector per pair;
+  - the dense ids of the pruned descriptions' terms, in one TermIds that
+    count_graphs shares among the graphs it counts.
 - For a fixed (graph, seed, walks), a prune is a pure function of the
   outcomes of the choices that read the target: a walk step among several
   unvisited options, and a closure among several terminator candidates.
@@ -70,8 +73,8 @@ from .graph import (
     describe_graph,
 )
 from .prompts import ir_json
-from .textindex import (CorpusIdf, DocTerms, TermVector, TfIdfIndex, cosine,
-                        query_cosines, term_counts)
+from .textindex import (CorpusIdf, DocTerms, TermIds, TermVector, TfIdfIndex,
+                        cosine, query_cosines, term_counts)
 from .tools import ToolKit
 
 ADJ_EPSILON = 1e-6
@@ -110,7 +113,10 @@ class CountedGraph:
     three tables: `succ` (each node's distinct successors, sorted), `hops`
     (each connected (src, dst) pair's action ids, and whether one of them
     is an AgentTerminator) and `terminators` (each node's AgentTerminator
-    out-actions, in out_actions order).
+    out-actions, in out_actions order). `term_ids` numbers the terms of the
+    pruned descriptions (ReservedGraph.description_terms); the graphs of
+    one count_graphs call share it, so their descriptions score under one
+    numbering, and it goes away with them.
 
     Three memos fill as the stage walks and go away with it: `prunes`
     holds, per (seed, walks) asked for, random_walk_prune's trie of choices
@@ -131,6 +137,7 @@ class CountedGraph:
     succ: dict[str, tuple[str, ...]]
     hops: dict[tuple[str, str], tuple[tuple[str, ...], bool]]
     terminators: dict[str, tuple[Action, ...]]
+    term_ids: TermIds = field(repr=False, compare=False)
     prunes: dict[tuple[int, int], _Choice | ReservedGraph] = field(
         default_factory=dict, repr=False, compare=False)
     subgraphs: dict[frozenset[str], ReservedGraph] = field(
@@ -182,13 +189,15 @@ def _walk_tables(g: ReasoningGraph) -> tuple[
 
 def count_graphs(graphs) -> list[CountedGraph]:
     """Pair every graph with its target-independent statistics and walk
-    tables; counted graphs pass through."""
+    tables, the graphs counted here sharing one TermIds; counted graphs
+    pass through."""
     out = []
+    term_ids = TermIds()
     for g in graphs:
         if not isinstance(g, CountedGraph):
             counts = node_counts(g)
             g = CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
-                             *_out_structure(g), *_walk_tables(g))
+                             *_out_structure(g), *_walk_tables(g), term_ids)
         out.append(g)
     return out
 
@@ -518,7 +527,8 @@ def _reserve(counted: CountedGraph, nodes: dict[str, None],
         pruned.validate()
         description = describe_graph(pruned)
         reserved = counted.subgraphs[key] = ReservedGraph(
-            pruned, g.ir_id, description, DocTerms.of(term_counts(description)))
+            pruned, g.ir_id, description,
+            counted.term_ids.doc_terms(term_counts(description)))
     return reserved
 
 
@@ -662,9 +672,10 @@ def retrieve_relevant(db, target: CanonicalIR | Target, theta_sim: float,
     tabled once. The memos hold at most one leaf per prune that walked and
     go away with the list. Similarities are those of an index over all
     pruned descriptions plus the flattened target, computed from the
-    tabled terms (textindex.query_cosines). Per-graph walk seeds derive
-    from (seed, graph id), so results do not depend on iteration or
-    scheduling order.
+    tabled terms (textindex.query_cosines); the descriptions of graphs
+    counted apart are renumbered under the first graph's TermIds, once
+    each. Per-graph walk seeds derive from (seed, graph id), so results do
+    not depend on iteration or scheduling order.
 
     `target` is a Target or a CanonicalIR, which is wrapped as a Target
     flattened with `toolkit`; a caller repeating a target under other

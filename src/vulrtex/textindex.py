@@ -16,16 +16,27 @@ give its floats bit for bit:
 - a fixed corpus scored against many one-document queries tables its idf
   once (`CorpusIdf`), so a query's idf needs no counting and no logarithm;
 - a query scored against a small, changing set of documents
-  (`query_cosines`) reads each document's tabled terms (`DocTerms`) and
-  takes one logarithm per document frequency, not per term.
+  (`query_cosines`) reads each document's counts as arrays over dense term
+  ids (`DocTerms`), takes one logarithm per document frequency, not per
+  term, and weighs every document at once with numpy.
 
 There is no process-wide cache: counts live with the object that owns the
 text (a knowledge store's records, the graphs one stage retrieves from and
 their pruned descriptions, one identify stage's targets) and go away with it.
+The term ids of pruned descriptions come from one table (`TermIds`) per
+retrieval.count_graphs call, shared by the graphs it counts and gone with
+them; a query's terms never join it.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is
 the order `norm` sums in, and `dot` sums over the sorted common terms.
+query_cosines keeps those sums: each weight or product is one IEEE multiply
+of the same two doubles, in numpy as in Python, and a norm is Python's
+`sum` over the same squares in the same order. Its dot sums the products
+over all of a document's terms in sorted order, with the query's weight 0.0
+where the query lacks the term; each such product is +0.0, and adding +0.0
+leaves a plain or a compensated (Python 3.12) float `sum` unchanged, so the
+dot is the sum over the common terms alone.
 """
 
 from __future__ import annotations
@@ -37,7 +48,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
-from operator import mul
+
+import numpy as np
 
 from .errors import EmptyCorpus
 
@@ -137,22 +149,49 @@ def build_index(docs: list[str | Counter[str]]) -> TfIdfIndex:
     return TfIdfIndex({t: _smoothed_idf(n_docs, df) for t, df in doc_freq.items()})
 
 
-@dataclass(frozen=True)
+class TermIds:
+    """A dense numbering of terms, in order of first sight, that DocTerms
+    index their arrays by. It grows only by the terms of the documents
+    numbered under it (`doc_terms`) or renumbered into it (`renumber`);
+    query_cosines adds no query term."""
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}
+        self._renumbered: dict[DocTerms, DocTerms] = {}
+
+    def doc_terms(self, counts: Counter[str]) -> DocTerms:
+        """One document's term counts, numbered under this table."""
+        return self._numbered(list(counts), np.array(list(counts.values()), dtype=np.float64))
+
+    def renumber(self, doc: DocTerms) -> DocTerms:
+        """`doc`, numbered under another table, numbered under this one;
+        made once per doc and kept while this table lives."""
+        out = self._renumbered.get(doc)
+        if out is None:
+            terms = list(doc.table.ids)
+            out = self._renumbered[doc] = self._numbered(
+                [terms[i] for i in doc.ids.tolist()], doc.counts)
+        return out
+
+    def _numbered(self, terms: list[str], counts: np.ndarray) -> DocTerms:
+        table, number = self.ids, self.ids.setdefault
+        ids = np.array([number(t, len(table)) for t in terms], dtype=np.intp)
+        order = sorted(range(len(terms)), key=terms.__getitem__)
+        return DocTerms(self, ids, counts, ids[order], counts[order])
+
+
+@dataclass(frozen=True, eq=False)
 class DocTerms:
-    """One document's term counts, tabled once for query_cosines: `terms`
-    and `counts` in first-occurrence order, the order TermVector.norm sums
-    in, and `by_term`, each term with its position in `terms`, in sorted
+    """One document's term counts as arrays over its table's term ids, for
+    query_cosines: `ids` and `counts` in first-occurrence order, the order
+    TermVector.norm sums in, and `sorted_ids` and `sorted_counts` in sorted
     term order, the order TermVector.dot sums in."""
 
-    terms: tuple[str, ...]
-    counts: tuple[int, ...]
-    by_term: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def of(cls, counts: Counter[str]) -> "DocTerms":
-        terms = tuple(counts)
-        return cls(terms, tuple(counts.values()),
-                   tuple(sorted(zip(terms, range(len(terms))))))
+    table: TermIds
+    ids: np.ndarray
+    counts: np.ndarray
+    sorted_ids: np.ndarray
+    sorted_counts: np.ndarray
 
 
 def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
@@ -161,32 +200,47 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     with index = build_index(docs + [query]), bit for bit, but with no index
     or vector.
 
-    The idf depends on a term only through its document frequency, so it is
-    tabled per frequency, one logarithm for each of 0 .. n_docs. Every sum
-    runs over the sequence the index path sums (Python 3.12's float `sum` is
-    compensated, so only the same sequence keeps the floats equal on every
-    interpreter): a norm over a document's weights in first-occurrence
-    order, and a dot over the sorted terms the doc shares with the query.
+    The docs are read under the first doc's table (TermIds.renumber). The
+    idf depends on a term only through its document frequency, so it is
+    tabled per frequency, one logarithm for each of 0 .. n_docs, and every
+    weight of every doc comes from one gather and one multiply over the
+    docs' concatenated arrays. A query term no doc holds has frequency 1.
     """
-    doc_freq: Counter[str] = Counter(query.keys())
-    for doc in docs:
-        doc_freq.update(doc.terms)
+    if not docs:
+        return []
+    table = docs[0].table
+    docs = [d if d.table is table else table.renumber(d) for d in docs]
+    n_terms = len(table.ids)
+    # slot n_terms stands for every query term no doc holds
+    q_ids = np.array([table.ids.get(t, n_terms) for t in query], dtype=np.intp)
+    q_counts = np.array(list(query.values()), dtype=np.float64)
+    ids = np.concatenate([d.ids for d in docs])
+    doc_freq = np.bincount(ids, minlength=n_terms + 1)
+    doc_freq[q_ids] += 1  # once per slot, however often q_ids repeats it
     n_docs = len(docs) + 1
-    idf = [_smoothed_idf(n_docs, df) for df in range(n_docs + 1)]
-    weights = {t: c * idf[doc_freq[t]] for t, c in query.items()}
-    norm = math.sqrt(sum([w * w for w in weights.values()]))
+    idf = np.array([_smoothed_idf(n_docs, df) for df in range(n_docs + 1)])
+    q_weights = q_counts * idf[doc_freq[q_ids]]
+    norm = math.sqrt(sum((q_weights * q_weights).tolist()))
     if norm == 0.0:
         return [0.0] * len(docs)
-    df_of, idf_of = doc_freq.__getitem__, idf.__getitem__
+    weights = np.concatenate([d.counts for d in docs]) * idf[doc_freq[ids]]
+    squares = (weights * weights).tolist()
+    # the query's weight per term id, 0.0 where it lacks the term
+    by_id = np.zeros(n_terms + 1)
+    by_id[q_ids] = q_weights
+    sorted_ids = np.concatenate([d.sorted_ids for d in docs])
+    products = (by_id[sorted_ids]
+                * (np.concatenate([d.sorted_counts for d in docs]) * idf[doc_freq[sorted_ids]])
+                ).tolist()
     scores = []
-    for doc in docs:
-        ws = list(map(mul, doc.counts, map(idf_of, map(df_of, doc.terms))))
-        doc_norm = math.sqrt(sum(map(mul, ws, ws)))
+    end = 0
+    for d in docs:
+        start, end = end, end + len(d.ids)
+        doc_norm = math.sqrt(sum(squares[start:end]))
         if doc_norm == 0.0:
             scores.append(0.0)
             continue
-        dot = sum([weights[t] * ws[i] for t, i in doc.by_term if t in weights])
-        scores.append(min(1.0, dot / (norm * doc_norm)))
+        scores.append(min(1.0, sum(products[start:end]) / (norm * doc_norm)))
     return scores
 
 

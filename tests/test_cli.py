@@ -132,6 +132,24 @@ class TestPrepareDb:
                           "--db", str(env.root / "db"))
         assert "va.path" in result.output
 
+    @pytest.mark.parametrize("rule, reason", [
+        ({"pattern": "a(", "response_text": "x"}, "missing ), unterminated subpattern"),
+        ({"pattern": "a", "response_text": "\\g<nope>"}, "unknown group name 'nope'"),
+    ])
+    def test_bad_stub_rule_names_file_and_line(self, env, rule, reason):
+        rules = Path(env.fx["rules"]).read_text().splitlines()
+        rules.insert(1, json.dumps(rule))
+        bad = env.root / "rules.jsonl"
+        bad.write_text("\n".join(rules) + "\n", encoding="utf-8")
+        config = env.root / "bad-rules.ini"
+        config.write_text(Path(env.config).read_text().replace(env.fx["rules"], str(bad)),
+                          encoding="utf-8")
+        result = env.runner.invoke(main, ["prepare-db", "-c", str(config),
+                                          "--db", str(env.root / "db")])
+        assert result.exit_code == 1
+        assert f"rules.jsonl:2: bad stub rule: {reason}" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestRetrieve:
     def test_every_target_reports_relevant_graphs(self, env):

@@ -20,13 +20,13 @@ from vulrtex.identifier import (
     write_predictions,
 )
 from vulrtex.retrieval import ReservedGraph
-from vulrtex.textindex import DocTerms, term_counts
+from vulrtex.textindex import TermIds, term_counts
 
 
 def reserved(ir_id, description):
     g = ReasoningGraph(ir_id)
     g.add_observation(Observation("O1", "t"))
-    return ReservedGraph(g, ir_id, description, DocTerms.of(term_counts(description)),
+    return ReservedGraph(g, ir_id, description, TermIds().doc_terms(term_counts(description)),
                          similarity=0.9)
 
 

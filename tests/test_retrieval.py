@@ -527,6 +527,24 @@ def test_retrieval_similarities_equal_string_path(graph_seed, walk_seed):
             ir_id: s for ir_id, s in want.items() if s > 0.0}
 
 
+@exact
+@given(dag_makers, st.integers(0, 2**32 - 1), targets, st.integers(0, 1000))
+def test_graphs_counted_apart_score_as_counted_together(make, graph_seed, text, seed):
+    # descriptions numbered under one TermIds per graph score exactly as
+    # under the one TermIds of graphs counted together
+    rng = random.Random(graph_seed)
+    graphs = [make(rng) for _ in range(4)]
+    target = CanonicalIR(id="fixture/target#2", title="", content=text)
+
+    def scores(db):
+        return [(r.origin_ir, r.similarity.hex())
+                for r in retrieve_relevant(db, target, theta_sim=0.0, seed=seed)]
+
+    apart = [count_graphs([g])[0] for g in graphs]
+    assert scores(apart) == scores(count_graphs(graphs))
+    assert scores(apart) == scores(count_graphs(graphs))  # from the kept renumbering
+
+
 # ------------------------------------------- rows on demand, one subgraph per set
 #
 # The lazy walk probabilities and the per-stage memos must leave every

@@ -9,7 +9,7 @@ from vulrtex.errors import EmptyCorpus
 from vulrtex.textindex import (
     STOPWORDS,
     CorpusIdf,
-    DocTerms,
+    TermIds,
     build_index,
     cosine,
     query_cosines,
@@ -221,20 +221,35 @@ query_texts = st.lists(
 
 
 @exact
-@given(st.lists(texts, max_size=6), st.lists(st.integers(0, 5), max_size=3), query_texts)
-@example(["xss payload", "sql token"], [0], "xss page")             # a doc twice
-@example(["xss payload", "sql token"], [], "csrf form")             # no shared term
-@example(["xss payload", "sql token"], [], "xss zero-day unseen")   # terms no doc holds
-@example(["xss payload", "sql token"], [], "")                      # an empty query
-@example(["xss payload", "sql token"], [], "the of")                # stopwords only
+@given(st.lists(st.tuples(texts, st.booleans()), max_size=6),
+       st.lists(st.integers(0, 5), max_size=3), query_texts)
+@example([("xss payload", False), ("sql token", False)], [0], "xss page")  # a doc twice
+@example([("xss payload", False), ("sql token", False)], [], "csrf form")  # no shared term
+@example([("xss payload", False), ("sql token", True)], [], "xss zero-day unseen")
+@example([("xss payload", False), ("sql token", False)], [], "")           # an empty query
+@example([("xss payload", False), ("sql token", False)], [], "the of")     # stopwords only
+@example([("", False), ("the of", True), ("xss", False)], [0], "xss")     # empty docs
+@example([("token page", True), ("xss token", False)], [1], "token xss")  # two tables
 # a dot whose last bit depends on summing in sorted term order
-@example(["a-b", "42 payload tag page"], [], "page page 42 tag 42")
+@example([("a-b", False), ("42 payload tag page", False)], [], "page page 42 tag 42")
 def test_query_cosines_equal_index_path(docs, repeats, query):
-    # every float must be the index path's, bit for bit
-    counts = [term_counts(d) for d in docs]
-    counts += [counts[i % len(counts)] for i in repeats if counts]
+    # every float must be the index path's, bit for bit, with each doc
+    # numbered under one of two tables
+    tables = [TermIds(), TermIds()]
+    numbered = [(term_counts(d), tables[other]) for d, other in docs]
+    numbered = [(c, t.doc_terms(c)) for c, t in numbered]
+    numbered += [numbered[i % len(numbered)] for i in repeats if numbered]
+    counts = [c for c, _ in numbered]
     q = term_counts(query)
     index = build_index(counts + [q])
-    want = [cosine(index.vectorize(q), index.vectorize(c)) for c in counts]
-    got = query_cosines(q, [DocTerms.of(c) for c in counts])
-    assert [s.hex() for s in got] == [s.hex() for s in want]
+    want = [cosine(index.vectorize(q), index.vectorize(c)).hex() for c in counts]
+    doc_terms = [d for _, d in numbered]
+    assert [s.hex() for s in query_cosines(q, doc_terms)] == want
+    if doc_terms:
+        # the first doc's table now numbers every doc's term and no query-only
+        # one, and scoring again leaves it as it is
+        ids = dict(doc_terms[0].table.ids)
+        assert ids.keys() == set().union(*counts)
+        assert sorted(ids.values()) == list(range(len(ids)))
+        assert [s.hex() for s in query_cosines(q, doc_terms)] == want
+        assert doc_terms[0].table.ids == ids
