@@ -98,7 +98,7 @@ class ReservedGraph:
     graph: ReasoningGraph
     origin_ir: str
     description: str
-    description_terms: DocTerms
+    description_terms: DocTerms = field(compare=False)
     similarity: float = 0.0
 
 
@@ -673,8 +673,8 @@ def retrieve_relevant(db, target: CanonicalIR | Target, theta_sim: float,
     go away with the list. Similarities are those of an index over all
     pruned descriptions plus the flattened target, computed from the
     tabled terms (textindex.query_cosines); the descriptions of graphs
-    counted apart are renumbered under the first graph's TermIds, once
-    each. Per-graph walk seeds derive from (seed, graph id), so results do
+    counted apart are renumbered under the first graph's TermIds on each
+    call. Per-graph walk seeds derive from (seed, graph id), so results do
     not depend on iteration or scheduling order.
 
     `target` is a Target or a CanonicalIR, which is wrapped as a Target

@@ -25,7 +25,9 @@ text (a knowledge store's records, the graphs one stage retrieves from and
 their pruned descriptions, one identify stage's targets) and go away with it.
 The term ids of pruned descriptions come from one table (`TermIds`) per
 retrieval.count_graphs call, shared by the graphs it counts and gone with
-them; a query's terms never join it.
+them; a query's terms never join it. A doc numbered under another table is
+renumbered into the first doc's table on every call that scores it, so that
+table keeps the doc's terms, never the doc.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is
@@ -157,7 +159,6 @@ class TermIds:
 
     def __init__(self) -> None:
         self.ids: dict[str, int] = {}
-        self._renumbered: dict[DocTerms, DocTerms] = {}
 
     def doc_terms(self, counts: Counter[str]) -> DocTerms:
         """One document's term counts, numbered under this table."""
@@ -165,13 +166,9 @@ class TermIds:
 
     def renumber(self, doc: DocTerms) -> DocTerms:
         """`doc`, numbered under another table, numbered under this one;
-        made once per doc and kept while this table lives."""
-        out = self._renumbered.get(doc)
-        if out is None:
-            terms = list(doc.table.ids)
-            out = self._renumbered[doc] = self._numbered(
-                [terms[i] for i in doc.ids.tolist()], doc.counts)
-        return out
+        this table keeps its terms, not the doc."""
+        terms = list(doc.table.ids)
+        return self._numbered([terms[i] for i in doc.ids.tolist()], doc.counts)
 
     def _numbered(self, terms: list[str], counts: np.ndarray) -> DocTerms:
         table, number = self.ids, self.ids.setdefault

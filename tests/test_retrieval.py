@@ -1,6 +1,8 @@
 """Adjacency weighting, walk probabilities, pruning, and graph retrieval."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -542,7 +544,29 @@ def test_graphs_counted_apart_score_as_counted_together(make, graph_seed, text, 
 
     apart = [count_graphs([g])[0] for g in graphs]
     assert scores(apart) == scores(count_graphs(graphs))
-    assert scores(apart) == scores(count_graphs(graphs))  # from the kept renumbering
+    assert scores(apart) == scores(count_graphs(graphs))  # and when scored again
+
+
+def test_counted_table_keeps_no_doc_of_a_later_call():
+    # a plain graph passed beside a counted one is counted afresh on each
+    # call; the counted graph's TermIds must not keep that call's documents
+    counted = count_graphs([chain_graph()])[0]
+    plain = fx.build_fig_graph()
+    for _ in range(2):
+        got = retrieve_relevant([counted, plain], target_ir(), theta_sim=0.0, seed=5)
+        foreign = [weakref.ref(r.description_terms) for r in got
+                   if r.description_terms.table is not counted.term_ids]
+        assert foreign
+        del got
+        gc.collect()
+        assert [ref() for ref in foreign] == [None] * len(foreign)
+
+
+def test_reserved_graphs_of_equal_prunes_compare_equal():
+    g = fx.build_fig_graph()
+    first, second = (prune_for_target(g, TARGET_TEXT, 4, 3) for _ in range(2))
+    assert first.description_terms is not second.description_terms
+    assert first == second
 
 
 # ------------------------------------------- rows on demand, one subgraph per set
