@@ -5,23 +5,21 @@ against reasoning-path descriptions by TF-IDF similarity with a strict
 threshold: only records scoring above theta_sim come back.
 
 A lookup costs what the query's terms reach, not what the store holds. The
-store tables, once, postings (term -> each record holding it, with its
-weight when the query holds the term too) and each record's squared weights
-with and without the query holding the term. A query then scores only the
-records that share a term with it; any other record has a zero dot, so its
-similarity is exactly 0.0. A record's norm is computed once per set of its
-terms that queries hold, and reused by every later query holding that set.
-Every float equals that of an index built over the records plus the query,
-because every sum runs over the same sequence: the dot over the sorted
-common terms and each norm in the record's first-occurrence term order.
-(Python 3.12's float `sum` is compensated, so only summing the same sequence
-with `sum` keeps the floats equal on every interpreter.)
+store tables, once, each record's weights for any query
+(textindex.CorpusIdf.table) and postings: term -> each record holding it,
+with its weight when the query holds the term too. A query then scores only
+the records that share a term with it; any other record has a zero dot, so
+its similarity is exactly 0.0. A record's norm depends on the query only
+through which of the record's terms it holds, so it is computed
+(textindex.CorpusQuery.doc_norm) once per such set and reused by every later
+query holding that set. Every float equals that of an index built over the
+records plus the query: the norms are textindex's, and each dot is summed
+over the sorted common terms, as TermVector.dot sums it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +27,7 @@ from pathlib import Path
 
 from .errors import DuplicateKey
 from .jsonl import read_jsonl
-from .textindex import CorpusIdf, term_counts
+from .textindex import CorpusIdf, TermTable, term_counts
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,10 @@ class KnowledgeRecord:
     cwe_id: str | None = None
 
     def __post_init__(self):
+        for name in ("source", "key", "text", "cwe_id"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or value is None and name == "cwe_id"):
+                raise ValueError(f"knowledge record {name} must be a string, not {value!r}")
         if not self.text:
             raise ValueError(f"knowledge record {self.source}/{self.key} has empty text")
 
@@ -80,32 +82,22 @@ class KnowledgeStore:
 
     @cached_property
     def _lookup(self) -> tuple[dict[str, list[tuple[int, float, int]]],
-                               tuple[tuple[tuple[int, float, float], ...], ...],
-                               tuple[dict[int, float], ...]]:
-        """Postings, per-record squares and per-record norm memos.
+                               tuple[TermTable, ...], tuple[dict[int, float], ...]]:
+        """Postings, per-record term tables and per-record norm memos.
 
-        A record's term at position j of its first-occurrence order has bit
-        1 << j. Postings map a term to (record index, count *
-        idf.shared[term], bit) for each record holding it: the record's
-        weight when the query holds the term too. Each record's squares are
-        (bit, w_absent ** 2, w_shared ** 2) in first-occurrence order,
-        w_absent being the weight when the query lacks the term (count *
-        idf.absent[term]). A record's norm depends on the query only through
-        which of the record's terms it holds, so each record's memo maps that
-        set, as a mask of bits, to the norm; it holds one entry per distinct
+        Postings map a term to (record index, w_shared, bit) for each record
+        holding it: the record's weight when the query holds the term too,
+        and the term's bit in the record's masks, 1 << its position in the
+        record's table. A record's memo maps the mask of its terms a query
+        holds to its norm under that query; it holds one entry per distinct
         set the queries reached.
         """
-        absent, shared = self.idf.absent, self.idf.shared
+        tables = tuple(map(self.idf.table, self.record_counts))
         postings: dict[str, list[tuple[int, float, int]]] = {}
-        squares = []
-        for i, counts in enumerate(self.record_counts):
-            row = []
-            for j, (term, count) in enumerate(counts.items()):
-                wa, ws = count * absent[term], count * shared[term]
+        for i, table in enumerate(tables):
+            for j, (term, ws) in enumerate(table.shared):
                 postings.setdefault(term, []).append((i, ws, 1 << j))
-                row.append((1 << j, wa * wa, ws * ws))
-            squares.append(tuple(row))
-        return postings, tuple(squares), tuple({} for _ in self.records)
+        return postings, tables, tuple({} for _ in self.records)
 
     def similarities(self, text: str | Counter[str]) -> list[float]:
         """Similarity of each record to a text or its term counts, in record
@@ -118,19 +110,15 @@ class KnowledgeStore:
         the sorted terms it shares with the query; the rest share no term, so
         their dot and similarity are exactly 0.0.
         """
-        query = term_counts(text) if isinstance(text, str) else text
-        idf = self.idf
-        shared, query_only = idf.shared, idf.query_only
-        weights = {t: c * shared.get(t, query_only) for t, c in query.items()}
+        query = self.idf.query(term_counts(text) if isinstance(text, str) else text)
         scores = [0.0] * len(self.records)
-        qn = math.sqrt(sum([w * w for w in weights.values()]))
-        if qn == 0.0:
+        if query.norm == 0.0:
             return scores
-        postings, squares, norms = self._lookup
+        postings, tables, norms = self._lookup
         products: dict[int, list[float]] = {}
         masks: dict[int, int] = {}
-        for term in sorted(weights.keys() & postings.keys()):
-            q = weights[term]
+        for term in sorted(query.weights.keys() & postings.keys()):
+            q = query.weights[term]
             for i, s, bit in postings[term]:
                 dots = products.get(i)
                 if dots is None:
@@ -143,16 +131,9 @@ class KnowledgeStore:
             mask, memo = masks[i], norms[i]
             norm = memo.get(mask)
             if norm is None:
-                norm = memo[mask] = _record_norm(squares[i], mask)
-            scores[i] = min(1.0, sum(dots) / (qn * norm))
+                norm = memo[mask] = query.doc_norm(tables[i])
+            scores[i] = min(1.0, sum(dots) / (query.norm * norm))
         return scores
-
-
-def _record_norm(squares: tuple[tuple[int, float, float], ...], mask: int) -> float:
-    """A record's norm under the idf of a query holding the record's terms
-    in `mask`: each square summed in the record's first-occurrence order,
-    w_shared ** 2 where the query holds the term."""
-    return math.sqrt(sum([ws if mask & bit else wa for bit, wa, ws in squares]))
 
 
 def ingest(records: list[KnowledgeRecord]) -> KnowledgeStore:

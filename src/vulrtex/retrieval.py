@@ -21,8 +21,9 @@ A prune costs only the work that can change its result:
     hop's action ids and whether it holds a terminator, and each node's
     terminator out-actions, so no walk step or closure calls a graph method;
   - the term table of each node text and of each joined pair text a row
-    reads (_term_table), so a pair weight for a target is two sums over
-    tabled floats, with no index, Counter sum or vector per pair;
+    reads (CorpusIdf.table), so a pair weight for a target is two
+    CorpusQuery cosines over tabled floats, with no index, Counter sum or
+    vector per pair;
   - the dense ids of the pruned descriptions' terms, in one TermIds that
     count_graphs shares among the graphs it counts.
 - For a fixed (graph, seed, walks), a prune is a pure function of the
@@ -42,15 +43,14 @@ keeps rows, each graph's walk probabilities, so a stage repeating its
 targets under new seeds reuses the rows earlier runs filled.
 
 build_adjacency and edge_probabilities compute every weight and row at once,
-weighing each pair through a whole tf-idf index (_PairWeights) with the same
-per-row code. They are the reference: the acceptance gates check them
-against the oracles, and the tests check the tabled weights against them
-bit for bit.
+with the same pair gain (_PairWeights) and per-row code, but each cosine
+taken between tf-idf vectors of a whole index. They are the reference: the
+acceptance gates check them against the oracles, and the tests check the
+tabled weights against them bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from bisect import bisect_right
 from collections import Counter
@@ -73,14 +73,11 @@ from .graph import (
     describe_graph,
 )
 from .prompts import ir_json
-from .textindex import (CorpusIdf, DocTerms, TermIds, TermVector, TfIdfIndex,
-                        cosine, query_cosines, term_counts)
+from .textindex import (CorpusIdf, DocTerms, TermIds, TermTable, TfIdfIndex, cosine,
+                        query_cosines, term_counts)
 from .tools import ToolKit
 
 ADJ_EPSILON = 1e-6
-
-# one text's weights under a graph's idf, for any target (see _term_table)
-TermTable = tuple[tuple[tuple[str, float, float], ...], tuple[tuple[str, float], ...]]
 
 
 @dataclass
@@ -124,7 +121,7 @@ class CountedGraph:
     choice), so it holds at most one leaf per prune that had to walk;
     `subgraphs` the ReservedGraph of each distinct set of reserved action
     ids those walks reached, which leaves under other seeds or choices
-    share; and `term_tables` the term table (_term_table) of each node
+    share; and `term_tables` the term table (CorpusIdf.table) of each node
     text, keyed by node id, and of each joined pair text, keyed (src, dst),
     that a walk-probability row has read.
     """
@@ -153,7 +150,7 @@ class CountedGraph:
             counts = self.node_counts[src]
             if dst is not None:
                 counts = counts + self.node_counts[dst]
-            table = self.term_tables[key] = _term_table(counts, self.idf)
+            table = self.term_tables[key] = self.idf.table(counts)
         return table
 
 
@@ -202,92 +199,42 @@ def count_graphs(graphs) -> list[CountedGraph]:
     return out
 
 
-def _term_table(counts: Counter[str], idf: CorpusIdf) -> TermTable:
-    """One text's weights under a graph's idf, for any target.
-
-    A term's weight is w_absent = count * idf.absent[term] when the target
-    lacks it and w_shared = count * idf.shared[term] when the target holds
-    it. The table is (term, w_absent ** 2, w_shared ** 2) in the counts'
-    first-occurrence order, the order TermVector.norm sums in, and (term,
-    w_shared) in sorted term order, the order TermVector.dot sums in.
-    """
-    squares = []
-    shared = {}
-    for term, count in counts.items():
-        wa, ws = count * idf.absent[term], count * idf.shared[term]
-        squares.append((term, wa * wa, ws * ws))
-        shared[term] = ws
-    return tuple(squares), tuple(sorted(shared.items()))
-
-
 class _PairWeights:
     """Adjacency weights of one graph for one target, weighed pair by pair:
     how much the joined text "src dst" gains similarity to the target over
     the source text alone, floored at epsilon so every existing edge stays
-    walkable. The joined counts are the sum of the two nodes' counts, since
-    no token spans the joining space."""
+    walkable. `cosine(src, dst)` is the target's similarity to the joined
+    text, and `cosine(src, None)` to src's text alone; each source's is
+    taken once."""
 
-    def __init__(self, counts: dict[str, Counter[str]],
-                 vectorize: Callable[[Counter[str]], TermVector], target_vec: TermVector):
-        self.counts = counts
-        self.vectorize = vectorize
-        self.target_vec = target_vec
+    def __init__(self, cosine: Callable[[str, str | None], float]):
+        self.cosine = cosine
         self.base: dict[str, float] = {}
 
     def __call__(self, src: str, dst: str) -> float:
         base = self.base.get(src)
         if base is None:
-            base = self.base[src] = cosine(self.target_vec, self.vectorize(self.counts[src]))
-        joined = self.counts[src] + self.counts[dst]
-        gain = cosine(self.target_vec, self.vectorize(joined)) - base
-        return max(0.0, gain) + ADJ_EPSILON
-
-
-class _TabledWeights:
-    """The _PairWeights of a counted graph for one target, read from the
-    graph's term tables.
-
-    Every float is the one _PairWeights gives under
-    build_index([target] + node texts), because every sum runs over the
-    same sequence: the target's norm over its weights in first-occurrence
-    order, a text's norm over its table's squares (w_shared ** 2 where the
-    target holds the term), and the dot over the sorted common terms.
-    (Python 3.12's float `sum` is compensated, so only summing the same
-    sequence with `sum` keeps the floats equal on every interpreter.)
-    """
-
-    def __init__(self, counted: CountedGraph, target: Counter[str]):
-        idf = counted.idf
-        self.counted = counted
-        self.target = {t: c * idf.shared.get(t, idf.query_only) for t, c in target.items()}
-        self.norm = math.sqrt(sum(w * w for w in self.target.values()))
-        self.base: dict[str, float] = {}
-
-    def cosine(self, table: TermTable) -> float:
-        squares, shared = table
-        target = self.target
-        norm = math.sqrt(sum([ws if t in target else wa for t, wa, ws in squares]))
-        if self.norm == 0.0 or norm == 0.0:
-            return 0.0
-        dot = sum([target[t] * w for t, w in shared if t in target])
-        return min(1.0, dot / (self.norm * norm))
-
-    def __call__(self, src: str, dst: str) -> float:
-        base = self.base.get(src)
-        if base is None:
-            base = self.base[src] = self.cosine(self.counted.terms(src))
-        gain = self.cosine(self.counted.terms(src, dst)) - base
+            base = self.base[src] = self.cosine(src, None)
+        gain = self.cosine(src, dst) - base
         return max(0.0, gain) + ADJ_EPSILON
 
 
 def build_adjacency(g: ReasoningGraph, target: str | Counter[str], index: TfIdfIndex,
                     counts: dict[str, Counter[str]] | None = None) -> AdjacencyMatrix:
-    """Weight every connected node pair at once (see _PairWeights).
+    """Weight every connected node pair at once (see _PairWeights) with
+    the index's vectors; "src dst" joined is counted as the sum of the two
+    nodes' counts, since no token spans the joining space.
 
     `counts` are the node texts' term counts (node_counts(g) when omitted).
     """
-    weigh = _PairWeights(node_counts(g) if counts is None else counts,
-                         index.vectorize, index.vectorize(target))
+    counts = node_counts(g) if counts is None else counts
+    target_vec = index.vectorize(target)
+
+    def vector_cosine(src: str, dst: str | None) -> float:
+        joined = counts[src] if dst is None else counts[src] + counts[dst]
+        return cosine(target_vec, index.vectorize(joined))
+
+    weigh = _PairWeights(vector_cosine)
     return AdjacencyMatrix({pair: weigh(*pair)
                             for pair in sorted({(a.src, a.dst) for a in g.edges})})
 
@@ -319,7 +266,7 @@ class EdgeProbabilities:
     probs: dict[tuple[str, str], float]
     counted: CountedGraph | None = None  # set while rows may be missing
     target: Counter[str] | None = None
-    _weigh: _TabledWeights | None = field(default=None, repr=False)
+    _weigh: _PairWeights | None = field(default=None, repr=False)
     _rows: set[str] = field(default_factory=set, repr=False)
 
     def row(self, src: str) -> None:
@@ -330,7 +277,8 @@ class EdgeProbabilities:
     def _fill(self, src: str) -> None:
         c = self.counted
         if self._weigh is None:
-            self._weigh = _TabledWeights(c, self.target)
+            query, terms = c.idf.query(self.target), c.terms
+            self._weigh = _PairWeights(lambda src, dst: query.cosine(terms(src, dst)))
         _fill_row(self.probs, src, c.dsts[src], c.degree, self._weigh)
         self._rows.add(src)
 
@@ -355,7 +303,9 @@ def target_probabilities(counted: CountedGraph,
     row by row as walks need them; they do not depend on the walk seed.
 
     The idf is that of build_index([target] + node texts), tabled per graph
-    (counted.idf) and read through its term tables, so no index is built.
+    (counted.idf). Each pair weight is the gain (_PairWeights) of two
+    cosines of the target's CorpusQuery with the graph's term tables
+    (CountedGraph.terms), so no index or vector is built.
     """
     return EdgeProbabilities({}, counted, target)
 

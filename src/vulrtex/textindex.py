@@ -14,7 +14,8 @@ computes its norm once. Two scoring shapes skip the index altogether and
 give its floats bit for bit:
 
 - a fixed corpus scored against many one-document queries tables its idf
-  once (`CorpusIdf`), so a query's idf needs no counting and no logarithm;
+  once (`CorpusIdf`) and each corpus text's weights once (`TermTable`), so
+  a query (`CorpusQuery`) takes no counting, logarithm or vector;
 - a query scored against a small, changing set of documents
   (`query_cosines`) reads each document's counts as arrays over dense term
   ids (`DocTerms`), takes one logarithm per document frequency, not per
@@ -31,14 +32,14 @@ table keeps the doc's terms, never the doc.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is
-the order `norm` sums in, and `dot` sums over the sorted common terms.
-query_cosines keeps those sums: each weight or product is one IEEE multiply
-of the same two doubles, in numpy as in Python, and a norm is Python's
-`sum` over the same squares in the same order. Its dot sums the products
-over all of a document's terms in sorted order, with the query's weight 0.0
-where the query lacks the term; each such product is +0.0, and adding +0.0
-leaves a plain or a compensated (Python 3.12) float `sum` unchanged, so the
-dot is the sum over the common terms alone.
+the order `norm` sums in, and `dot` sums over the sorted common terms. Both
+shortcuts sum the same doubles in the same order with Python's `sum`, which
+Python 3.12 compensates, so only that keeps the floats on every interpreter.
+A TermTable holds both orders. In query_cosines each weight or product is
+one IEEE multiply of the same two doubles, in numpy as in Python; its dot
+sums over all of a document's terms in sorted order, with the query's
+weight 0.0 where the query lacks the term, and adding each such +0.0
+product leaves a plain or a compensated float `sum` unchanged.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,9 +251,9 @@ class CorpusIdf:
     For a query q, idf(t) is the idf of build_index(corpus + [q]): the
     corpus's document frequency of t, plus one when q holds t, over one more
     document than the corpus has. The three cases are tabled here, so a query
-    takes no logarithm. Callers read the tables directly: a knowledge store
-    to weigh only the terms a query reaches, and retrieval to table each
-    node text's weights once for every target (retrieval._term_table).
+    takes no logarithm. `table` weighs a corpus text, or a text joined from
+    corpus texts, for every query at once, and `query` weighs one query;
+    CorpusQuery.cosine of the two is the index's similarity, bit for bit.
     """
 
     absent: dict[str, float]   # corpus terms, for a query without the term
@@ -268,6 +270,59 @@ class CorpusIdf:
         return cls({t: _smoothed_idf(n_docs, df) for t, df in doc_freq.items()},
                    {t: _smoothed_idf(n_docs, df + 1) for t, df in doc_freq.items()},
                    _smoothed_idf(n_docs, 1))
+
+    def table(self, counts: Counter[str]) -> TermTable:
+        """The weights of a text whose terms the corpus holds, for any query:
+        w_absent = count * absent[term] and w_shared = count * shared[term]."""
+        squares = []
+        shared = {}
+        for term, count in counts.items():
+            wa, ws = count * self.absent[term], count * self.shared[term]
+            squares.append((term, wa * wa, ws * ws))
+            shared[term] = ws
+        return TermTable(tuple(squares), tuple(sorted(shared.items())))
+
+    def query(self, counts: Counter[str]) -> CorpusQuery:
+        """The weights of one query's term counts, and their norm."""
+        shared, query_only = self.shared, self.query_only
+        weights = {t: c * shared.get(t, query_only) for t, c in counts.items()}
+        return CorpusQuery(weights, math.sqrt(sum([w * w for w in weights.values()])))
+
+
+class TermTable(NamedTuple):
+    """One text's weights under a CorpusIdf (CorpusIdf.table): `squares` is
+    (term, w_absent ** 2, w_shared ** 2) in first-occurrence order, the
+    order TermVector.norm sums in, and `shared` is (term, w_shared) in sorted
+    term order, the order TermVector.dot sums in."""
+
+    squares: tuple[tuple[str, float, float], ...]
+    shared: tuple[tuple[str, float], ...]
+
+
+@dataclass(frozen=True)
+class CorpusQuery:
+    """A query's weights under a CorpusIdf, in its first-occurrence order,
+    and their norm: index.vectorize(query) under build_index(corpus +
+    [query])."""
+
+    weights: dict[str, float]
+    norm: float
+
+    def doc_norm(self, table: TermTable) -> float:
+        """The norm of a tabled text under this query's idf, taking
+        w_shared ** 2 where the query holds the term."""
+        weights = self.weights
+        return math.sqrt(sum([ws if t in weights else wa for t, wa, ws in table.squares]))
+
+    def cosine(self, table: TermTable) -> float:
+        """similarity(build_index(corpus + [query]), query, text) of the
+        text `table` weighs, bit for bit."""
+        norm = self.doc_norm(table)
+        if self.norm == 0.0 or norm == 0.0:
+            return 0.0
+        weights = self.weights
+        dot = sum([weights[t] * w for t, w in table.shared if t in weights])
+        return min(1.0, dot / (self.norm * norm))
 
 
 def similarity(index: TfIdfIndex, a: str | Counter[str], b: str | Counter[str]) -> float:

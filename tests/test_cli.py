@@ -440,6 +440,17 @@ class TestVaIngest:
         assert result.exit_code == 1
         assert "records.jsonl:2: missing key 'text'" in result.output
 
+    def test_record_with_non_string_text_names_file_and_line(self, env):
+        records = env.root / "records.jsonl"
+        record = {**e2e_knowledge()[0].to_dict(), "text": 5}
+        records.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        out = env.root / "store.jsonl"
+        result = env.runner.invoke(main, ["va", "ingest", "--records", str(records),
+                                          "--out", str(out)])
+        assert result.exit_code == 1
+        assert "records.jsonl:1: knowledge record text must be a string" in result.output
+        assert not out.exists()
+
 
 class TestFetch:
     def test_snapshots_local_pages(self, env):

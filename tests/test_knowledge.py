@@ -1,10 +1,10 @@
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vulrtex import knowledge
 from vulrtex.errors import DuplicateKey
 from vulrtex.knowledge import (
     KnowledgeRecord,
@@ -14,7 +14,7 @@ from vulrtex.knowledge import (
     retrieve_golden,
     save_store,
 )
-from vulrtex.textindex import STOPWORDS, build_index, similarity, term_counts
+from vulrtex.textindex import STOPWORDS, CorpusQuery, build_index, similarity, term_counts
 
 from oracles import oracle_similarity
 from test_textindex import texts
@@ -55,6 +55,25 @@ def test_same_key_different_source_allowed():
 def test_empty_record_text_rejected():
     with pytest.raises(ValueError):
         KnowledgeRecord("kb-fix", "ADV-2", "")
+
+
+@pytest.mark.parametrize("fields", [
+    {"source": 3}, {"key": 7}, {"text": 5}, {"text": ["xss"]}, {"cwe_id": 79}])
+def test_record_fields_of_the_wrong_type_rejected(fields):
+    record = {"source": "kb-fix", "key": "ADV-3", "text": "xss payload", **fields}
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        KnowledgeRecord.from_dict(record)
+
+
+def test_load_store_names_the_line_of_a_mistyped_record(tmp_path):
+    # a numeric key next to a string key would otherwise load, and fail
+    # only later when retrieve_golden breaks a tie by key
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({"source": "kb-fix", "key": "ADV-1", "text": "xss"}) + "\n"
+                    + json.dumps({"source": "kb-fix", "key": 7, "text": "xss"}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"records\.jsonl:2: knowledge record key"):
+        load_store(path)
 
 
 def test_empty_store_returns_nothing():
@@ -168,19 +187,21 @@ def test_records_sharing_no_term_are_never_scored(monkeypatch):
     # a fresh store: the module's fixture has normed records for other tests
     store = load_store(DATA / "va_store.jsonl")
     normed = []
-    record_norm = knowledge._record_norm
+    doc_norm = CorpusQuery.doc_norm
 
-    def counting(squares, mask):
-        normed.append(squares)
-        return record_norm(squares, mask)
+    def counting(query, table):
+        normed.append(table)
+        return doc_norm(query, table)
 
-    monkeypatch.setattr(knowledge, "_record_norm", counting)
+    monkeypatch.setattr(CorpusQuery, "doc_norm", counting)
     query = "stored xss payload unknownterm"
     got = store.similarities(query)
     terms = {"stored", "xss", "payload", "unknownterm"}
     sharing = [i for i, counts in enumerate(store.record_counts) if counts.keys() & terms]
     assert 0 < len(sharing) < len(store)
-    assert sorted(normed) == sorted(store._lookup[1][i] for i in sharing)
+    # each record sharing a term is normed once, from its own table, and no other
+    record_of = {id(table): i for i, table in enumerate(store._lookup[1])}
+    assert sorted(record_of[id(table)] for table in normed) == sharing
     for i, s in enumerate(got):
         if i in sharing:
             assert s > 0.0

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -218,6 +219,28 @@ def test_corpus_idf_index_equals_index_over_corpus_and_query(docs, query):
 query_texts = st.lists(
     st.tuples(st.sampled_from(_PIECES + ["zero-day", "unseen"]), st.sampled_from(_SEPARATORS)),
     max_size=14).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
+@exact
+@given(corpora, query_texts)
+@example(["xss payload", "sql token page"], "")                   # an empty query
+@example(["xss payload", "the of", "page"], "xss page")           # a stopword-only doc
+@example(["xss payload", "sql token"], "xss zero-day unseen xss")  # query-only terms
+# a norm whose last bit depends on summing in first-occurrence order
+@example(["", "xss xssxss payload payload payload"], "xss")
+def test_corpus_query_cosine_equals_index_path(docs, query):
+    # every text a corpus query scores, each doc and each doc joined to
+    # another (retrieval weighs pair texts no corpus holds), must get the
+    # float of an index over the corpus plus the query, bit for bit
+    counts = [term_counts(d) for d in docs]
+    idf = CorpusIdf.from_corpus(counts)
+    scorer = idf.query(term_counts(query))
+    index = build_index(docs + [query])
+    scored = list(zip(docs, counts))
+    scored += [(f"{docs[i]} {docs[j]}", counts[i] + counts[j])
+               for i, j in permutations(range(len(docs)), 2)]
+    for text, c in scored:
+        assert scorer.cosine(idf.table(c)).hex() == similarity(index, query, text).hex()
 
 
 @exact
