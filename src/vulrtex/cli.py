@@ -19,8 +19,7 @@ import click
 
 from .config import (PipelineConfig, apply_overrides, check_artifact_hash,
                      config_hash, load_config)
-from .corpus import (CanonicalIR, fetch_pages, load_corpus, save_corpus,
-                     split_corpus)
+from .corpus import CanonicalIR, load_corpus, save_corpus, split_corpus
 from .errors import ConfigError, VulrtexError
 from .gateway import make_gateway
 from .graph import GraphStore
@@ -540,25 +539,6 @@ def cmd_va_ingest(config_path, as_json, records_path, out_path):
     save_store(store, out_path)
     summary = {"records": len(store), "out": str(out_path)}
     _emit(summary, as_json, [f"ingested {len(store)} records -> {out_path}"])
-
-
-@main.command("fetch")
-@click.option("--json", "as_json", is_flag=True,
-              help="Emit a machine-readable JSON summary on stdout.")
-@click.option("--manifest", "manifest_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="One page URL per line; # comments allowed.")
-@click.option("--out-dir", required=True, type=click.Path(file_okay=False),
-              help="Snapshot directory.")
-@click.option("--timeout", type=float, default=30.0, show_default=True)
-@_cli_errors
-def cmd_fetch(as_json, manifest_path, out_dir, timeout):
-    """Snapshot issue pages listed in a URL manifest."""
-    results = fetch_pages(manifest_path, out_dir, timeout=timeout)
-    ok = sum(1 for r in results if r["ok"])
-    lines = [f"fetched {ok}/{len(results)} pages -> {out_dir}"]
-    lines += [f"  failed {r['url']}: {r['error']}" for r in results if not r["ok"]]
-    _emit({"results": results, "ok": ok, "total": len(results)}, as_json, lines)
 
 
 if __name__ == "__main__":

@@ -5,14 +5,6 @@ class VulrtexError(Exception):
     """Base class for all pipeline errors."""
 
 
-class MalformedPage(VulrtexError):
-    """Issue page has no extractable title."""
-
-
-class InvalidCweId(VulrtexError):
-    """CWE identifier does not match ``CWE-<digits>``."""
-
-
 class EmptyCorpus(VulrtexError):
     """An operation that needs documents received none."""
 
@@ -39,6 +31,10 @@ class RateLimited(TransportError):
 
 class BackendRejected(VulrtexError):
     """Backend rejected the request (4xx-style); never retried."""
+
+
+class MalformedReply(VulrtexError):
+    """Backend reply breaks the chat-completion protocol; never retried."""
 
 
 class LogprobsUnavailable(VulrtexError):

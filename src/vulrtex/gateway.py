@@ -23,6 +23,7 @@ from .errors import (
     BackendRejected,
     GatewayExhausted,
     LogprobsUnavailable,
+    MalformedReply,
     NoLabelToken,
     RateLimited,
     TransportError,
@@ -154,6 +155,47 @@ class StubBackend:
         return (2.0 * u - 1.0) * self.jitter
 
 
+def _token(value) -> str:
+    if not isinstance(value, str):
+        raise MalformedReply(f"reply holds a {type(value).__name__} token, not a string")
+    return value
+
+
+def _logprob(value) -> float:
+    # isfinite raises OverflowError for an integer past the float range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise MalformedReply("reply holds a logprob that is not a finite number")
+    return float(value)
+
+
+def _parse_reply(raw: bytes, want_logprobs: bool) -> tuple[str, list[dict[str, float]] | None]:
+    """The text and, if asked for, the per-position top logprobs of a reply.
+
+    The body must be UTF-8 JSON with a string choices[0].message.content,
+    and choices[0].logprobs.content must list positions of {"top_logprobs":
+    [{"token": str, "logprob": finite number}, ...]}. A choice without
+    logprobs raises LogprobsUnavailable; any other departure, MalformedReply.
+    """
+    try:
+        body = json.loads(raw.decode("utf-8"))
+        choice = body["choices"][0]
+        text = choice["message"]["content"]
+        if not isinstance(text, str):
+            raise MalformedReply(f"reply content is a {type(text).__name__}, not a string")
+        if not want_logprobs:
+            return text, None
+        if choice.get("logprobs") is None:
+            raise LogprobsUnavailable("response carries no logprobs")
+        logprobs = [{_token(alt["token"]): _logprob(alt["logprob"])
+                     for alt in pos["top_logprobs"]}
+                    for pos in choice["logprobs"]["content"]]
+    except (ValueError, KeyError, IndexError, TypeError, OverflowError,
+            RecursionError) as exc:
+        raise MalformedReply(f"malformed reply: {type(exc).__name__}: {exc}") from exc
+    return text, logprobs
+
+
 class HttpBackend:
     """Generic chat-completion JSON endpoint (messages array + logprobs flag)."""
 
@@ -194,7 +236,7 @@ class HttpBackend:
         start = time.monotonic()
         try:
             with urllib.request.urlopen(request, timeout=timeout) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
+                raw = resp.read()
         except urllib.error.HTTPError as exc:
             if exc.code == 429:
                 raise RateLimited(f"backend returned 429: {exc.reason}") from exc
@@ -204,16 +246,7 @@ class HttpBackend:
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise TransportError(str(exc)) from exc
         elapsed = time.monotonic() - start
-        choice = body["choices"][0]
-        text = choice["message"]["content"]
-        logprobs = None
-        if req.want_logprobs:
-            try:
-                content = choice["logprobs"]["content"]
-                logprobs = [{alt["token"]: float(alt["logprob"])
-                             for alt in pos["top_logprobs"]} for pos in content]
-            except (KeyError, TypeError) as exc:
-                raise LogprobsUnavailable("response carries no logprobs") from exc
+        text, logprobs = _parse_reply(raw, req.want_logprobs)
         return LlmResponse(text=text, top_token_logprobs=logprobs,
                            backend=self.name, latency_seconds=elapsed)
 
@@ -283,6 +316,8 @@ def yes_probability(resp: LlmResponse) -> float:
     first = resp.top_token_logprobs[0]
     if not first:
         raise NoLabelToken("empty logprob map at position 0")
+    if not all(map(math.isfinite, first.values())):
+        raise NoLabelToken("non-finite logprob at position 0")
     lp_yes: float | None = None
     lp_no: float | None = None
     for token, lp in first.items():
@@ -300,4 +335,7 @@ def yes_probability(resp: LlmResponse) -> float:
         lp_no = floor
     # numerically stable two-way softmax; exactly shift-invariant in exact
     # arithmetic and well within 1e-9 in floats
-    return 1.0 / (1.0 + math.exp(lp_no - lp_yes))
+    try:
+        return 1.0 / (1.0 + math.exp(lp_no - lp_yes))
+    except OverflowError:  # No is over e^709 times as likely as Yes
+        return 0.0

@@ -42,8 +42,15 @@ class KnowledgeRecord:
             value = getattr(self, name)
             if not (isinstance(value, str) or value is None and name == "cwe_id"):
                 raise ValueError(f"knowledge record {name} must be a string, not {value!r}")
-        if not self.text:
-            raise ValueError(f"knowledge record {self.source}/{self.key} has empty text")
+        if not self.counts:
+            # no lookup could ever return a record with no terms
+            raise ValueError(
+                f"knowledge record {self.source}/{self.key} has no terms in {self.text!r}")
+
+    @cached_property
+    def counts(self) -> Counter[str]:
+        """The text's term counts, taken once for the record's life."""
+        return term_counts(self.text)
 
     def to_dict(self) -> dict:
         return {"source": self.source, "key": self.key, "text": self.text,
@@ -71,7 +78,7 @@ class KnowledgeStore:
                 raise DuplicateKey(f"duplicate knowledge record {rec.source}/{rec.key}")
             seen.add(pair)
         self.records: tuple[KnowledgeRecord, ...] = tuple(records)
-        self.record_counts = tuple(term_counts(r.text) for r in self.records)
+        self.record_counts = tuple(r.counts for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -150,6 +150,28 @@ class TestPrepareDb:
         assert f"rules.jsonl:2: bad stub rule: {reason}" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("content, rich, reason", [
+        ("see [SCR1] and [CODE1]", [{"kind": "SCR", "tag": "[SCR1]", "payload": "a.png"}],
+         "content tags ['[CODE1]', '[SCR1]'] != table tags ['[SCR1]']"),
+        ("see [SCR1]", [{"kind": "SCR", "tag": "[SCR1]", "payload": "a.png"},
+                        {"kind": "SCR", "tag": "[SCR1]", "payload": "b.png"}],
+         "duplicate tags in rich_text"),
+    ])
+    def test_record_with_mismatched_tags_names_file_and_line(self, env, content, rich,
+                                                             reason):
+        lines = Path(env.fx["corpus"]).read_text().splitlines()
+        record = {**json.loads(lines[1]), "Content": content, "Rich-Text": rich}
+        lines[1] = json.dumps(record)
+        bad = env.root / "corpus.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        db = env.root / "db"
+        result = env.runner.invoke(main, ["prepare-db", "-c", env.config,
+                                          "--corpus", str(bad), "--db", str(db)])
+        assert result.exit_code == 1
+        assert f"corpus.jsonl:2: IR {record['id']}: {reason}" in result.output
+        assert "Traceback" not in result.output
+        assert not db.exists()
+
 
 class TestRetrieve:
     def test_every_target_reports_relevant_graphs(self, env):
@@ -219,6 +241,21 @@ class TestIdentify:
         result = run_fail(env, "identify", "-c", env.config, "--db", str(db),
                           "--seed", "99", "--out", str(env.root / "p.jsonl"))
         assert "refusing to mix" in result.output
+
+    def test_target_with_untabled_tag_names_file_and_line(self, env):
+        db = prepared_db(env)
+        targets = db / "targets.jsonl"
+        lines = targets.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["Content"] += " see [CODE9]"
+        lines[2] = json.dumps(record)
+        targets.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = env.root / "preds.jsonl"
+        result = env.runner.invoke(main, ["identify", "-c", env.config, "--db", str(db),
+                                          "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"targets.jsonl:3: IR {record['id']}: content tags" in result.output
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -451,25 +488,16 @@ class TestVaIngest:
         assert "records.jsonl:1: knowledge record text must be a string" in result.output
         assert not out.exists()
 
-
-class TestFetch:
-    def test_snapshots_local_pages(self, env):
-        pages = env.root / "pages"
-        pages.mkdir()
-        (pages / "a.html").write_text("<html><title>a</title></html>")
-        (pages / "b.html").write_text("<html><title>b</title></html>")
-        manifest = env.root / "urls.txt"
-        manifest.write_text(
-            f"# snapshot list\nfile://{pages}/a.html\nfile://{pages}/b.html\n"
-            f"file://{pages}/missing.html\n", encoding="utf-8")
-        out = env.root / "snaps"
-        result = run_ok(env, "fetch", "--manifest", str(manifest),
-                        "--out-dir", str(out), "--json")
-        payload = json.loads(result.stdout)
-        assert payload["total"] == 3
-        assert payload["ok"] == 2
-        failed = [r for r in payload["results"] if not r["ok"]]
-        assert len(failed) == 1 and "missing.html" in failed[0]["url"]
-        stored = list(out.glob("*.html"))
-        assert len(stored) == 2
-        assert all((out / (p.name + ".meta.json")).exists() for p in stored)
+    def test_record_without_terms_names_file_and_line(self, env):
+        records = env.root / "records.jsonl"
+        good = e2e_knowledge()[0].to_dict()
+        bad = {**good, "key": "stopwords", "text": "the of into"}
+        records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+                           encoding="utf-8")
+        out = env.root / "store.jsonl"
+        result = env.runner.invoke(main, ["va", "ingest", "--records", str(records),
+                                          "--out", str(out)])
+        assert result.exit_code == 1
+        assert "records.jsonl:2: knowledge record" in result.output
+        assert "has no terms in 'the of into'" in result.output
+        assert not out.exists()

@@ -2,198 +2,18 @@ import pytest
 
 from vulrtex.corpus import (
     CanonicalIR,
-    CorpusSplit,
-    RawIssuePage,
     RichTextElement,
-    derive_ir_id,
     load_corpus,
-    load_snapshot,
-    merge_similar_elements,
-    normalize_text,
-    parse_issue_page,
     save_corpus,
-    snapshot_filename,
     split_corpus,
-    split_multi_cwe,
 )
-from vulrtex.errors import DuplicateId, EmptyCorpus, InvalidCweId, MalformedPage
+from vulrtex.errors import DuplicateId, EmptyCorpus
 
 
 def make_ir(ir_id="acme/cms#1", content="body text", rich_text=(), created_at=100,
             **kwargs) -> CanonicalIR:
     return CanonicalIR(id=ir_id, title="a title", content=content,
                        rich_text=list(rich_text), created_at=created_at, **kwargs)
-
-
-# --- page parsing ---
-
-def test_parse_single_code_block():
-    page = RawIssuePage(
-        "https://tracker.test/acme/cms/issues/7",
-        "<html><head><title>Bug: command runs</title></head>"
-        "<body><p>see this</p><code>echo 1;</code></body></html>",
-        fetched_at=1700000000)
-    ir = parse_issue_page(page)
-    assert ir.id == "acme/cms#7"
-    assert "[CODE1]" in ir.content
-    assert ir.rich_text == [RichTextElement("CODE", "[CODE1]", "echo 1;")]
-    assert ir.created_at == 1700000000
-
-
-def test_parse_mixed_elements_in_document_order():
-    page = RawIssuePage(
-        "https://tracker.test/acme/cms/issues/8",
-        "<html><title>t</title><body>"
-        '<p>first <a href="https://img.test/a.png">shot A</a></p>'
-        '<p>then <img src="https://img.test/b.jpg"/></p>'
-        "<pre>select * from users</pre>"
-        "</body></html>",
-        fetched_at=1)
-    ir = parse_issue_page(page)
-    assert [el.tag for el in ir.rich_text] == ["[SCR1]", "[SCR2]", "[CODE1]"]
-    assert ir.rich_text[0].payload == "https://img.test/a.png"
-    assert ir.rich_text[1].payload == "https://img.test/b.jpg"
-    assert ir.rich_text[2].payload == "select * from users"
-    assert ir.content.index("[SCR1]") < ir.content.index("[SCR2]") < ir.content.index("[CODE1]")
-    # anchor text of the image link is suppressed, not duplicated
-    assert "shot A" not in ir.content
-
-
-def test_parse_plain_page_has_no_rich_text():
-    page = RawIssuePage(
-        "https://tracker.test/acme/cms/issues/9",
-        "<html><title>plain</title><body><p>only words here</p></body></html>",
-        fetched_at=1)
-    ir = parse_issue_page(page)
-    assert ir.rich_text == []
-    assert "only words here" in ir.content
-
-
-def test_parse_markdown_fence_becomes_code_element():
-    page = RawIssuePage(
-        "https://tracker.test/acme/cms/issues/10",
-        "<html><title>t</title><body><p>steps:\n```php\necho $_GET['q'];\n```\ndone</p></body></html>",
-        fetched_at=1)
-    ir = parse_issue_page(page)
-    assert [el.tag for el in ir.rich_text] == ["[CODE1]"]
-    assert ir.rich_text[0].payload == "echo $_GET['q'];"
-    assert "```" not in ir.content
-
-
-def test_parse_title_missing_is_malformed():
-    page = RawIssuePage("https://x.test/p", "<html><body><p>no heading</p></body></html>", 1)
-    with pytest.raises(MalformedPage):
-        parse_issue_page(page)
-
-
-def test_parse_time_element_sets_created_at():
-    page = RawIssuePage(
-        "https://tracker.test/acme/cms/issues/11",
-        '<html><title>t</title><body><time datetime="2021-03-04T05:06:07Z"></time>hello</body></html>',
-        fetched_at=99)
-    assert parse_issue_page(page).created_at == 1614834367
-
-
-def test_derive_ir_id_fallback_is_stable():
-    a = derive_ir_id("https://weird.test/just/a/page")
-    assert a == derive_ir_id("https://weird.test/just/a/page")
-    assert a.startswith("page-")
-
-
-# --- merging ---
-
-def test_merge_identical_payloads():
-    ir = make_ir(content="x [CODE1] y [CODE2]",
-                 rich_text=[RichTextElement("CODE", "[CODE1]", "echo 1;"),
-                            RichTextElement("CODE", "[CODE2]", "echo 1;")])
-    merged = merge_similar_elements(ir, 0.9)
-    assert [el.tag for el in merged.rich_text] == ["[CODE1]"]
-    assert merged.content == "x [CODE1] y [CODE1]"
-
-
-def test_merge_disjoint_payloads_untouched():
-    ir = make_ir(content="[CODE1] [CODE2]",
-                 rich_text=[RichTextElement("CODE", "[CODE1]", "alpha beta"),
-                            RichTextElement("CODE", "[CODE2]", "gamma delta")])
-    merged = merge_similar_elements(ir, 0.9)
-    assert merged == ir
-
-
-def test_merge_third_into_first_and_renumber():
-    # #1 and #3 share all tokens; #2 is unrelated and keeps a dense new tag
-    ir = make_ir(content="a [CODE1] b [CODE2] c [CODE3]",
-                 rich_text=[RichTextElement("CODE", "[CODE1]", "select user from db"),
-                            RichTextElement("CODE", "[CODE2]", "totally different words"),
-                            RichTextElement("CODE", "[CODE3]", "select user from db")])
-    merged = merge_similar_elements(ir, 0.9)
-    assert [el.tag for el in merged.rich_text] == ["[CODE1]", "[CODE2]"]
-    assert merged.content == "a [CODE1] b [CODE2] c [CODE1]"
-    assert merged.rich_text[0].payload == "select user from db"
-
-
-def test_merge_does_not_cross_kinds():
-    ir = make_ir(content="[SCR1] [CODE1]",
-                 rich_text=[RichTextElement("SCR", "[SCR1]", "https://x.test/shot.png"),
-                            RichTextElement("CODE", "[CODE1]", "https://x.test/shot.png")])
-    merged = merge_similar_elements(ir, 0.9)
-    assert len(merged.rich_text) == 2
-
-
-def test_merge_idempotent():
-    ir = make_ir(content="a [CODE1] b [CODE2] c [CODE3] d [SCR1]",
-                 rich_text=[RichTextElement("CODE", "[CODE1]", "select user from db"),
-                            RichTextElement("CODE", "[CODE2]", "select user from db limit"),
-                            RichTextElement("CODE", "[CODE3]", "other words entirely"),
-                            RichTextElement("SCR", "[SCR1]", "https://x.test/s.png")])
-    once = merge_similar_elements(ir, 0.8)
-    twice = merge_similar_elements(once, 0.8)
-    assert once == twice
-
-
-# --- normalization ---
-
-def test_normalize_examples():
-    assert normalize_text(make_ir(content="Injecting  payloads")).content == "inject payload"
-    assert normalize_text(make_ir(content="XSS Attacks triggered")).content == "xss attack trigger"
-
-
-def test_normalize_preserves_tags_and_payloads():
-    ir = make_ir(content="Running [CODE1] Pages",
-                 rich_text=[RichTextElement("CODE", "[CODE1]", "Echo $PAYLOADS;")])
-    out = normalize_text(ir)
-    assert out.content == "runn [CODE1] page"
-    assert out.rich_text[0].payload == "Echo $PAYLOADS;"
-
-
-def test_normalize_title_too():
-    assert normalize_text(make_ir()).title == "a title"
-    assert normalize_text(CanonicalIR("x", "Dropped Sessions", "b")).title == "dropp session"
-
-
-# --- multi-CWE splitting ---
-
-def test_split_single_cwe():
-    out = split_multi_cwe(make_ir(), ["CWE-79"])
-    assert len(out) == 1
-    assert out[0].cwe_id == "CWE-79"
-    assert out[0].label_vul is True
-    assert out[0].id == "acme/cms#1#cwe-79"
-
-
-def test_split_two_cwes_share_content():
-    out = split_multi_cwe(make_ir(), ["CWE-79", "CWE-352"])
-    assert [r.cwe_id for r in out] == ["CWE-79", "CWE-352"]
-    assert out[0].content == out[1].content
-    assert out[0].id != out[1].id
-
-
-def test_split_invalid_cwe_rejected():
-    with pytest.raises(InvalidCweId):
-        split_multi_cwe(make_ir(), [])
-    with pytest.raises(InvalidCweId):
-        split_multi_cwe(make_ir(), ["79"])
-    with pytest.raises(InvalidCweId):
-        split_multi_cwe(make_ir(), ["CWE-79x"])
 
 
 # --- corpus splitting ---
@@ -258,36 +78,3 @@ def test_tag_bijection_check():
     bad = make_ir(content="mentions [SCR1] but table empty")
     with pytest.raises(ValueError):
         bad.check_tag_bijection()
-
-
-# --- fetch snapshots ---
-
-def test_fetch_and_load_snapshot(tmp_path):
-    from vulrtex.corpus import fetch_pages
-
-    html = "<html><title>t</title><body>hi</body></html>"
-
-    class FakeResponse:
-        def __init__(self, body): self.body = body
-        def read(self): return self.body.encode("utf-8")
-        def __enter__(self): return self
-        def __exit__(self, *exc): return False
-
-    calls = []
-
-    def opener(url):
-        calls.append(url)
-        if "bad" in url:
-            raise OSError("refused")
-        return FakeResponse(html)
-
-    manifest = tmp_path / "urls.txt"
-    manifest.write_text("https://x.test/acme/cms/issues/1\n# comment\nhttps://bad.test/p\n",
-                        encoding="utf-8")
-    out = tmp_path / "snaps"
-    results = fetch_pages(manifest, out, opener=opener)
-    assert [r["ok"] for r in results] == [True, False]
-    assert calls == ["https://x.test/acme/cms/issues/1", "https://bad.test/p"]
-    page = load_snapshot(out, "https://x.test/acme/cms/issues/1")
-    assert page.html == html
-    assert (out / snapshot_filename("https://x.test/acme/cms/issues/1")).exists()

@@ -4,6 +4,7 @@ import re
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from vulrtex.errors import (
     BackendRejected,
     GatewayExhausted,
     LogprobsUnavailable,
+    MalformedReply,
     NoLabelToken,
     TransportError,
+    VulrtexError,
 )
 from vulrtex import gateway
 from vulrtex.config import DEFAULT_TEMPERATURE, LlmSection
@@ -146,6 +149,20 @@ def test_yes_probability_no_label_token():
         yes_probability(LlmResponse("x", [{}], "stub"))
 
 
+@pytest.mark.parametrize("lp", [math.nan, math.inf, -math.inf])
+def test_yes_probability_non_finite_logprob_is_no_label(lp):
+    with pytest.raises(NoLabelToken, match="non-finite"):
+        yes_probability(LlmResponse("Yes", [{"Yes": lp, "No": -0.5}], "stub"))
+    with pytest.raises(NoLabelToken, match="non-finite"):
+        yes_probability(LlmResponse("Yes", [{"Yes": -0.5, "Other": lp}], "stub"))
+
+
+def test_yes_probability_far_apart_logprobs_do_not_overflow():
+    # some endpoints report -9999 for a token they rule out
+    assert yes_probability(LlmResponse("No", [{"Yes": -9999.0, "No": 0.0}], "stub")) == 0.0
+    assert yes_probability(LlmResponse("Yes", [{"Yes": 0.0, "No": -9999.0}], "stub")) == 1.0
+
+
 class FlakyBackend:
     name = "flaky"
 
@@ -198,8 +215,8 @@ def test_stub_rules_load_from_file(tmp_path):
 
 
 class FakeHttpResponse:
-    def __init__(self, body: dict):
-        self.body = json.dumps(body).encode("utf-8")
+    def __init__(self, body: dict | bytes):
+        self.body = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
 
     def __enter__(self):
         return self
@@ -269,3 +286,89 @@ def test_http_attempts_bounded_by_remaining_deadline(monkeypatch):
     with pytest.raises(GatewayExhausted):
         gw.complete(make_request("hi"))
     assert timeouts == [10.0, 6.0, 2.0]
+
+
+def answering(body):
+    """A fake urlopen that answers every request with `body` (a JSON value
+    or raw bytes) and counts its calls."""
+    def fake_urlopen(request, timeout):
+        fake_urlopen.calls += 1
+        return FakeHttpResponse(body)
+    fake_urlopen.calls = 0
+    return fake_urlopen
+
+
+def chat_reply(content="ok", token="Yes", logprob=-0.1) -> dict:
+    return {"choices": [{"message": {"content": content},
+                         "logprobs": {"content": [{"top_logprobs": [
+                             {"token": token, "logprob": logprob}]}]}}]}
+
+
+def test_http_reply_parsed():
+    with mock.patch.object(urllib.request, "urlopen", answering(chat_reply(logprob=-1))):
+        resp = HttpBackend("http://llm.invalid/v1", "m").complete(
+            make_request("hi", want_logprobs=True))
+    assert resp.text == "ok"
+    assert resp.top_token_logprobs == [{"Yes": -1.0}]
+    assert type(resp.top_token_logprobs[0]["Yes"]) is float
+
+
+@pytest.mark.parametrize("body", [
+    b"not json", b"\xff\xfe{}", b'{"choices": [{"message": {"content": "ok"}}]} x',
+    {}, [], {"choices": []}, {"choices": [{}]}, {"choices": [{"message": "ok"}]},
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": 5}}]},
+    chat_reply(logprob="-0.1"), chat_reply(logprob=True), chat_reply(logprob=None),
+    b'{"choices": [{"message": {"content": "ok"}, "logprobs": {"content": '
+    b'[{"top_logprobs": [{"token": "Yes", "logprob": NaN}]}]}}]}',
+    chat_reply(logprob=10 ** 400), chat_reply(token=5), chat_reply(token=["Yes"]),
+    {"choices": [{"message": {"content": "ok"}, "logprobs": {"content": 3}}]},
+    {"choices": [{"message": {"content": "ok"}, "logprobs": {"content": [{}]}}]},
+])
+def test_malformed_http_reply_is_one_error_never_retried(body):
+    fake = answering(body)
+    gw = Gateway(HttpBackend("http://llm.invalid/v1", "m"), max_retries=3, backoff_base=0.0)
+    with mock.patch.object(urllib.request, "urlopen", fake):
+        with pytest.raises(MalformedReply):
+            gw.complete(make_request("hi", want_logprobs=True))
+    assert fake.calls == 1
+
+
+def test_http_reply_without_logprobs_is_unavailable():
+    body = {"choices": [{"message": {"content": "ok"}, "logprobs": None}]}
+    with mock.patch.object(urllib.request, "urlopen", answering(body)):
+        with pytest.raises(LogprobsUnavailable):
+            HttpBackend("http://llm.invalid/v1", "m").complete(
+                make_request("hi", want_logprobs=True))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=12)
+# chat-shaped replies with an arbitrary value at each leaf, so the property
+# reaches the content and logprob checks, not only the top-level shape
+_chat_bodies = st.builds(chat_reply, _json_values, _json_values, _json_values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_json_values.map(lambda v: json.dumps(v).encode("utf-8")),
+                 _chat_bodies.map(lambda v: json.dumps(v).encode("utf-8")),
+                 st.binary(max_size=64)),
+       st.booleans())
+def test_http_reply_is_well_formed_or_a_pipeline_error(body, want_logprobs):
+    gw = Gateway(HttpBackend("http://llm.invalid/v1", "m"), max_retries=0)
+    with mock.patch.object(urllib.request, "urlopen", answering(body)):
+        try:
+            resp = gw.complete(make_request("hi", want_logprobs=want_logprobs))
+        except VulrtexError:
+            return
+    assert isinstance(resp.text, str)
+    if want_logprobs:
+        for position in resp.top_token_logprobs:
+            for token, lp in position.items():
+                assert isinstance(token, str)
+                assert type(lp) is float and math.isfinite(lp)
+    else:
+        assert resp.top_token_logprobs is None

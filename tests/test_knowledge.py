@@ -57,6 +57,13 @@ def test_empty_record_text_rejected():
         KnowledgeRecord("kb-fix", "ADV-2", "")
 
 
+@pytest.mark.parametrize("text", ["the of into", ", . ( the"])
+def test_record_text_without_terms_rejected(text):
+    # no lookup could return such a record: its term counts are empty
+    with pytest.raises(ValueError, match="has no terms"):
+        KnowledgeRecord("kb-fix", "ADV-2", text)
+
+
 @pytest.mark.parametrize("fields", [
     {"source": 3}, {"key": 7}, {"text": 5}, {"text": ["xss"]}, {"cwe_id": 79}])
 def test_record_fields_of_the_wrong_type_rejected(fields):
@@ -146,12 +153,11 @@ def test_similarities_equal_per_call_index(store, query):
     assert store.similarities(query) == want
 
 
-# Stores of generated texts, with stopword-only records, repeated terms,
+# Stores of generated texts (a record needs a term), with repeated terms,
 # query-only terms and the empty query forced in; compared with == and
 # float.hex, never approx.
-_record_texts = st.one_of(texts.filter(bool),
-                          st.sampled_from(["the of", ", . (", "xss XSS xss payload",
-                                           "token token Token page-x"]))
+_record_texts = st.one_of(texts.filter(term_counts),
+                          st.sampled_from(["xss XSS xss payload", "token token Token page-x"]))
 _queries = st.one_of(st.just(""), texts, texts.map(lambda t: t + " query-only"),
                      st.sampled_from(["the", "xss xss xss", "payload query-only token"]))
 
