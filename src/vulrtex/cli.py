@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import time
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,9 +25,8 @@ from .corpus import CanonicalIR, load_corpus, save_corpus, split_corpus
 from .errors import ConfigError, VulrtexError
 from .gateway import make_gateway
 from .graph import GraphStore
-from .identifier import (Prediction, generate_guidance, identify,
-                         read_predictions, read_predictions_header,
-                         write_predictions)
+from .identifier import (Prediction, Unscored, generate_guidance, identify,
+                         read_scored, write_predictions)
 from .jsonl import read_jsonl
 from .knowledge import KnowledgeStore, load_store, save_store
 from .metrics import ScoredLabel, build_report, pr_curve, repeated_mean
@@ -34,6 +35,8 @@ from .retrieval import Target, count_graphs, retrieve_relevant
 from .tools import make_toolkit
 
 PREDICTIONS_KIND = "predictions"
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +228,22 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
     # and only a repeated run can reuse the pairs' walk probabilities
     prepared = [Target(t, toolkit, {} if cfg.runs > 1 else None) for t in targets]
     preds: list[Prediction] = []
+    failed = 0
     for run in range(cfg.runs):
         run_seed = cfg.seed + run
         for target in prepared:
             kept = retrieve_relevant(graphs, target, cfg.theta_sim,
                                      walks=cfg.walks, seed=run_seed)
-            guide = generate_guidance(kept, target, llm)
-            pred = identify(target, guide, llm, cfg.theta_out, seed=run_seed)
+            # a failing LLM call costs this (target, run) alone: it becomes
+            # an unscored row, while retrieval and database errors end the stage
+            try:
+                guide = generate_guidance(kept, target, llm)
+                pred = identify(target, guide, llm, cfg.theta_out, seed=run_seed)
+            except VulrtexError as exc:
+                log.warning("%s: run %d failed, left unscored (%s)", target.id, run, exc)
+                failed += 1
+                pred = Prediction(target.id, None, False, None, cfg.theta_out, False,
+                                  unscored=True)
             preds.append(replace(pred, run=run))
     write_predictions(preds, out_path, header={
         "kind": PREDICTIONS_KIND,
@@ -245,6 +257,7 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
         "predictions": len(preds),
         "positive": sum(1 for p in preds if p.verdict),
         "unscored": sum(1 for p in preds if p.unscored),
+        "failed": failed,
     }
 
 
@@ -275,30 +288,28 @@ def stage_evaluate(cfg: PipelineConfig, preds_path: str | Path,
                    curve_path: str | Path) -> dict:
     """Join predictions with ground truth, compute per-run metrics, average
     them, and write report.json plus the precision/recall curve CSV."""
-    header = read_predictions_header(preds_path)
-    if header is not None:
-        check_artifact_hash(header.get("config_hash"), cfg, "predictions file")
-    preds = read_predictions(preds_path)
-    if not preds:
+    rows = read_scored(preds_path, lambda header: check_artifact_hash(
+        header.get("config_hash"), cfg, "predictions file"))
+    if not rows:
         raise ConfigError(f"no predictions in {preds_path}")
     truth = _load_truth(truth_path)
     # each run's rows stay in file order, the order mean_latency sums in
-    by_run: dict[int, list[ScoredLabel]] = {}
-    seen: dict[int, set[str]] = {}
+    by_run: defaultdict[int, list[ScoredLabel]] = defaultdict(list)
+    seen: defaultdict[int, set[str]] = defaultdict(set)
     excluded = 0
-    for p in preds:
-        ids = seen.setdefault(p.run, set())
-        if p.ir_id in ids:
-            raise ConfigError(f"predictions file repeats {p.ir_id} in run {p.run}")
-        ids.add(p.ir_id)
-        if p.unscored:
+    for row in rows:
+        ids = seen[row.run]
+        if row.ir_id in ids:
+            raise ConfigError(f"predictions file repeats {row.ir_id} in run {row.run}")
+        ids.add(row.ir_id)
+        if type(row) is Unscored:
             excluded += 1
             continue
-        if p.ir_id not in truth:
-            raise ConfigError(f"prediction {p.ir_id} has no ground-truth record")
-        label, cwe = truth[p.ir_id]
-        by_run.setdefault(p.run, []).append(
-            ScoredLabel(p.ir_id, p.p_yes, label, cwe, p.cwe_id, p.latency_seconds))
+        label = truth.get(row.ir_id)
+        if label is None:
+            raise ConfigError(f"prediction {row.ir_id} has no ground-truth record")
+        row.truth_vul, row.truth_cwe = label
+        by_run[row.run].append(row)
     if not by_run:
         raise ConfigError("every prediction is unscored; nothing to evaluate")
     runs = sorted(by_run)
@@ -394,7 +405,7 @@ def cmd_identify(config_path, as_json, out_path, **overrides):
              f"({summary['targets']} targets x {summary['runs']} runs) "
              f"-> {summary['out']}",
              f"positive verdicts: {summary['positive']}, "
-             f"unscored: {summary['unscored']}"]
+             f"unscored: {summary['unscored']} ({summary['failed']} failed)"]
     _emit(summary, as_json, lines)
 
 

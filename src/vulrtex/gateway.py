@@ -7,6 +7,7 @@ a generic chat-completion JSON protocol and is configured, never hard-coded.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
@@ -48,6 +49,15 @@ class LlmResponse:
     top_token_logprobs: list[dict[str, float]] | None
     backend: str
     latency_seconds: float = 0.0
+
+
+def _finite(value) -> bool:
+    """A finite number, which a logprob must be; a bool is not a number."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, (int, float))
+                and math.isfinite(value))
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def _probe(pattern: re.Pattern, capture) -> re.Match:
@@ -92,6 +102,12 @@ class StubRule:
     first_token_logprobs: dict[str, float] | None = None
 
     def __post_init__(self):
+        logprobs = self.first_token_logprobs
+        if logprobs is not None and not (
+                isinstance(logprobs, dict)
+                and all(isinstance(t, str) and _finite(lp) for t, lp in logprobs.items())):
+            raise ValueError("first_token_logprobs must be null or map tokens "
+                             "to finite numbers")
         self._compiled = re.compile(self.pattern, re.DOTALL)
         self._template = _parse_template(self._compiled, self.response_text)
 
@@ -162,9 +178,7 @@ def _token(value) -> str:
 
 
 def _logprob(value) -> float:
-    # isfinite raises OverflowError for an integer past the float range
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not _finite(value):
         raise MalformedReply("reply holds a logprob that is not a finite number")
     return float(value)
 
@@ -243,7 +257,9 @@ class HttpBackend:
             if 400 <= exc.code < 500:
                 raise BackendRejected(f"backend returned {exc.code}: {exc.reason}") from exc
             raise TransportError(f"backend returned {exc.code}: {exc.reason}") from exc
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError and TimeoutError are OSErrors; an HTTPException such
+            # as IncompleteRead is a connection dropped mid-reply
             raise TransportError(str(exc)) from exc
         elapsed = time.monotonic() - start
         text, logprobs = _parse_reply(raw, req.want_logprobs)

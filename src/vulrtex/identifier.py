@@ -10,14 +10,17 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import DEFAULT_THETA_OUT
 from .corpus import CanonicalIR
 from .errors import NoLabelToken
 from .gateway import Gateway, LlmRequest, yes_probability
 from .jsonl import read_jsonl
+from .metrics import NUMBER_TYPES, ScoredLabel
 from .prompts import build_guidance_prompt, build_identify_prompt
 from .retrieval import ReservedGraph, Target
 
@@ -39,6 +42,35 @@ class GuidancePrompt:
             raise ValueError("guidance built from graphs must carry at least one step")
 
 
+def scored_row(ir_id: str, p_yes: float | None, verdict: bool, cwe_id: str | None,
+               theta_out: float, unscored: bool = False, latency_seconds: float = 0.0,
+               run: int = 0) -> ScoredLabel | None:
+    """Check the rules of a prediction row, which every Prediction and every
+    row evaluate reads obey; the row as its run's ScoredLabel (truth still
+    unset), or None when unscored. A broken rule raises ValueError.
+
+    ScoredLabel checks that p_yes is a number in [0, 1] and latency_seconds
+    one >= 0. Types are exact, as JSON decodes them: a bool is no number.
+    """
+    if type(ir_id) is not str:
+        raise ValueError(f"ir_id {ir_id!r} is not a string")
+    if type(run) is not int:
+        raise ValueError(f"run {run!r} is not an integer")
+    if type(verdict) is not bool or type(unscored) is not bool:
+        raise ValueError("verdict and unscored must be booleans")
+    if type(theta_out) not in NUMBER_TYPES:
+        raise ValueError(f"theta_out {theta_out!r} is not a number")
+    if unscored != (p_yes is None):
+        raise ValueError("p_yes must be null exactly when the row is unscored")
+    row = None if unscored else ScoredLabel(ir_id, p_yes, False, None, cwe_id,
+                                            latency_seconds, run)
+    if verdict != (not unscored and p_yes >= theta_out):
+        raise ValueError("verdict must equal p_yes >= theta_out")
+    if cwe_id is not None and (not verdict or type(cwe_id) is not str):
+        raise ValueError("cwe_id only accompanies a positive verdict, as a string")
+    return row
+
+
 @dataclass(slots=True)
 class Prediction:
     ir_id: str
@@ -53,12 +85,8 @@ class Prediction:
     run: int = 0
 
     def __post_init__(self):
-        if self.p_yes is not None and not 0.0 <= self.p_yes <= 1.0:
-            raise ValueError(f"p_yes {self.p_yes} outside [0, 1]")
-        if self.verdict != (self.p_yes is not None and self.p_yes >= self.theta_out):
-            raise ValueError("verdict must equal p_yes >= theta_out")
-        if self.cwe_id is not None and not self.verdict:
-            raise ValueError("cwe_id only accompanies a positive verdict")
+        scored_row(self.ir_id, self.p_yes, self.verdict, self.cwe_id, self.theta_out,
+                   self.unscored, self.latency_seconds, self.run)
 
     def to_dict(self) -> dict:
         return {
@@ -161,16 +189,31 @@ def read_predictions(path: str | Path) -> list[Prediction]:
     return [p for p in read_jsonl(path, _prediction_row) if p is not None]
 
 
-def read_predictions_header(path: str | Path) -> dict | None:
-    """The header record, read from the file's first non-empty line alone;
-    None when that line is a prediction row or the file is empty."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    d = json.loads(line)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                return d if "kind" in d else None
-    return None
+class Unscored(NamedTuple):
+    """Where an unscored row stood: evaluate counts it and drops it."""
+    ir_id: str
+    run: int
+
+
+def read_scored(path: str | Path,
+                header: Callable[[dict], None]) -> list[ScoredLabel | Unscored]:
+    """Each prediction row of a file in file order, read and checked once by
+    scored_row: a ScoredLabel with its truth unset, or an Unscored row.
+
+    `header` is called on each header record (one with a "kind" key) where
+    the reader meets it, so it can refuse the file before a later line is
+    read. A bad line raises ValueError naming its path and line number.
+    """
+    def row(d: dict) -> ScoredLabel | Unscored | None:
+        if type(d) is not dict:
+            raise ValueError("a prediction row must be a JSON object")
+        if "kind" in d:
+            header(d)
+            return None
+        get = d.get
+        ir_id, run = d["ir_id"], get("run", 0)
+        scored = scored_row(ir_id, d["p_yes"], d["verdict"], get("cwe_id"), d["theta_out"],
+                            get("unscored", False), get("latency_seconds", 0.0), run)
+        return Unscored(ir_id, run) if scored is None else scored
+
+    return [r for r in read_jsonl(path, row) if r is not None]

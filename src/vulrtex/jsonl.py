@@ -15,15 +15,17 @@ from typing import Any, TypeVar
 
 T = TypeVar("T")
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def read_jsonl(path: str | Path, row: Callable[[Any], T]) -> list[T]:
     """`row` of each line's value, in file order; blank lines are skipped.
 
-    A stripped line decodes exactly as json.loads would take it: raw_decode
-    reads one value from its first character and any text left after that
-    value is "Extra data" (a BOM, which json.loads refuses, is no value).
+    A stripped line decodes exactly as json.loads would take it: the
+    decoder's scanner reads one value from the line's first character, a
+    line where none starts raises what JSONDecoder.raw_decode raises, and
+    any text left after the value is "Extra data" (a BOM, which json.loads
+    refuses, is no value).
     A line that does not decode, or whose `row` raises ValueError, KeyError
     or TypeError, raises ValueError naming the path and line number.
     """
@@ -33,7 +35,10 @@ def read_jsonl(path: str | Path, row: Callable[[Any], T]) -> list[T]:
         if not line:
             continue
         try:
-            value, end = _raw_decode(line)
+            try:
+                value, end = _scan_once(line, 0)
+            except StopIteration as err:
+                raise json.JSONDecodeError("Expecting value", line, err.value) from None
             if end != len(line):
                 raise json.JSONDecodeError("Extra data", line, end)
             out.append(row(value))

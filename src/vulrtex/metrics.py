@@ -23,20 +23,29 @@ from operator import attrgetter
 from .errors import NoPositiveRows, SingleClass
 
 
+# the exact types a JSON number decodes to; bool, an int subclass, is not one
+NUMBER_TYPES = (int, float)
+
+
 @dataclass(slots=True)
 class ScoredLabel:
+    """One scored row of one run. Its score and latency are checked here,
+    the only place those two rules are written."""
+
     ir_id: str
     p_yes: float
     truth_vul: bool
     truth_cwe: str | None = None
     pred_cwe: str | None = None
     latency_seconds: float = 0.0
+    run: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.p_yes <= 1.0:
-            raise ValueError(f"{self.ir_id}: p_yes {self.p_yes} outside [0, 1]")
-        if self.latency_seconds < 0.0:
-            raise ValueError(f"{self.ir_id}: negative latency")
+        if type(self.p_yes) not in NUMBER_TYPES or not 0.0 <= self.p_yes <= 1.0:
+            raise ValueError(f"{self.ir_id}: p_yes {self.p_yes!r} is not a number in [0, 1]")
+        if type(self.latency_seconds) not in NUMBER_TYPES or not self.latency_seconds >= 0.0:
+            raise ValueError(f"{self.ir_id}: latency {self.latency_seconds!r} "
+                             "is not a number >= 0")
 
 
 @dataclass(frozen=True)

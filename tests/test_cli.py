@@ -11,10 +11,12 @@ from click.testing import CliRunner
 
 from e2e_fixture import (E2E_HISTORICAL, E2E_TARGET_COUNT, e2e_corpus,
                          e2e_knowledge, write_e2e_config, write_e2e_fixture)
+from vulrtex import cli
 from vulrtex.cli import main
 from vulrtex.config import config_hash, load_config
 from vulrtex.corpus import load_corpus
-from vulrtex.identifier import read_predictions, read_predictions_header, write_predictions
+from vulrtex.errors import MalformedReply, TransportError
+from vulrtex.identifier import read_predictions, write_predictions
 from vulrtex.knowledge import load_store
 
 TARGET_VERDICTS = {
@@ -66,6 +68,11 @@ def prepared_db(env):
     db = env.root / "db"
     run_ok(env, "prepare-db", "-c", env.config, "--db", str(db))
     return db
+
+
+def header_of(preds: Path) -> dict:
+    """The header record, the first line identify writes."""
+    return json.loads(preds.read_text(encoding="utf-8").splitlines()[0])
 
 
 def tree_bytes(root: Path) -> dict:
@@ -231,7 +238,7 @@ class TestIdentify:
         db = prepared_db(env)
         out = env.root / "preds.jsonl"
         run_ok(env, "identify", "-c", env.config, "--db", str(db), "--out", str(out))
-        header = read_predictions_header(out)
+        header = header_of(out)
         assert header["kind"] == "predictions"
         assert header["config_hash"] == config_hash(load_config(env.config))
         assert header["runs"] == 1
@@ -296,7 +303,7 @@ class TestEvaluate:
     def test_unscored_predictions_are_excluded(self, env):
         preds, truth = self.finished_run(env)
         rows = read_predictions(preds)
-        header = read_predictions_header(preds)
+        header = header_of(preds)
         rows = [replace(p, p_yes=None, verdict=False, cwe_id=None, unscored=True)
                 if p.ir_id == "e2e/shop#14" else p for p in rows]
         write_predictions(rows, preds, header=header)
@@ -366,6 +373,58 @@ class TestEvaluate:
         assert "preds.jsonl:4: verdict must equal p_yes >= theta_out" in result.output
 
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"p_yes": None, "unscored": False},
+         "p_yes must be null exactly when the row is unscored"),
+        ({"latency_seconds": -1.0}, "e2e/shop#13: latency -1.0 is not a number >= 0"),
+        ({"p_yes": True}, "e2e/shop#13: p_yes True is not a number in [0, 1]"),
+        ({"run": "0"}, "run '0' is not an integer"),
+    ])
+    def test_mistyped_prediction_row_names_file_and_line(self, env, change, reason):
+        preds, truth = self.finished_run(env)
+        rows = preds.read_text().splitlines()
+        # a positive row, so p_yes true would agree with its verdict
+        k = next(i for i, line in enumerate(rows) if '"e2e/shop#13"' in line)
+        rows[k] = json.dumps({**json.loads(rows[k]), **change})
+        preds.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = env.runner.invoke(main, [
+            "evaluate", "-c", env.config, "--preds", str(preds), "--truth", str(truth),
+            "--report", str(env.root / "report.json"),
+            "--curve", str(env.root / "curve.csv")])
+        assert result.exit_code == 1
+        assert f"preds.jsonl:{k + 1}: {reason}" in result.output
+        assert "Traceback" not in result.output
+        assert not (env.root / "report.json").exists()
+
+
+class FailingFor:
+    """A backend that fails every prompt naming `ir_id` with `error` and
+    passes the rest to the stub."""
+
+    def __init__(self, inner, ir_id, error):
+        self.inner, self.ir_id, self.error = inner, ir_id, error
+        self.name = inner.name
+
+    def complete(self, req):
+        if self.ir_id in req.user_prompt:
+            raise self.error("scripted failure")
+        return self.inner.complete(req)
+
+
+def fail_target(monkeypatch, ir_id, error):
+    """Make every gateway the CLI builds fail the prompts of one target;
+    a TransportError is retried without sleeping, then GatewayExhausted."""
+    make_gateway = cli.make_gateway
+
+    def failing_gateway(*args, **kwargs):
+        gw = make_gateway(*args, **kwargs)
+        gw.backend = FailingFor(gw.backend, ir_id, error)
+        gw.backoff_base = 0.0
+        return gw
+
+    monkeypatch.setattr(cli, "make_gateway", failing_gateway)
+
+
 class TestRunAll:
     def test_repeated_runs_are_byte_identical(self, env):
         artifacts = ("preds.jsonl", "report.json", "curve.csv", "truth.jsonl")
@@ -425,6 +484,30 @@ class TestRunAll:
         assert len(report["per_run"]) == 3
         mean = sum(r["precision"] for r in report["per_run"]) / 3
         assert report["metrics"]["precision"] == pytest.approx(mean, abs=1e-12)
+
+    @pytest.mark.parametrize("error", [TransportError, MalformedReply])
+    def test_failing_target_costs_one_prediction(self, env, monkeypatch, caplog, error):
+        fail_target(monkeypatch, "e2e/shop#14", error)
+        out = env.root / "run"
+        run_ok(env, "run-all", "-c", env.config, "--out-dir", str(out))
+        assert "e2e/shop#14: run 0 failed, left unscored" in caplog.text
+        preds = read_predictions(out / "preds.jsonl")
+        assert len(preds) == E2E_TARGET_COUNT
+        for pred in preds:
+            assert pred.unscored is (pred.ir_id == "e2e/shop#14")
+        failed = next(p for p in preds if p.unscored)
+        assert (failed.p_yes, failed.verdict) == (None, False)
+        report = json.loads((out / "report.json").read_text())
+        assert report["excluded_unscored"] == 1
+
+    def test_identify_counts_failed_targets(self, env, monkeypatch):
+        db = prepared_db(env)
+        fail_target(monkeypatch, "e2e/shop#17", MalformedReply)
+        result = run_ok(env, "identify", "-c", env.config, "--db", str(db),
+                        "--out", str(env.root / "preds.jsonl"), "--json")
+        payload = json.loads(result.stdout)
+        assert (payload["failed"], payload["unscored"]) == (1, 1)
+        assert payload["predictions"] == E2E_TARGET_COUNT
 
     def test_dry_run_creates_nothing(self, env):
         out = env.root / "run"

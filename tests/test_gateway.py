@@ -1,3 +1,4 @@
+import http.client
 import json
 import math
 import re
@@ -214,6 +215,27 @@ def test_stub_rules_load_from_file(tmp_path):
     assert resp.top_token_logprobs == [{"Yes": -0.1, "No": -2.3}]
 
 
+@pytest.mark.parametrize("logprobs", [
+    '{"Yes": "high"}', '{"Yes": true}', '{"Yes": NaN}', '{"Yes": 1e400}', '[1, 2]',
+])
+def test_stub_rule_with_bad_logprobs_names_file_and_line(tmp_path, logprobs):
+    path = tmp_path / "rules.jsonl"
+    path.write_text('{"pattern": "ping", "response_text": "pong"}\n'
+                    '{"pattern": "label", "response_text": "Yes", '
+                    f'"first_token_logprobs": {logprobs}}}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="rules.jsonl:2: first_token_logprobs must be"):
+        StubBackend.from_file(path)
+
+
+def test_stub_rule_without_label_token_stays_valid(tmp_path):
+    path = tmp_path / "rules.jsonl"
+    path.write_text('{"pattern": "label", "response_text": "Maybe", '
+                    '"first_token_logprobs": {"Maybe": -0.1}}\n', encoding="utf-8")
+    resp = StubBackend.from_file(path).complete(make_request("label", want_logprobs=True))
+    with pytest.raises(NoLabelToken):
+        yes_probability(resp)
+
+
 class FakeHttpResponse:
     def __init__(self, body: dict | bytes):
         self.body = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
@@ -286,6 +308,24 @@ def test_http_attempts_bounded_by_remaining_deadline(monkeypatch):
     with pytest.raises(GatewayExhausted):
         gw.complete(make_request("hi"))
     assert timeouts == [10.0, 6.0, 2.0]
+
+
+def test_http_reply_cut_short_is_retried_then_exhausted():
+    calls = []
+
+    class CutShort(FakeHttpResponse):
+        def read(self) -> bytes:
+            raise http.client.IncompleteRead(b"{")
+
+    def fake_urlopen(request, timeout):
+        calls.append(timeout)
+        return CutShort(b"")
+
+    gw = Gateway(HttpBackend("http://llm.invalid/v1", "m"), max_retries=2, backoff_base=0.0)
+    with mock.patch.object(urllib.request, "urlopen", fake_urlopen):
+        with pytest.raises(GatewayExhausted, match="IncompleteRead"):
+            gw.complete(make_request("hi"))
+    assert len(calls) == 3
 
 
 def answering(body):

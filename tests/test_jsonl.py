@@ -116,3 +116,40 @@ def test_each_line_reads_as_json_loads(line):
         else:
             # compared as JSON text, where NaN equals NaN
             assert json.dumps(read_jsonl(path, same)) == json.dumps(want)
+
+
+# whole files: JSON values, junk, BOMs, blank lines and trailing text, one
+# piece per line (any line breaks inside a piece split it further)
+_pieces = st.one_of(
+    _json_values.map(json.dumps),
+    _json_values.map(json.dumps).map(lambda v: "\ufeff" + v),
+    st.tuples(_json_values.map(json.dumps), st.text(max_size=4)).map("".join),
+    st.sampled_from(["", " ", "\t", "\r"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_pieces, max_size=6))
+def test_each_file_reads_as_json_loads_per_line(pieces):
+    text = "\n".join(pieces)
+    want = []
+    bad_line = None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            want.append(json.loads(line))
+        except ValueError:
+            bad_line = lineno
+            break
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_text(text, encoding="utf-8")
+        if bad_line is not None:
+            with pytest.raises(ValueError, match=f"rows.jsonl:{bad_line}: "):
+                read_jsonl(path, same)
+        else:
+            # compared as JSON text, where NaN equals NaN
+            assert json.dumps(read_jsonl(path, same)) == json.dumps(want)
