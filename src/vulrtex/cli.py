@@ -152,9 +152,9 @@ def stage_prepare(cfg: PipelineConfig) -> dict:
     split = split_corpus(irs, cfg.historical_proportion)
     knowledge = _build_knowledge(cfg)
     reasoner_cfg = ReasonerConfig(
-        llm=make_gateway(cfg.llm), tools=make_toolkit(cfg.tool), store=knowledge,
-        max_depth=cfg.max_depth, max_nodes=cfg.max_nodes,
-        branch_limit=cfg.branch_limit, correction_enabled=cfg.correction_enabled,
+        llm=make_gateway(cfg.llm), tools=make_toolkit(cfg.tool),
+        store=knowledge if cfg.correction_enabled else None,
+        max_depth=cfg.max_depth, max_nodes=cfg.max_nodes, branch_limit=cfg.branch_limit,
         theta_sim=cfg.theta_sim, inclusion_order=cfg.inclusion_order)
     db_dir = Path(cfg.db_path)
     db_dir.mkdir(parents=True, exist_ok=True)

@@ -3,15 +3,17 @@
 A graph records how the rich-text elements of one issue report were explored.
 It is a rooted DAG built once by the reasoner and immutable afterwards; every
 read operation here is pure. Terminal observations (no outgoing actions) are
-the only ones allowed to carry a decided verdict.
+the only ones allowed to carry a decided verdict. maximal_paths is the one
+enumerator of root paths: extract_terminated_paths and the closure of the
+retrieval walk both list paths through it.
 """
 
 from __future__ import annotations
 
 import json
 import urllib.parse
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .errors import CycleIntroduced, DanglingEndpoint, DuplicateId
@@ -139,7 +141,7 @@ class ReasoningGraph:
             raise DanglingEndpoint(f"action {act.id}: {act.src}->{act.dst} references a missing node")
         if act.quadruple() in self._quadruples:
             raise DuplicateId(f"duplicate action {act.src}->{act.dst} via {act.tool}({act.argument})")
-        if act.src == act.dst or self._reaches(act.dst, act.src):
+        if act.src in self._reachable(act.dst):
             raise CycleIntroduced(f"action {act.id}: {act.src}->{act.dst} would close a cycle")
         self.edges.append(act)
         self._edge_ids.add(act.id)
@@ -147,17 +149,16 @@ class ReasoningGraph:
         self._out[act.src].append(act)
         self._in[act.dst].append(act)
 
-    def _reaches(self, start: str, goal: str) -> bool:
-        stack, seen = [start], set()
+    def _reachable(self, start: str) -> set[str]:
+        """The nodes reachable from start, start included."""
+        seen: set[str] = set()
+        stack = [start]
         while stack:
             cur = stack.pop()
-            if cur == goal:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(a.dst for a in self._out.get(cur, ()))
-        return False
+            if cur not in seen:
+                seen.add(cur)
+                stack.extend(a.dst for a in self._out.get(cur, ()))
+        return seen
 
     def out_actions(self, node_id: str) -> list[Action]:
         return list(self._out.get(node_id, ()))
@@ -171,9 +172,6 @@ class ReasoningGraph:
             seen.setdefault(a.dst, None)
         return sorted(seen)
 
-    def actions_between(self, src: str, dst: str) -> list[Action]:
-        return [a for a in self._out.get(src, ()) if a.dst == dst]
-
     def is_terminal(self, node_id: str) -> bool:
         return not self._out.get(node_id)
 
@@ -184,15 +182,7 @@ class ReasoningGraph:
         """Raise ValueError if any structural invariant is broken."""
         if ROOT_ID not in self.nodes:
             raise ValueError(f"graph {self.ir_id}: no root {ROOT_ID}")
-        reachable = set()
-        stack = [ROOT_ID]
-        while stack:
-            cur = stack.pop()
-            if cur in reachable:
-                continue
-            reachable.add(cur)
-            stack.extend(a.dst for a in self._out.get(cur, ()))
-        unreachable = set(self.nodes) - reachable
+        unreachable = set(self.nodes) - self._reachable(ROOT_ID)
         if unreachable:
             raise ValueError(f"graph {self.ir_id}: unreachable nodes {sorted(unreachable)}")
         for obs in self.nodes.values():
@@ -227,45 +217,52 @@ class ReasoningGraph:
         return self.to_dict() == other.to_dict()
 
 
+def maximal_paths(successors: Mapping[str, Sequence[str]]) -> Iterator[tuple[str, ...]]:
+    """Every path from the root to a node without successors, as node ids,
+    in lexicographic order. `successors` maps a node to its successors,
+    sorted and without repeats; a node it lacks has none.
+
+    The depth-first walk takes successors in order and no such path is a
+    prefix of another, so it meets the paths sorted. It keeps an explicit
+    stack, so it leaves no reference cycle behind for the garbage collector.
+    """
+    stack: list[tuple[str, ...]] = [(ROOT_ID,)]
+    while stack:
+        seq = stack.pop()
+        nexts = successors.get(seq[-1])
+        if not nexts:
+            yield seq
+            continue
+        stack.extend(seq + (nxt,) for nxt in reversed(nexts))
+
+
 def extract_terminated_paths(g: ReasoningGraph) -> list[Path]:
-    """All root-to-end paths that reached a termination.
+    """All root-to-end paths that reached a termination, in maximal_paths
+    order.
 
     Paths are keyed by their node sequence: where parallel actions join the
-    same pair of observations, the terminator action (else the smallest
-    action id) represents the hop. A path counts as terminated when its last
-    hop is an AgentTerminator action or its last node carries a decided
-    verdict; dead ends that just ran out of actions are dropped. Result is
-    sorted lexicographically by node-id sequence: the depth-first walk takes
-    successors in sorted order and no end is a prefix of another path, so it
-    meets the paths in that order. The walk keeps an explicit stack, so it
-    leaves no reference cycle behind for the garbage collector.
+    same pair of observations, the first terminator action (else the
+    smallest action id) represents the hop. A path counts as terminated
+    when its last hop is an AgentTerminator action or its last node carries
+    a decided verdict; dead ends that just ran out of actions are dropped.
     """
     if ROOT_ID not in g.nodes:
         return []
+    hops: dict[tuple[str, str], Action] = {}
+    for a in g.edges:
+        rep = hops.get((a.src, a.dst))
+        if rep is None or (rep.tool != AGENT_TERMINATOR
+                           and (a.tool == AGENT_TERMINATOR or a.id < rep.id)):
+            hops[a.src, a.dst] = a
+    succ: dict[str, list[str]] = {}
+    for src, dst in sorted(hops):
+        succ.setdefault(src, []).append(dst)
     paths: list[Path] = []
-    stack: list[tuple[tuple[str, ...], tuple[Action, ...]]] = [((ROOT_ID,), ())]
-    while stack:
-        node_seq, act_seq = stack.pop()
-        cur = node_seq[-1]
-        succ = g.successors(cur)
-        if not succ:
-            p = Path(tuple(g.nodes[n] for n in node_seq), act_seq)
-            if p.terminated():
-                paths.append(p)
-            continue
-        for nxt in reversed(succ):
-            stack.append((node_seq + (nxt,), act_seq + (_representative(g, cur, nxt),)))
+    for seq in maximal_paths(succ):
+        p = Path(tuple(g.nodes[n] for n in seq), tuple(map(hops.get, zip(seq, seq[1:]))))
+        if p.terminated():
+            paths.append(p)
     return paths
-
-
-def _representative(g: ReasoningGraph, src: str, dst: str) -> Action:
-    """The action standing for the hop src -> dst: the terminator if one
-    joins the pair, else the smallest action id."""
-    candidates = g.actions_between(src, dst)
-    for a in candidates:
-        if a.tool == AGENT_TERMINATOR:
-            return a
-    return min(candidates, key=attrgetter("id"))
 
 
 def describe_path(p: Path) -> str:

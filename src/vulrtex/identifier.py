@@ -179,8 +179,16 @@ def write_predictions(preds: list[Prediction], path: str | Path,
             fh.write(json.dumps(pred.to_dict(), sort_keys=True) + "\n")
 
 
+def _is_header(d: dict) -> bool:
+    """Whether a prediction-file record is a header (one with a "kind"
+    key); anything but a JSON object is refused."""
+    if type(d) is not dict:
+        raise ValueError("a prediction row must be a JSON object")
+    return "kind" in d
+
+
 def _prediction_row(d: dict) -> Prediction | None:
-    return None if "kind" in d else Prediction.from_dict(d)
+    return None if _is_header(d) else Prediction.from_dict(d)
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
@@ -205,9 +213,7 @@ def read_scored(path: str | Path,
     read. A bad line raises ValueError naming its path and line number.
     """
     def row(d: dict) -> ScoredLabel | Unscored | None:
-        if type(d) is not dict:
-            raise ValueError("a prediction row must be a JSON object")
-        if "kind" in d:
+        if _is_header(d):
             header(d)
             return None
         get = d.get

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 
 from .errors import NoPositiveRows, SingleClass
@@ -62,18 +62,7 @@ class MetricsReport:
     n_runs: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "macro_p": self.macro_p,
-            "macro_r": self.macro_r,
-            "macro_f1": self.macro_f1,
-            "mean_latency": self.mean_latency,
-            "n_runs": self.n_runs,
-        }
+        return asdict(self)
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -229,15 +218,6 @@ def repeated_mean(reports: list[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ValueError("no reports to average")
     n = len(reports)
-    return MetricsReport(
-        precision=sum(r.precision for r in reports) / n,
-        recall=sum(r.recall for r in reports) / n,
-        f1=sum(r.f1 for r in reports) / n,
-        auroc=sum(r.auroc for r in reports) / n,
-        auprc=sum(r.auprc for r in reports) / n,
-        macro_p=sum(r.macro_p for r in reports) / n,
-        macro_r=sum(r.macro_r for r in reports) / n,
-        macro_f1=sum(r.macro_f1 for r in reports) / n,
-        mean_latency=sum(r.mean_latency for r in reports) / n,
-        n_runs=n,
-    )
+    return MetricsReport(**{f.name: sum(getattr(r, f.name) for r in reports) / n
+                            for f in fields(MetricsReport) if f.name != "n_runs"},
+                         n_runs=n)

@@ -3,8 +3,9 @@
 Each frontier observation gets a reasoning prompt; the parsed step either
 explores more rich-text elements (tool actions to child observations) or
 decides, which routes the node to a shared terminal carrying the verdict.
-Newly terminated paths are checked against the golden-knowledge store and
-factually corrected in place when matching records exist.
+Each explored node keeps one record, its Path from the root. When a
+golden-knowledge store is given, newly terminated paths are checked against
+it and factually corrected in place when matching records exist.
 """
 
 from __future__ import annotations
@@ -70,17 +71,6 @@ class StepParse:
         return self.verdict != UNDECIDED or self.terminates()
 
 
-@dataclass(frozen=True)
-class PathState:
-    """What one reasoning path has already analyzed."""
-
-    explored: frozenset[str]
-    scr_tags: frozenset[str]
-
-    def unexplored_scr(self) -> frozenset[str]:
-        return self.scr_tags - self.explored
-
-
 @dataclass
 class ReasonerConfig:
     llm: Gateway | None = None
@@ -89,13 +79,12 @@ class ReasonerConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
     max_nodes: int = DEFAULT_MAX_NODES
     branch_limit: int = DEFAULT_BRANCH_LIMIT
-    correction_enabled: bool = False
     theta_sim: float = DEFAULT_THETA_SIM
     inclusion_order: bool = True
 
     def __post_init__(self):
-        if self.max_depth < 1 or self.branch_limit < 1:
-            raise ValueError("max_depth and branch_limit must be at least 1")
+        if self.max_depth < 1 or self.max_nodes < 1 or self.branch_limit < 1:
+            raise ValueError("max_depth, max_nodes and branch_limit must be at least 1")
 
 
 def parse_step(resp_text: str) -> StepParse:
@@ -143,9 +132,10 @@ def parse_step(resp_text: str) -> StepParse:
     return StepParse(observation_text, verdict, cwe_id, actions, warnings)
 
 
-def enforce_inclusion_order(parse: StepParse, path_state: PathState) -> StepParse:
-    """Defer code analysis while screenshots remain unexplored on this path."""
-    if not path_state.unexplored_scr():
+def enforce_inclusion_order(parse: StepParse, unexplored_scr: frozenset[str]) -> StepParse:
+    """Defer code analysis while screenshots (the tags in unexplored_scr)
+    remain unexplored on this path."""
+    if not unexplored_scr:
         return parse
     kept: list[tuple[str, str]] = []
     warnings = list(parse.warnings)
@@ -235,41 +225,38 @@ def correct_path(path: Path, store: KnowledgeStore, llm: Gateway,
 def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningGraph:
     """Breadth-wise generation under depth/node/branch budgets.
 
-    Terminal observations are shared per (verdict, cwe) so equal conclusions
-    from sibling branches converge on one node, and a graph-wide map of
-    (tool, element) results lets later branches link to an existing analysis
-    instead of re-running it ("no repeated exploration"). Open frontiers left
-    by budget limits are closed with a terminator to a shared undecided
-    terminal when the node budget still allows one.
+    An explored node's path from the root is the reasoning context of its
+    step; its actions' arguments are the elements explored on the path, and
+    its length is the node's level. Terminal observations are shared per
+    (verdict, cwe) so equal conclusions from sibling branches converge on
+    one node, and a graph-wide map of (tool, element) results lets later
+    branches link to an existing analysis instead of re-running it ("no
+    repeated exploration"). Open frontiers left by budget limits are closed
+    with a terminator to a shared undecided terminal when the node budget
+    still allows one.
     """
     if cfg.llm is None or cfg.tools is None:
         raise ValueError("reasoner needs llm and tools configured")
 
     g = ReasoningGraph(ir.id)
     root_text = f"{ir.title}\n{ir.content}" if ir.title else ir.content
-    g.add_observation(Observation(ROOT_ID, root_text))
+    root = Observation(ROOT_ID, root_text)
+    g.add_observation(root)
 
     scr_tags = frozenset(el.tag for el in ir.rich_text if el.kind == KIND_SCR)
-    path_nodes: dict[str, tuple[str, ...]] = {ROOT_ID: (ROOT_ID,)}
-    path_actions: dict[str, tuple[Action, ...]] = {ROOT_ID: ()}
-    explored: dict[str, frozenset[str]] = {ROOT_ID: frozenset()}
+    paths: dict[str, Path] = {ROOT_ID: Path((root,), ())}
     dedup: dict[tuple[str, str], str] = {}
     terminal_for: dict[tuple[str, str | None], str] = {}
-    branch_counter: dict[int, int] = {}
-    edge_counter: dict[int, int] = {}
-    level_of: dict[str, int] = {ROOT_ID: 1}
+    issued: Counter[tuple[str, int]] = Counter()
 
     def meta_warn(message: str) -> None:
         g.meta.setdefault("warnings", []).append(message)
         log.warning("%s: %s", ir.id, message)
 
-    def new_node_id(level: int) -> str:
-        branch_counter[level] = branch_counter.get(level, 0) + 1
-        return f"O{level}.{branch_counter[level]}"
-
-    def new_edge_id(level: int) -> str:
-        edge_counter[level] = edge_counter.get(level, 0) + 1
-        return f"A{level}.{edge_counter[level]}"
+    def new_id(kind: str, level: int) -> str:
+        """The next id of an observation ("O") or action ("A") at level."""
+        issued[kind, level] += 1
+        return f"{kind}{level}.{issued[kind, level]}"
 
     frontier: list[str] = [ROOT_ID]
     level = 1
@@ -280,11 +267,12 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
         if level >= cfg.max_depth or len(g.nodes) >= cfg.max_nodes:
             break
 
-        plans: list[tuple[str, StepParse, list[tuple[str, str]]]] = []
+        # (node, step, elements to act on, terminal key of a deciding step)
+        plans: list[tuple[str, StepParse, list[tuple[str, str]],
+                          tuple[str, str | None] | None]] = []
         for node_id in frontier:
-            context = Path(tuple(g.nodes[n] for n in path_nodes[node_id]),
-                           path_actions[node_id])
-            prompt = build_reason_prompt(ir, context)
+            path = paths[node_id]
+            prompt = build_reason_prompt(ir, path)
             try:
                 resp = cfg.llm.complete(LlmRequest(system_prompt="", user_prompt=prompt))
             except GatewayExhausted as exc:
@@ -294,6 +282,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
                 break
             parse = parse_step(resp.text)
 
+            explored = {act.argument for act in path.actions}
             filtered: list[tuple[str, str]] = []
             seen: set[str] = set()
             for tool, tag in parse.actions:
@@ -308,7 +297,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
                 if tool != expected:
                     parse.warnings.append(f"{tool} cannot analyze {tag}; skipped")
                     continue
-                if tag in explored[node_id]:
+                if tag in explored:
                     parse.warnings.append(f"{tag} already explored on this path; skipped")
                     continue
                 if tag in seen:
@@ -319,15 +308,16 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
             # ordering constrains exploration only; a deciding step may still
             # cite code elements as evidence for its verdict
             if cfg.inclusion_order and not parse.deciding():
-                parse = enforce_inclusion_order(
-                    parse, PathState(explored[node_id], scr_tags))
+                parse = enforce_inclusion_order(parse, scr_tags - explored)
             limit = cfg.branch_limit - (1 if parse.deciding() else 0)
             elements = [(t, tag) for t, tag in parse.actions
                         if t != AGENT_TERMINATOR][:max(limit, 0)]
             for w in parse.warnings:
                 if "skipped" in w or "deferred" in w:
                     meta_warn(f"{node_id}: {w}")
-            plans.append((node_id, parse, elements))
+            key = ((parse.verdict, parse.cwe_id if parse.verdict == VUL else None)
+                   if parse.deciding() else None)
+            plans.append((node_id, parse, elements, key))
 
         if aborted:
             break
@@ -337,39 +327,37 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
         new_terminator_ids: set[str] = set()
 
         # terminator edges first so their ids precede tool edges of this level
-        for node_id, parse, elements in plans:
-            if not parse.deciding():
+        for node_id, parse, elements, key in plans:
+            if key is None:
                 continue
-            key = (parse.verdict, parse.cwe_id if parse.verdict == VUL else None)
             terminal_id = terminal_for.get(key)
             if terminal_id is None:
                 if len(g.nodes) >= cfg.max_nodes:
                     meta_warn(f"{node_id}: node budget blocks its terminal; left open")
                     continue
-                terminal_id = new_node_id(next_level)
+                terminal_id = new_id("O", next_level)
                 g.add_observation(Observation(
                     terminal_id, parse.observation_text,
                     focus_tags=[tag for _, tag in elements],
                     verdict=key[0], cwe_id=key[1]))
                 terminal_for[key] = terminal_id
-                level_of[terminal_id] = next_level
-            aid = new_edge_id(level)
+            aid = new_id("A", level)
             g.add_action(Action(aid, node_id, terminal_id, AGENT_TERMINATOR))
             new_terminator_ids.add(aid)
 
-        for node_id, parse, elements in plans:
-            if parse.deciding():
-                key = (parse.verdict, parse.cwe_id if parse.verdict == VUL else None)
+        for node_id, parse, elements, key in plans:
+            if key is not None:
                 terminal_id = terminal_for.get(key)
-                if terminal_id is None:
-                    continue
-                for tool, tag in elements:
-                    g.add_action(Action(new_edge_id(level), node_id, terminal_id, tool, tag))
+                if terminal_id is not None:
+                    for tool, tag in elements:
+                        g.add_action(Action(new_id("A", level), node_id, terminal_id,
+                                            tool, tag))
                 continue
+            path = paths[node_id]
             for tool, tag in elements:
                 existing = dedup.get((tool, tag))
                 if existing is not None:
-                    g.add_action(Action(new_edge_id(level), node_id, existing, tool, tag))
+                    g.add_action(Action(new_id("A", level), node_id, existing, tool, tag))
                     continue
                 if len(g.nodes) >= cfg.max_nodes:
                     meta_warn(f"{node_id}: node budget reached; {tag} not explored")
@@ -379,19 +367,16 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
                 except ToolBackendUnavailable as exc:
                     output = ""
                     meta_warn(f"{node_id}: {tool}({tag}) unavailable: {exc}")
-                child_id = new_node_id(next_level)
-                child = Observation(child_id, f"{tool}({tag}): {output}", focus_tags=[tag])
+                child = Observation(new_id("O", next_level), f"{tool}({tag}): {output}",
+                                    focus_tags=[tag])
                 g.add_observation(child)
-                act = Action(new_edge_id(level), node_id, child_id, tool, tag)
+                act = Action(new_id("A", level), node_id, child.id, tool, tag)
                 g.add_action(act)
-                dedup[(tool, tag)] = child_id
-                level_of[child_id] = next_level
-                path_nodes[child_id] = path_nodes[node_id] + (child_id,)
-                path_actions[child_id] = path_actions[node_id] + (act,)
-                explored[child_id] = explored[node_id] | {tag}
-                new_frontier.append(child_id)
+                dedup[(tool, tag)] = child.id
+                paths[child.id] = Path(path.nodes + (child,), path.actions + (act,))
+                new_frontier.append(child.id)
 
-        if cfg.correction_enabled and cfg.store is not None and new_terminator_ids:
+        if cfg.store is not None and new_terminator_ids:
             meta_warnings: list[str] = g.meta.setdefault("warnings", [])
             for p in extract_terminated_paths(g):
                 if p.actions and p.actions[-1].id in new_terminator_ids:
@@ -403,22 +388,17 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
         frontier = new_frontier
         level = next_level
 
-    # close whatever never reached a decision; an aborted graph stays as-is
-    open_nodes = [] if aborted else [
-        nid for nid, obs in g.nodes.items()
-        if g.is_terminal(nid) and not obs.decided() and nid not in terminal_for.values()]
+    # close whatever explored node never reached a decision; an aborted
+    # graph stays as-is
+    open_nodes = [] if aborted else [nid for nid in paths if g.is_terminal(nid)]
     if open_nodes:
         if len(g.nodes) < cfg.max_nodes:
-            key = (UNDECIDED, None)
-            terminal_id = terminal_for.get(key)
+            terminal_id = terminal_for.get((UNDECIDED, None))
             if terminal_id is None:
-                terminal_level = max(level_of[n] for n in open_nodes) + 1
-                terminal_id = new_node_id(terminal_level)
+                terminal_id = new_id("O", max(len(paths[n].nodes) for n in open_nodes) + 1)
                 g.add_observation(Observation(terminal_id, "reasoning stopped before a verdict"))
-                terminal_for[key] = terminal_id
-                level_of[terminal_id] = terminal_level
             for nid in open_nodes:
-                g.add_action(Action(new_edge_id(level_of[nid]), nid, terminal_id,
+                g.add_action(Action(new_id("A", len(paths[nid].nodes)), nid, terminal_id,
                                     AGENT_TERMINATOR))
         else:
             meta_warn("node budget exhausted; open frontiers left unterminated")

@@ -71,6 +71,7 @@ from .graph import (
     Observation,
     ReasoningGraph,
     describe_graph,
+    maximal_paths,
 )
 from .prompts import ir_json
 from .textindex import (CorpusIdf, DocTerms, TermIds, TermTable, TfIdfIndex, cosine,
@@ -310,20 +311,6 @@ def target_probabilities(counted: CountedGraph,
     return EdgeProbabilities({}, counted, target)
 
 
-def _maximal_paths(out_map: dict[str, list[Action]]) -> list[tuple[str, ...]]:
-    paths: list[tuple[str, ...]] = []
-    stack: list[tuple[str, ...]] = [(ROOT_ID,)]
-    while stack:
-        seq = stack.pop()
-        nexts = sorted({a.dst for a in out_map.get(seq[-1], [])})
-        if not nexts:
-            paths.append(seq)
-            continue
-        for dst in nexts:
-            stack.append(seq + (dst,))
-    return sorted(paths)
-
-
 def _pick(u: float, weights: list[float]) -> int:
     """The index a draw of u selects from normalized weights, by the
     cumulative-sum search Generator.choice makes.
@@ -431,13 +418,13 @@ def _walk(counted: CountedGraph, p: EdgeProbabilities, walks: int,
             current = nxt
 
     # closure: terminate every open reserved path when the origin graph can.
-    # Every hop in out_map is reserved whole (a walk hop or a root hop), so
-    # a hop holding a terminator holds a reserved one.
-    out_map: dict[str, list[Action]] = {}
+    # Every reserved hop is reserved whole (a walk hop or a root hop), so a
+    # hop holding a terminator holds a reserved one.
+    out_map: dict[str, set[str]] = {}
     for act in g.edges:
         if act.id in reserved_actions:
-            out_map.setdefault(act.src, []).append(act)
-    for seq in _maximal_paths(out_map):
+            out_map.setdefault(act.src, set()).add(act.dst)
+    for seq in maximal_paths({src: sorted(dsts) for src, dsts in out_map.items()}):
         last = seq[-1]
         if g.nodes[last].decided():
             continue

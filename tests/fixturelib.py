@@ -220,7 +220,7 @@ def random_dag(rng: random.Random, max_nodes: int = 15) -> ReasoningGraph:
         if a > b:
             a, b = b, a
         src, dst = ids[a], ids[b]
-        if g.actions_between(src, dst):
+        if dst in g.successors(src):
             continue
         g.add_action(Action(f"X{k}", src, dst, rng.choice([SCR_ANALYZER, CODE_ANALYZER]),
                             f"[CODE{k + 1}]"))
@@ -267,3 +267,86 @@ def terminated_dag(rng: random.Random, max_nodes: int = 15) -> ReasoningGraph:
             g.add_action(Action(f"T{k}", rng.choice(inner_ids), dst, AGENT_TERMINATOR))
     g.validate()
     return g
+
+
+def _scr_case(scr_dir: str | Path, ir_id: str, title: str, content: str,
+              host: str, shots: dict[str, str],
+              code: dict[str, str] | None = None) -> CanonicalIR:
+    """An IR with one screenshot per `shots` tag (its sidecar text written
+    under scr_dir) and one snippet per `code` tag."""
+    d = Path(scr_dir)
+    d.mkdir(parents=True, exist_ok=True)
+    rich = []
+    for tag, text in shots.items():
+        url = f"https://{host}/{tag.strip('[]').lower()}.png"
+        (d / sidecar_filename(url)).write_text(text, encoding="utf-8")
+        rich.append(RichTextElement("SCR", tag, url))
+    rich += [RichTextElement("CODE", tag, payload) for tag, payload in (code or {}).items()]
+    return CanonicalIR(id=ir_id, title=title, content=content, rich_text=rich)
+
+
+def shared_snippet_case(scr_dir: str | Path) -> tuple[CanonicalIR, list[StubRule]]:
+    """Both screenshot branches ask for the same snippet: without inclusion
+    order the second links to the first one's analysis (a dedup edge); with
+    it the snippet is deferred while the other screenshot is unexplored."""
+    ir = _scr_case(scr_dir, "fixture/share#1", "shared snippet",
+                   "two screenshots [SCR1] [SCR2] and one snippet [CODE1]", "share.test",
+                   {"[SCR1]": "shot a", "[SCR2]": "shot b"},
+                   {"[CODE1]": "<?php echo $_GET['x']; ?>"})
+    rules = [
+        StubRule(r"the next operation is O2\.[12] \(",
+                 "Observation: the snippet matters here\n"
+                 "Action: CodeAnalyzer([CODE1])"),
+        StubRule(r"the next operation is O3\.1 \(",
+                 "Observation: the echo is unescaped\n"
+                 "vulnerability identified: Yes CWE-79\nAction: AgentTerminator()"),
+        StubRule(r"IR title: shared snippet",
+                 "Observation: check both screenshots\n"
+                 "Action: ScrAnalyzer([SCR1])\nAction: ScrAnalyzer([SCR2])"),
+    ]
+    return ir, rules
+
+
+def shared_terminal_case(scr_dir: str | Path) -> tuple[CanonicalIR, list[StubRule]]:
+    """O2.1 decides at level 2 and O3.2 at level 3 with the same verdict, so
+    both paths end in the shared terminal O3.1. The correction rule rewrites
+    O3.1 only on the level-2 path, so the level-3 path is checked against
+    the rewritten text."""
+    ir = _scr_case(scr_dir, "fixture/shared-terminal#1", "shared terminal",
+                   "screenshots [SCR1] [SCR2] [SCR3]", "term.test",
+                   {f"[SCR{k}]": f"shot {k}" for k in (1, 2, 3)})
+    rules = [
+        StubRule(r"may contain factual errors.*the next operation is O3\.1 \(O1",
+                 "O3.1: rewritten verdict wording"),
+        StubRule(r"may contain factual errors", "no corrections needed"),
+        StubRule(r"the next operation is O2\.1 \(|the next operation is O3\.2 \(",
+                 "Observation: original verdict wording\n"
+                 "vulnerability identified: Yes CWE-79\nAction: AgentTerminator()"),
+        StubRule(r"the next operation is O2\.2 \(",
+                 "Observation: look further\nAction: ScrAnalyzer([SCR3])"),
+        StubRule(r"IR title: shared terminal",
+                 "Observation: start\nAction: ScrAnalyzer([SCR1])\n"
+                 "Action: ScrAnalyzer([SCR2])"),
+    ]
+    return ir, rules
+
+
+def open_branches_case(scr_dir: str | Path) -> tuple[CanonicalIR, list[StubRule]]:
+    """Two branches that never decide: O2.1 stops at level 2 and O3.1 at
+    level 3, each by re-proposing a screenshot its path already explored,
+    so the closing step links both to one undecided terminal at level 4."""
+    ir = _scr_case(scr_dir, "fixture/open#1", "open branches",
+                   "screenshots [SCR1] [SCR2] [SCR3]", "open.test",
+                   {f"[SCR{k}]": f"open shot {k}" for k in (1, 2, 3)})
+    rules = [
+        StubRule(r"the next operation is O2\.1 \(",
+                 "Observation: inspect it again\nAction: ScrAnalyzer([SCR1])"),
+        StubRule(r"the next operation is O2\.2 \(",
+                 "Observation: one more screenshot\nAction: ScrAnalyzer([SCR3])"),
+        StubRule(r"the next operation is O3\.1 \(",
+                 "Observation: back to the second one\nAction: ScrAnalyzer([SCR2])"),
+        StubRule(r"IR title: open branches",
+                 "Observation: start\nAction: ScrAnalyzer([SCR1])\n"
+                 "Action: ScrAnalyzer([SCR2])"),
+    ]
+    return ir, rules

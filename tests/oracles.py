@@ -265,3 +265,20 @@ def oracle_terminated_paths(decided: dict[str, bool],
     if root in decided:
         walk([root], [])
     return sorted(out)
+
+
+def oracle_maximal_paths(edges: list[tuple[str, str]],
+                         root: str = "O1") -> list[tuple[str, ...]]:
+    """Every root-to-sink node path of the (src, dst) edges, listed by
+    exhaustive recursion over a set of paths and then sorted."""
+    out = set()
+
+    def walk(seq: tuple[str, ...]) -> None:
+        nexts = {dst for src, dst in edges if src == seq[-1]}
+        if not nexts:
+            out.add(seq)
+        for nxt in nexts:
+            walk(seq + (nxt,))
+
+    walk((root,))
+    return sorted(out)

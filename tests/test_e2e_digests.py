@@ -10,6 +10,12 @@ No walk over the fixture's own graphs has two options, so `run-all` reads no
 walk-probability row. The branching case adds random DAGs to the prepared
 database and pins retrieval, every adjacency row and the golden-knowledge
 similarities as `float.hex` too.
+
+The e2e graphs never branch, link to a shared analysis or get rewritten, so
+the reasoner case pins the graph JSON (as GraphStore writes it) and the call
+counts of the agent loop over scripted reports that do: dedup links,
+inclusion deferral, binding node, depth and branch budgets, an aborted
+partial graph, corrections that rewrite, and the closing undecided terminal.
 """
 
 import hashlib
@@ -25,8 +31,11 @@ from e2e_fixture import write_e2e_config, write_e2e_fixture
 from vulrtex import cli
 from vulrtex.config import load_config
 from vulrtex.corpus import load_corpus
+from vulrtex.errors import TransportError
+from vulrtex.gateway import Gateway, StubBackend, StubRule
 from vulrtex.graph import GraphStore
-from vulrtex.knowledge import load_store
+from vulrtex.knowledge import KnowledgeRecord, ingest, load_store
+from vulrtex.reasoner import ReasonerConfig, generate_reasoning_graph
 from vulrtex.retrieval import (Target, build_adjacency, count_graphs, edge_probabilities,
                                retrieve_relevant)
 from vulrtex.textindex import build_index
@@ -42,6 +51,7 @@ EXPECTED = {
         "retrieve": "6333221c740cc3e29b029a9acd8c9fe49400c71b61a27ede67ad65208dbbd9ed",
     },
     "branching": "a1c1f8158d57f78ebb0e501b96d6e0a389f0277a33a0e4ba789b44645e0243e9",
+    "reasoner": "1d0667de0740a83bd99b8decc17983656c4a44a1192dbb4a796f8ad2e76c4f05",
     "runs3": {
         "preds.jsonl": "3f639485bf7e2399d2ad8c4134bb916a12660d7856ae86590db1eae2a0b9cd23",
         "report.json": "c597bb3ad65d65020c6f052db95f65dde542292c53810a1ccc3037045e816513",
@@ -123,3 +133,70 @@ def test_branching_case_matches_recorded_digest(tmp_path):
     digest, filled = _branching(tmp_path)
     assert filled > 0
     assert digest == EXPECTED["branching"]
+
+
+class _FailsAt:
+    """A backend whose `at`-th call, counted from 1, raises a transport error."""
+
+    def __init__(self, backend, at: int):
+        self.backend, self.at, self.calls = backend, at, 0
+
+    def complete(self, req):
+        self.calls += 1
+        if self.calls == self.at:
+            raise TransportError("backend went away")
+        return self.backend.complete(req)
+
+
+def _reasoner_cases(root):
+    """(name, ir, backend, store, ReasonerConfig overrides) per scripted case."""
+    scr = root / "scr"
+    fixturelib.write_fig_sidecars(scr)
+    fixturelib.write_ordering_family_sidecars(scr)
+    fig, fig_rules = fixturelib.fig_ir(), fixturelib.fig_reason_rules()
+    advisory = ingest([KnowledgeRecord(
+        "kb-fix", "ADV-9",
+        "stored cross-site scripting when the ticket page renders the stored payload",
+        "CWE-79")])
+    corrected = [StubRule(r"may contain factual errors",
+                          "O2.1: corrected against the golden advisory\n"
+                          "O3.1: the stored payload runs on render\nO9.9: ignored")]
+    ordering = fixturelib.ordering_family_ir(1), fixturelib.ordering_family_rules()
+    share = fixturelib.shared_snippet_case(scr)
+    terminal = fixturelib.shared_terminal_case(scr)
+    verdicts = ingest([KnowledgeRecord("kb-fix", "ADV-7", "verdict wording screenshot shot")])
+    opened = fixturelib.open_branches_case(scr)
+    return [
+        ("fig", fig, StubBackend(fig_rules), None, {}),
+        ("fig-branch-1", fig, StubBackend(fig_rules), None, {"branch_limit": 1}),
+        ("fig-branch-2", fig, StubBackend(fig_rules), None, {"branch_limit": 2}),
+        ("fig-nodes-3", fig, StubBackend(fig_rules), None, {"max_nodes": 3}),
+        ("fig-nodes-5", fig, StubBackend(fig_rules), None, {"max_nodes": 5}),
+        ("fig-nodes-6", fig, StubBackend(fig_rules), None, {"max_nodes": 6}),
+        ("fig-depth-2", fig, StubBackend(fig_rules), None, {"max_depth": 2}),
+        ("fig-aborted", fig, _FailsAt(StubBackend(fig_rules), 4), None, {}),
+        ("fig-corrected", fig, StubBackend(corrected + fig_rules), advisory,
+         {"theta_sim": 0.05}),
+        ("ordering-on", ordering[0], StubBackend(ordering[1]), None, {}),
+        ("ordering-off", ordering[0], StubBackend(ordering[1]), None,
+         {"inclusion_order": False}),
+        ("share-on", share[0], StubBackend(share[1]), None, {}),
+        ("share-off", share[0], StubBackend(share[1]), None, {"inclusion_order": False}),
+        ("terminal-corrected", terminal[0], StubBackend(terminal[1]), verdicts,
+         {"theta_sim": 0.01}),
+        ("open", opened[0], StubBackend(opened[1]), None, {}),
+    ], scr
+
+
+def test_reasoner_graphs_match_recorded_digest(tmp_path):
+    cases, scr = _reasoner_cases(tmp_path)
+    record = []
+    for name, ir, backend, store, overrides in cases:
+        gateway = Gateway(backend, max_retries=0, backoff_base=0.0)
+        toolkit = ToolKit(StubScrAnalyzer(scr), StubCodeAnalyzer())
+        g = generate_reasoning_graph(ir, ReasonerConfig(
+            llm=gateway, tools=toolkit, store=store, **overrides))
+        record.append([name, json.dumps(g.to_dict(), sort_keys=True),
+                       gateway.calls, toolkit.backend_calls])
+    assert len({graph for _, graph, _, _ in record}) == len(record)
+    assert _digest(json.dumps(record).encode("utf-8")) == EXPECTED["reasoner"]

@@ -20,10 +20,11 @@ from vulrtex.graph import (
     describe_path,
     extract_terminated_paths,
     graph_filename,
+    maximal_paths,
 )
 
 from fixturelib import build_fig_graph, random_dag, terminated_dag
-from oracles import oracle_terminated_paths
+from oracles import oracle_maximal_paths, oracle_terminated_paths
 
 
 def chain_graph() -> ReasoningGraph:
@@ -115,6 +116,19 @@ def test_terminated_paths_equal_list_and_sort_oracle(seed, terminators):
         {nid: obs.decided() for nid, obs in g.nodes.items()},
         [(a.id, a.src, a.dst, a.tool) for a in g.edges])
     assert got == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_maximal_paths_equal_sorted_brute_force(seed, terminators):
+    g = (terminated_dag if terminators else random_dag)(random.Random(seed))
+    succ = {nid: g.successors(nid) for nid in g.nodes if not g.is_terminal(nid)}
+    assert list(maximal_paths(succ)) == oracle_maximal_paths(
+        [(a.src, a.dst) for a in g.edges])
+
+
+def test_maximal_paths_of_a_bare_root():
+    assert list(maximal_paths({})) == [("O1",)]
 
 
 def test_path_extraction_and_save_leave_no_reference_cycle(tmp_path):

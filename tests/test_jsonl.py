@@ -84,6 +84,15 @@ def test_read_predictions_skips_the_header(tmp_path):
     assert read_predictions(path) == preds
 
 
+@pytest.mark.parametrize("line", ['"kind of row"', '["kind"]', "5", "null"])
+def test_read_predictions_refuses_a_row_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"kind": "predictions"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=r"preds.jsonl:2: a prediction row must be a JSON object"):
+        read_predictions(path)
+
+
 # single lines: JSON values, two values joined, and near-misses (no line
 # breaks, which would make them two lines)
 _json_values = st.recursive(

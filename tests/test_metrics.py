@@ -255,6 +255,11 @@ def test_repeated_mean_is_fieldwise():
     assert mean.auroc == pytest.approx(0.8)
     assert mean.mean_latency == pytest.approx(3.0)
     assert mean.n_runs == 2
+    assert mean.to_dict() == pytest.approx({
+        "precision": 0.5, "recall": 0.5, "f1": 0.5, "auroc": 0.8, "auprc": 0.7,
+        "macro_p": 0.5, "macro_r": 0.5, "macro_f1": 0.5, "mean_latency": 3.0,
+        "n_runs": 2})
+    assert type(mean.to_dict()["n_runs"]) is int
 
 
 def test_repeated_mean_rejects_empty():

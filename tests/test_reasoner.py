@@ -28,7 +28,6 @@ from vulrtex.graph import (
 )
 from vulrtex.knowledge import KnowledgeRecord, ingest
 from vulrtex.reasoner import (
-    PathState,
     ReasonerConfig,
     StepParse,
     correct_path,
@@ -117,21 +116,33 @@ def test_parse_missing_observation_warns():
 def test_ordering_defers_code_while_scr_unexplored():
     parsed = StepParse("t", UNDECIDED, None,
                        [(SCR_ANALYZER, "[SCR2]"), (CODE_ANALYZER, "[CODE1]")])
-    state = PathState(frozenset({"[SCR1]"}), frozenset({"[SCR1]", "[SCR2]"}))
-    out = enforce_inclusion_order(parsed, state)
+    out = enforce_inclusion_order(parsed, frozenset({"[SCR2]"}))
     assert out.actions == [(SCR_ANALYZER, "[SCR2]")]
     assert any("deferred [CODE1]" in w for w in out.warnings)
 
 
 def test_ordering_allows_code_once_scr_done():
     parsed = StepParse("t", UNDECIDED, None, [(CODE_ANALYZER, "[CODE1]")])
-    state = PathState(frozenset({"[SCR1]"}), frozenset({"[SCR1]"}))
-    assert enforce_inclusion_order(parsed, state) is parsed
+    assert enforce_inclusion_order(parsed, frozenset()) is parsed
 
 
-def test_ordering_noop_without_screenshots():
-    parsed = StepParse("t", UNDECIDED, None, [(CODE_ANALYZER, "[CODE1]")])
-    assert enforce_inclusion_order(parsed, PathState(frozenset(), frozenset())) is parsed
+def test_ordering_noop_without_screenshots(tmp_path):
+    # a report without screenshots has none left to explore, so its code is
+    # analyzed at the first step
+    ir = CanonicalIR(
+        id="fixture/code-only#1", title="code only", content="one snippet [CODE1]",
+        rich_text=[RichTextElement("CODE", "[CODE1]", "<?php echo $_GET['x']; ?>")])
+    gateway, toolkit = make_env([
+        StubRule(r"the next operation is O2\.1 \(",
+                 "Observation: unescaped\nvulnerability identified: Yes CWE-79\n"
+                 "Action: AgentTerminator()"),
+        StubRule(r"IR title: code only",
+                 "Observation: read the snippet\nAction: CodeAnalyzer([CODE1])"),
+    ], tmp_path)
+    g = generate_reasoning_graph(ir, ReasonerConfig(llm=gateway, tools=toolkit))
+    assert [(a.src, a.dst, a.argument) for a in g.edges] == [
+        ("O1", "O2.1", "[CODE1]"), ("O2.1", "O3.1", "")]
+    assert "warnings" not in g.meta
 
 
 # ---------------------------------------------------------------- correction
@@ -222,32 +233,10 @@ def test_tabled_path_counts_equal_description_counts(seed, texts):
 
 
 def test_correction_of_a_shared_terminal_reaches_the_next_level(tmp_path, monkeypatch):
-    # O2.1 decides at level 2 and O3.1 at level 3 with the same verdict, so
-    # both paths end in the shared terminal O3.1; the level-2 correction
-    # rewrites it, and the level-3 path must be scored on the new text
-    ir = CanonicalIR(
-        id="fixture/shared-terminal#1", title="shared terminal",
-        content="screenshots [SCR1] [SCR2] [SCR3]",
-        rich_text=[RichTextElement("SCR", f"[SCR{k}]", f"https://term.test/{k}.png")
-                   for k in (1, 2, 3)])
-    from vulrtex.tools import sidecar_filename
-    scr = tmp_path / "scr"
-    scr.mkdir()
-    for k in (1, 2, 3):
-        (scr / sidecar_filename(f"https://term.test/{k}.png")).write_text(f"shot {k}")
-    gateway, toolkit = make_env([
-        StubRule(r"may contain factual errors.*the next operation is O3\.1 \(O1",
-                 "O3.1: rewritten verdict wording"),
-        StubRule(r"may contain factual errors", "no corrections needed"),
-        StubRule(r"the next operation is O2\.1 \(|the next operation is O3\.2 \(",
-                 "Observation: original verdict wording\n"
-                 "vulnerability identified: Yes CWE-79\nAction: AgentTerminator()"),
-        StubRule(r"the next operation is O2\.2 \(",
-                 "Observation: look further\nAction: ScrAnalyzer([SCR3])"),
-        StubRule(r"IR title: shared terminal",
-                 "Observation: start\nAction: ScrAnalyzer([SCR1])\n"
-                 "Action: ScrAnalyzer([SCR2])"),
-    ], scr)
+    # the level-2 correction rewrites the shared terminal O3.1, and the
+    # level-3 path into it must be scored on the new text
+    ir, rules = fx.shared_terminal_case(tmp_path / "scr")
+    gateway, toolkit = make_env(rules, tmp_path / "scr")
     store = ingest([KnowledgeRecord("kb-fix", "ADV-7", "verdict wording screenshot shot")])
     counted = []
     original = reasoner._PathTerms.counts
@@ -259,8 +248,7 @@ def test_correction_of_a_shared_terminal_reaches_the_next_level(tmp_path, monkey
         return got
 
     monkeypatch.setattr(reasoner._PathTerms, "counts", checked)
-    cfg = ReasonerConfig(llm=gateway, tools=toolkit, store=store,
-                         correction_enabled=True, theta_sim=0.01)
+    cfg = ReasonerConfig(llm=gateway, tools=toolkit, store=store, theta_sim=0.01)
     g = generate_reasoning_graph(ir, cfg)
     assert g.nodes["O3.1"].text == "rewritten verdict wording"
     assert [ids for ids, _ in counted] == [("O1", "O2.1", "O3.1"),
@@ -423,30 +411,8 @@ def test_reexploring_own_path_tag_leads_to_closure(tmp_path):
 
 
 def test_shared_analysis_becomes_cross_edge(tmp_path):
-    ir = CanonicalIR(
-        id="fixture/share#1", title="shared snippet",
-        content="two screenshots [SCR1] [SCR2] and one snippet [CODE1]",
-        rich_text=[
-            RichTextElement("SCR", "[SCR1]", "https://share.test/a.png"),
-            RichTextElement("SCR", "[SCR2]", "https://share.test/b.png"),
-            RichTextElement("CODE", "[CODE1]", "<?php echo $_GET['x']; ?>"),
-        ])
-    from vulrtex.tools import sidecar_filename
-    scr = tmp_path / "scr"
-    scr.mkdir()
-    (scr / sidecar_filename("https://share.test/a.png")).write_text("shot a")
-    (scr / sidecar_filename("https://share.test/b.png")).write_text("shot b")
-    gateway, toolkit = make_env([
-        StubRule(r"the next operation is O2\.[12] \(",
-                 "Observation: the snippet matters here\n"
-                 "Action: CodeAnalyzer([CODE1])"),
-        StubRule(r"the next operation is O3\.1 \(",
-                 "Observation: the echo is unescaped\n"
-                 "vulnerability identified: Yes CWE-79\nAction: AgentTerminator()"),
-        StubRule(r"IR title: shared snippet",
-                 "Observation: check both screenshots\n"
-                 "Action: ScrAnalyzer([SCR1])\nAction: ScrAnalyzer([SCR2])"),
-    ], scr)
+    ir, rules = fx.shared_snippet_case(tmp_path / "scr")
+    gateway, toolkit = make_env(rules, tmp_path / "scr")
     cfg = ReasonerConfig(llm=gateway, tools=toolkit, inclusion_order=False)
     g = generate_reasoning_graph(ir, cfg)
     assert list(g.nodes) == ["O1", "O2.1", "O2.2", "O3.1", "O4.1"]
@@ -467,8 +433,7 @@ def test_correction_rewrites_terminated_path_nodes(tmp_path):
         "kb-fix", "ADV-9",
         "stored cross-site scripting when the ticket page renders the stored payload",
         "CWE-79")])
-    cfg = ReasonerConfig(llm=gateway, tools=toolkit, store=store,
-                         correction_enabled=True, theta_sim=0.05)
+    cfg = ReasonerConfig(llm=gateway, tools=toolkit, store=store, theta_sim=0.05)
     g = generate_reasoning_graph(fx.fig_ir(), cfg)
     assert g.nodes["O2.1"].text == "corrected against the golden advisory"
     # structure identical to the uncorrected run
@@ -505,6 +470,13 @@ def test_ordering_family_member_counts(tmp_path):
 def test_generation_requires_llm_and_tools():
     with pytest.raises(ValueError):
         generate_reasoning_graph(fx.fig_ir(), ReasonerConfig())
+
+
+@pytest.mark.parametrize("budget", [{"max_depth": 0}, {"max_nodes": 0},
+                                    {"max_nodes": -3}, {"branch_limit": 0}])
+def test_reasoner_config_rejects_budgets_below_one(budget):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        ReasonerConfig(**budget)
 
 
 def test_reasoner_defaults_are_the_pipeline_defaults():

@@ -30,13 +30,13 @@ from vulrtex.graph import (
     GraphStore,
     Observation,
     ReasoningGraph,
+    maximal_paths,
 )
 from vulrtex.retrieval import (
     AdjacencyMatrix,
     EdgeProbabilities,
     Target,
     _choose,
-    _maximal_paths,
     _pick,
     _step,
     build_adjacency,
@@ -703,11 +703,9 @@ def test_reserved_subgraph_is_a_tree_with_fan_in_at_terminals(make, seed, target
     for nid, srcs in in_pairs.items():
         if nid != "O1" and not g.is_terminal(nid):
             assert len(srcs) == 1, nid
-    out_map = {}
-    for act in reserved.edges:
-        out_map.setdefault(act.src, []).append(act)
     pairs = {(a.src, a.dst) for a in reserved.edges}
-    assert len(_maximal_paths(out_map)) <= len(pairs)
+    succ = {nid: reserved.successors(nid) for nid in reserved.nodes}
+    assert len(list(maximal_paths(succ))) <= len(pairs)
 
 
 @exact
