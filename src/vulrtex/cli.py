@@ -27,7 +27,7 @@ from .gateway import make_gateway
 from .graph import GraphStore
 from .identifier import (Prediction, Unscored, generate_guidance, identify,
                          read_scored, write_predictions)
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, write_jsonl
 from .knowledge import KnowledgeStore, load_store, save_store
 from .metrics import ScoredLabel, build_report, pr_curve, repeated_mean
 from .reasoner import ReasonerConfig, generate_reasoning_graph
@@ -111,12 +111,14 @@ def _pipeline_options(fn):
 # component builders
 
 def _build_knowledge(cfg: PipelineConfig) -> KnowledgeStore | None:
-    if not cfg.va.path:
-        if cfg.correction_enabled:
-            raise ConfigError(
-                "factual correction is enabled but va.path is not set; "
-                "point it at the awareness store or disable correction")
+    """The awareness store that corrects reasoning paths; None, and nothing
+    read, when correction is off."""
+    if not cfg.correction_enabled:
         return None
+    if not cfg.va.path:
+        raise ConfigError(
+            "factual correction is enabled but va.path is not set; "
+            "point it at the awareness store or disable correction")
     if not Path(cfg.va.path).is_file():
         raise ConfigError(f"vulnerability-awareness store not found: {cfg.va.path}")
     return load_store(cfg.va.path)
@@ -152,8 +154,7 @@ def stage_prepare(cfg: PipelineConfig) -> dict:
     split = split_corpus(irs, cfg.historical_proportion)
     knowledge = _build_knowledge(cfg)
     reasoner_cfg = ReasonerConfig(
-        llm=make_gateway(cfg.llm), tools=make_toolkit(cfg.tool),
-        store=knowledge if cfg.correction_enabled else None,
+        llm=make_gateway(cfg.llm), tools=make_toolkit(cfg.tool), store=knowledge,
         max_depth=cfg.max_depth, max_nodes=cfg.max_nodes, branch_limit=cfg.branch_limit,
         theta_sim=cfg.theta_sim, inclusion_order=cfg.inclusion_order)
     db_dir = Path(cfg.db_path)
@@ -494,12 +495,12 @@ def cmd_run_all(config_path, as_json, out_dir, dry_run, **overrides):
         for t in targets:
             if t.label_vul is None:
                 raise ConfigError(f"target {t.id} has no label; cannot evaluate")
-            rows.append(json.dumps({
+            rows.append({
                 "ir_id": t.id,
                 "label_vul": bool(t.label_vul),
                 "cwe_id": t.cwe_id if t.label_vul else None,
-            }, sort_keys=True))
-        (out / "truth.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+            })
+        write_jsonl(out / "truth.jsonl", rows)
         return stage_identify(cfg, out / "preds.jsonl")
 
     prep = run_stage("prepare-db", lambda: stage_prepare(cfg))

@@ -7,19 +7,24 @@ and [CODEn] tags, one rich-text table entry per tag. The JSON field names
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyCorpus
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, write_jsonl
 
 KIND_SCR = "SCR"
 KIND_CODE = "CODE"
 
 TAG_RE = re.compile(r"\[(SCR|CODE)(\d+)\]")
+
+
+def report_text(title: str, content: str) -> str:
+    """A report's text: its title and content on their own lines, or the
+    content alone when there is no title."""
+    return f"{title}\n{content}" if title else content
 
 
 @dataclass
@@ -144,5 +149,4 @@ def load_corpus(path: str | Path) -> list[CanonicalIR]:
 
 
 def save_corpus(irs: list[CanonicalIR], path: str | Path) -> None:
-    lines = [json.dumps(ir.to_dict(), sort_keys=True) for ir in irs]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, (ir.to_dict() for ir in irs))

@@ -49,10 +49,6 @@ class ToolBackendUnavailable(VulrtexError):
     """Screenshot or code analysis backend could not be reached."""
 
 
-class KindMismatch(VulrtexError):
-    """Tool applied to a rich-text element of the wrong kind."""
-
-
 class DuplicateKey(VulrtexError):
     """Two knowledge records share (source, key)."""
 

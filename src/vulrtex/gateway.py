@@ -210,6 +210,31 @@ def _parse_reply(raw: bytes, want_logprobs: bool) -> tuple[str, list[dict[str, f
     return text, logprobs
 
 
+def post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> bytes:
+    """The raw body of the reply to `payload` POSTed as JSON, with `headers`
+    added to the JSON content type. A 429 raises RateLimited, any other 4xx
+    BackendRejected; a 5xx, a failed connection or a reply cut short raises
+    TransportError. urlopen is looked up on each call, so a test can patch
+    urllib.request.urlopen.
+    """
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json", **headers}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.read()
+    except urllib.error.HTTPError as exc:
+        if exc.code == 429:
+            raise RateLimited(f"backend returned 429: {exc.reason}") from exc
+        if 400 <= exc.code < 500:
+            raise BackendRejected(f"backend returned {exc.code}: {exc.reason}") from exc
+        raise TransportError(f"backend returned {exc.code}: {exc.reason}") from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # URLError and TimeoutError are OSErrors; an HTTPException such
+        # as IncompleteRead is a connection dropped mid-reply
+        raise TransportError(str(exc)) from exc
+
+
 class HttpBackend:
     """Generic chat-completion JSON endpoint (messages array + logprobs flag)."""
 
@@ -238,29 +263,14 @@ class HttpBackend:
             payload["top_logprobs"] = 20
         if req.seed is not None:
             payload["seed"] = req.seed
-        headers = {"Content-Type": "application/json"}
+        headers: dict[str, str] = {}
         if self.api_key_env_var:
             key = os.environ.get(self.api_key_env_var, "")
             if key:
                 headers["Authorization"] = f"Bearer {key}"
-        request = urllib.request.Request(
-            self.endpoint_url, data=json.dumps(payload).encode("utf-8"),
-            headers=headers, method="POST")
         timeout = self.timeout if req.timeout is None else min(self.timeout, req.timeout)
         start = time.monotonic()
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
-                raw = resp.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code == 429:
-                raise RateLimited(f"backend returned 429: {exc.reason}") from exc
-            if 400 <= exc.code < 500:
-                raise BackendRejected(f"backend returned {exc.code}: {exc.reason}") from exc
-            raise TransportError(f"backend returned {exc.code}: {exc.reason}") from exc
-        except (OSError, http.client.HTTPException) as exc:
-            # URLError and TimeoutError are OSErrors; an HTTPException such
-            # as IncompleteRead is a connection dropped mid-reply
-            raise TransportError(str(exc)) from exc
+        raw = post_json(self.endpoint_url, payload, headers, timeout)
         elapsed = time.monotonic() - start
         text, logprobs = _parse_reply(raw, req.want_logprobs)
         return LlmResponse(text=text, top_token_logprobs=logprobs,

@@ -7,11 +7,11 @@ probability of the "Yes" token at the first output position, thresholded.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,7 +19,7 @@ from .config import DEFAULT_THETA_OUT
 from .corpus import CanonicalIR
 from .errors import NoLabelToken
 from .gateway import Gateway, LlmRequest, yes_probability
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, write_jsonl
 from .metrics import NUMBER_TYPES, ScoredLabel
 from .prompts import build_guidance_prompt, build_identify_prompt
 from .retrieval import ReservedGraph, Target
@@ -170,13 +170,10 @@ def write_predictions(preds: list[Prediction], path: str | Path,
     The header must carry a "kind" key so readers can tell it apart from
     prediction rows.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            if "kind" not in header:
-                raise ValueError("prediction-file header needs a 'kind' key")
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for pred in preds:
-            fh.write(json.dumps(pred.to_dict(), sort_keys=True) + "\n")
+    if header is not None and "kind" not in header:
+        raise ValueError("prediction-file header needs a 'kind' key")
+    head = [] if header is None else [header]
+    write_jsonl(path, chain(head, (pred.to_dict() for pred in preds)))
 
 
 def _is_header(d: dict) -> bool:

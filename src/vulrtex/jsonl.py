@@ -1,5 +1,6 @@
-"""The one reader behind every JSON Lines input: corpus, awareness store,
-stub rules, truth labels and predictions.
+"""The one reader behind every JSON Lines input (corpus, awareness store,
+stub rules, truth labels and predictions) and the one writer behind every
+JSON Lines output.
 
 Each non-blank line holds one JSON value and is decoded on its own, so a bad
 line is reported as `<path>:<line>: <reason>` and cannot be masked by its
@@ -9,7 +10,7 @@ neighbours.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -47,3 +48,11 @@ def read_jsonl(path: str | Path, row: Callable[[Any], T]) -> list[T]:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
+    """One `json.dumps(row, sort_keys=True)` line per row, each ending in a
+    newline; no rows write an empty file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")

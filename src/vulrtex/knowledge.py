@@ -19,14 +19,13 @@ over the sorted common terms, as TermVector.dot sums it.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .errors import DuplicateKey
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, write_jsonl
 from .textindex import CorpusIdf, TermTable, term_counts
 
 
@@ -173,5 +172,4 @@ def load_store(path: str | Path) -> KnowledgeStore:
 
 
 def save_store(store: KnowledgeStore, path: str | Path) -> None:
-    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in store.records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, (r.to_dict() for r in store.records))

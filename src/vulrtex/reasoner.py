@@ -17,15 +17,13 @@ from dataclasses import dataclass, field, replace
 
 from .config import (DEFAULT_BRANCH_LIMIT, DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES,
                      DEFAULT_THETA_SIM)
-from .corpus import KIND_SCR, CanonicalIR
+from .corpus import KIND_SCR, CanonicalIR, report_text
 from .errors import GatewayExhausted, ToolBackendUnavailable, VulrtexError
 from .gateway import Gateway, LlmRequest
 from .graph import (
     AGENT_TERMINATOR,
-    CODE_ANALYZER,
     HOP_TEMPLATE,
     ROOT_ID,
-    SCR_ANALYZER,
     TOOLS,
     UNDECIDED,
     VUL,
@@ -40,7 +38,7 @@ from .graph import (
 from .knowledge import KnowledgeStore, retrieve_golden
 from .prompts import build_correction_prompt, build_reason_prompt
 from .textindex import tokenize
-from .tools import ToolKit
+from .tools import ANALYZER_FOR_KIND, ToolKit
 
 log = logging.getLogger(__name__)
 
@@ -239,8 +237,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
         raise ValueError("reasoner needs llm and tools configured")
 
     g = ReasoningGraph(ir.id)
-    root_text = f"{ir.title}\n{ir.content}" if ir.title else ir.content
-    root = Observation(ROOT_ID, root_text)
+    root = Observation(ROOT_ID, report_text(ir.title, ir.content))
     g.add_observation(root)
 
     scr_tags = frozenset(el.tag for el in ir.rich_text if el.kind == KIND_SCR)
@@ -293,8 +290,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
                 if element is None:
                     parse.warnings.append(f"unknown element {tag} skipped")
                     continue
-                expected = SCR_ANALYZER if element.kind == KIND_SCR else CODE_ANALYZER
-                if tool != expected:
+                if tool != ANALYZER_FOR_KIND[element.kind]:
                     parse.warnings.append(f"{tool} cannot analyze {tag}; skipped")
                     continue
                 if tag in explored:
@@ -363,7 +359,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
                     meta_warn(f"{node_id}: node budget reached; {tag} not explored")
                     continue
                 try:
-                    output = cfg.tools.run_tool(tool, ir.element_for(tag)).output_text
+                    output = cfg.tools.run_tool(ir.element_for(tag))
                 except ToolBackendUnavailable as exc:
                     output = ""
                     meta_warn(f"{node_id}: {tool}({tag}) unavailable: {exc}")

@@ -62,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_WALKS
-from .corpus import CanonicalIR
+from .corpus import CanonicalIR, report_text
 from .errors import EmptyDatabase, IsolatedNonTerminal
 from .graph import (
     AGENT_TERMINATOR,
@@ -561,9 +561,7 @@ class Target:
         by its tool (ToolKit.flatten_ir)."""
         if self.toolkit is not None:
             return self.toolkit.flatten_ir(self.ir)
-        if self.ir.title:
-            return f"{self.ir.title}\n{self.ir.content}"
-        return self.ir.content
+        return report_text(self.ir.title, self.ir.content)
 
     @cached_property
     def counts(self) -> Counter[str]:

@@ -1,7 +1,9 @@
-"""Action implementations behind the agent: screenshot text, code summary,
-termination. Each analyzer has a deterministic stub plus an HTTP variant;
-results are cached by payload hash so repeated analysis never re-runs a
-backend.
+"""The agent's analysis tools: ScrAnalyzer reads a screenshot, CodeAnalyzer a
+code snippet. ANALYZER_FOR_KIND names the one tool for each rich-text element
+kind, and ToolKit.run_tool(element) runs it; AgentTerminator, the agent's
+third action, runs no tool. Each analyzer has a deterministic stub plus an
+HTTP variant; results are cached by tool and payload hash so repeated
+analysis never re-runs a backend.
 """
 
 from __future__ import annotations
@@ -11,26 +13,17 @@ import json
 import logging
 import os
 import tempfile
-import urllib.error
-import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ToolSection
-from .corpus import KIND_CODE, KIND_SCR, CanonicalIR, RichTextElement
-from .errors import KindMismatch, ToolBackendUnavailable
-from .graph import AGENT_TERMINATOR, CODE_ANALYZER, SCR_ANALYZER
+from .corpus import KIND_CODE, KIND_SCR, CanonicalIR, RichTextElement, report_text
+from .errors import BackendRejected, ToolBackendUnavailable, TransportError
+from .gateway import post_json
+from .graph import CODE_ANALYZER, SCR_ANALYZER
 
 log = logging.getLogger(__name__)
 
-TERMINATE_SENTINEL = "TERMINATE"
-
-
-@dataclass
-class ToolResult:
-    tool: str
-    input_tag: str
-    output_text: str
+ANALYZER_FOR_KIND = {KIND_SCR: SCR_ANALYZER, KIND_CODE: CODE_ANALYZER}
 
 
 class StubScrAnalyzer:
@@ -76,30 +69,35 @@ class StubCodeAnalyzer:
 
 
 class HttpAnalyzer:
-    """POSTs {"payload": ...} to an endpoint and expects {"text": ...} back."""
+    """POSTs {"payload": ...} to an endpoint, whose reply must be a JSON
+    object with a string "text"; any failure or other reply raises
+    ToolBackendUnavailable."""
 
     def __init__(self, endpoint_url: str, timeout: float = 30.0):
         self.endpoint_url = endpoint_url
         self.timeout = timeout
 
     def analyze(self, payload: str) -> str:
-        req = urllib.request.Request(
-            self.endpoint_url, data=json.dumps({"payload": payload}).encode("utf-8"),
-            headers={"Content-Type": "application/json"}, method="POST")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+            raw = post_json(self.endpoint_url, {"payload": payload}, {}, self.timeout)
+        except (TransportError, BackendRejected) as exc:
             raise ToolBackendUnavailable(f"{self.endpoint_url}: {exc}") from exc
-        return str(body.get("text", ""))
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
+            raise ToolBackendUnavailable(f"{self.endpoint_url}: {exc}") from exc
+        text = body.get("text") if isinstance(body, dict) else None
+        if not isinstance(text, str):
+            raise ToolBackendUnavailable(
+                f"{self.endpoint_url}: reply is not a JSON object with a string text")
+        return text
 
 
 class ToolKit:
-    """Dispatches run_tool calls to the configured analyzers, with caching."""
+    """Runs each element's analyzer, with caching."""
 
     def __init__(self, scr_analyzer, code_analyzer, cache_dir: str | Path | None = None):
-        self.scr_analyzer = scr_analyzer
-        self.code_analyzer = code_analyzer
+        self.analyzers = {KIND_SCR: scr_analyzer, KIND_CODE: code_analyzer}
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._memory: dict[str, str] = {}
         self.backend_calls = 0
@@ -132,62 +130,45 @@ class ToolKit:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
 
-    def run_tool(self, tool: str, element: RichTextElement | None = None) -> ToolResult:
-        if tool == AGENT_TERMINATOR:
-            return ToolResult(tool, "", TERMINATE_SENTINEL)
-        if element is None:
-            raise KindMismatch(f"{tool} needs a rich-text element")
-        if tool == SCR_ANALYZER:
-            if element.kind != KIND_SCR:
-                raise KindMismatch(f"{tool} cannot analyze a {element.kind} element")
-            analyzer = self.scr_analyzer
-        elif tool == CODE_ANALYZER:
-            if element.kind != KIND_CODE:
-                raise KindMismatch(f"{tool} cannot analyze a {element.kind} element")
-            analyzer = self.code_analyzer
-        else:
-            raise KindMismatch(f"unknown tool {tool!r}")
-        key = self._cache_key(tool, element.payload)
+    def run_tool(self, element: RichTextElement) -> str:
+        """The output of the element kind's analyzer on its payload; an
+        unavailable backend raises ToolBackendUnavailable and caches nothing."""
+        key = self._cache_key(ANALYZER_FOR_KIND[element.kind], element.payload)
         cached = self._cache_read(key)
         if cached is None:
             self.backend_calls += 1
-            cached = analyzer.analyze(element.payload)
+            cached = self.analyzers[element.kind].analyze(element.payload)
             self._cache_write(key, cached)
-        return ToolResult(tool, element.tag, cached)
+        return cached
 
     def flatten_ir(self, ir: CanonicalIR) -> str:
-        """Title plus content with every tag expanded to "tag (tool output)".
+        """The report's text with every tag expanded to "tag (tool output)".
 
         Elements whose backend is unavailable expand with an empty output and
         leave a warning record behind.
         """
         content = ir.content
         for el in ir.rich_text:
-            tool = SCR_ANALYZER if el.kind == KIND_SCR else CODE_ANALYZER
             try:
-                out = self.run_tool(tool, el).output_text
+                out = self.run_tool(el)
             except ToolBackendUnavailable as exc:
                 out = ""
                 message = f"{ir.id}: {el.tag} output unavailable ({exc})"
                 self.warnings.append(message)
                 log.warning("%s", message)
             content = content.replace(el.tag, f"{el.tag} ({out})")
-        if ir.title:
-            return f"{ir.title}\n{content}"
-        return content
+        return report_text(ir.title, content)
 
 
 def make_toolkit(cfg: ToolSection) -> ToolKit:
-    if cfg.scr_backend == "stub":
-        scr = StubScrAnalyzer(cfg.scr_fixtures_dir or ".")
-    elif cfg.scr_backend == "http":
-        scr = HttpAnalyzer(cfg.scr_endpoint)
-    else:
-        raise ValueError(f"unknown scr backend {cfg.scr_backend!r}")
-    if cfg.code_backend == "stub":
-        code = StubCodeAnalyzer()
-    elif cfg.code_backend == "http":
-        code = HttpAnalyzer(cfg.code_endpoint)
-    else:
-        raise ValueError(f"unknown code backend {cfg.code_backend!r}")
-    return ToolKit(scr, code, cache_dir=cfg.cache_dir or None)
+    """A toolkit with each kind's configured backend: its stub, or an
+    HttpAnalyzer at the kind's endpoint."""
+    def pick(backend: str, endpoint: str, stub):
+        if backend not in ("stub", "http"):
+            raise ValueError(f"unknown tool backend {backend!r}")
+        return stub if backend == "stub" else HttpAnalyzer(endpoint)
+
+    return ToolKit(pick(cfg.scr_backend, cfg.scr_endpoint,
+                        StubScrAnalyzer(cfg.scr_fixtures_dir or ".")),
+                   pick(cfg.code_backend, cfg.code_endpoint, StubCodeAnalyzer()),
+                   cache_dir=cfg.cache_dir or None)

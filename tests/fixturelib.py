@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -350,3 +351,34 @@ def open_branches_case(scr_dir: str | Path) -> tuple[CanonicalIR, list[StubRule]
                  "Action: ScrAnalyzer([SCR2])"),
     ]
     return ir, rules
+
+
+class FakeHttpResponse:
+    """What a patched urllib.request.urlopen returns: `body` is a JSON value,
+    raw bytes, or an exception that read() raises."""
+
+    def __init__(self, body):
+        if not isinstance(body, (bytes, Exception)):
+            body = json.dumps(body).encode("utf-8")
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self) -> bytes:
+        if isinstance(self.body, Exception):
+            raise self.body
+        return self.body
+
+
+def answering(body):
+    """A fake urlopen that answers every request with FakeHttpResponse(body)
+    and counts its calls."""
+    def fake_urlopen(request, timeout):
+        fake_urlopen.calls += 1
+        return FakeHttpResponse(body)
+    fake_urlopen.calls = 0
+    return fake_urlopen

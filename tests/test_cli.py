@@ -139,6 +139,17 @@ class TestPrepareDb:
                           "--db", str(env.root / "db"))
         assert "va.path" in result.output
 
+    def test_correction_off_reads_no_store(self, env, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_store", lambda path: loads.append(path))
+        config = write_e2e_config(env.root / "off.ini",
+                                  {**env.fx, "va": str(env.root / "missing.jsonl")},
+                                  pipeline={"correction_enabled": "false"})
+        result = run_ok(env, "prepare-db", "-c", str(config), "--db", str(env.root / "db"),
+                        "--json")
+        assert json.loads(result.stdout)["graphs_built"] == E2E_HISTORICAL
+        assert loads == []
+
     @pytest.mark.parametrize("rule, reason", [
         ({"pattern": "a(", "response_text": "x"}, "missing ), unterminated subpattern"),
         ({"pattern": "a", "response_text": "\\g<nope>"}, "unknown group name 'nope'"),

@@ -1,9 +1,11 @@
+import ast
 import http.client
 import json
 import math
 import re
 import urllib.error
 import urllib.request
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixturelib import FakeHttpResponse, answering
 from vulrtex.errors import (
     BackendRejected,
     GatewayExhausted,
@@ -236,20 +239,6 @@ def test_stub_rule_without_label_token_stays_valid(tmp_path):
         yes_probability(resp)
 
 
-class FakeHttpResponse:
-    def __init__(self, body: dict | bytes):
-        self.body = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def read(self) -> bytes:
-        return self.body
-
-
 def capture_http_payloads(monkeypatch) -> list[dict]:
     """Replace urlopen with a fake that records each JSON payload and
     answers "ok"; nothing touches the network."""
@@ -328,16 +317,6 @@ def test_http_reply_cut_short_is_retried_then_exhausted():
     assert len(calls) == 3
 
 
-def answering(body):
-    """A fake urlopen that answers every request with `body` (a JSON value
-    or raw bytes) and counts its calls."""
-    def fake_urlopen(request, timeout):
-        fake_urlopen.calls += 1
-        return FakeHttpResponse(body)
-    fake_urlopen.calls = 0
-    return fake_urlopen
-
-
 def chat_reply(content="ok", token="Yes", logprob=-0.1) -> dict:
     return {"choices": [{"message": {"content": content},
                          "logprobs": {"content": [{"top_logprobs": [
@@ -412,3 +391,22 @@ def test_http_reply_is_well_formed_or_a_pipeline_error(body, want_logprobs):
                 assert type(lp) is float and math.isfinite(lp)
     else:
         assert resp.top_token_logprobs is None
+
+
+def test_urlopen_is_called_only_by_post_json():
+    """Every HTTP exchange goes through gateway.post_json, which looks
+    urllib.request.urlopen up on each call so a patched urlopen reaches it."""
+    package = Path(gateway.__file__).parent
+    uses = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        owners = {child: node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for child in ast.walk(node)}
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Name) and node.id == "urlopen"
+                     or isinstance(node, ast.Attribute) and node.attr == "urlopen"
+                     or isinstance(node, ast.alias) and "urlopen" in (node.name, node.asname))
+            if named:
+                uses.append((source.name, owners.get(node), ast.unparse(node)))
+    assert uses == [("gateway.py", "post_json", "urllib.request.urlopen")]

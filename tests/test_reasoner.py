@@ -410,6 +410,22 @@ def test_reexploring_own_path_tag_leads_to_closure(tmp_path):
     assert any("already explored" in w for w in g.meta.get("warnings", []))
 
 
+def test_wrong_tool_for_the_element_kind_is_skipped(tmp_path):
+    ir = CanonicalIR(
+        id="fixture/wrongtool#1", title="wrong tool",
+        content="screenshot [SCR1]",
+        rich_text=[RichTextElement("SCR", "[SCR1]", "https://wrong.test/a.png")])
+    gateway, toolkit = make_env([
+        StubRule(r"IR title: wrong tool",
+                 "Observation: read the snippet\nAction: CodeAnalyzer([SCR1])"),
+    ], tmp_path)
+    g = generate_reasoning_graph(ir, ReasonerConfig(llm=gateway, tools=toolkit))
+    assert g.meta["warnings"] == ["O1: CodeAnalyzer cannot analyze [SCR1]; skipped"]
+    assert toolkit.backend_calls == 0
+    assert [(a.src, a.dst, a.tool) for a in g.edges] == [("O1", "O2.1", AGENT_TERMINATOR)]
+    assert g.nodes["O2.1"].verdict == UNDECIDED
+
+
 def test_shared_analysis_becomes_cross_edge(tmp_path):
     ir, rules = fx.shared_snippet_case(tmp_path / "scr")
     gateway, toolkit = make_env(rules, tmp_path / "scr")

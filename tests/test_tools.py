@@ -1,10 +1,16 @@
+import http.client
+import urllib.error
+import urllib.request
+from unittest import mock
+
 import pytest
 
+from fixturelib import answering
 from vulrtex.config import ToolSection
 from vulrtex.corpus import CanonicalIR, RichTextElement
-from vulrtex.errors import KindMismatch, ToolBackendUnavailable
-from vulrtex.graph import AGENT_TERMINATOR, CODE_ANALYZER, SCR_ANALYZER
+from vulrtex.errors import ToolBackendUnavailable
 from vulrtex.tools import (
+    HttpAnalyzer,
     StubCodeAnalyzer,
     StubScrAnalyzer,
     ToolKit,
@@ -25,32 +31,15 @@ def kit(tmp_path):
     return ToolKit(StubScrAnalyzer(fixtures), StubCodeAnalyzer())
 
 
-def test_terminator_sentinel(kit):
-    result = kit.run_tool(AGENT_TERMINATOR)
-    assert result.output_text == "TERMINATE"
-    assert result.input_tag == ""
-
-
 def test_scr_stub_returns_sidecar_contents(kit):
     el = RichTextElement("SCR", "[SCR1]", "https://img.test/a.png")
-    result = kit.run_tool(SCR_ANALYZER, el)
-    assert result.output_text == "login form with script tag in the name field"
-    assert result.input_tag == "[SCR1]"
+    assert kit.run_tool(el) == "login form with script tag in the name field"
 
 
 def test_scr_stub_missing_sidecar_unavailable(kit):
     el = RichTextElement("SCR", "[SCR1]", "https://img.test/unknown.png")
     with pytest.raises(ToolBackendUnavailable):
-        kit.run_tool(SCR_ANALYZER, el)
-
-
-def test_kind_mismatch(kit):
-    code_el = RichTextElement("CODE", "[CODE1]", "echo 1;")
-    with pytest.raises(KindMismatch):
-        kit.run_tool(SCR_ANALYZER, code_el)
-    scr_el = RichTextElement("SCR", "[SCR1]", "https://img.test/a.png")
-    with pytest.raises(KindMismatch):
-        kit.run_tool(CODE_ANALYZER, scr_el)
+        kit.run_tool(el)
 
 
 def test_code_stub_language_guesses():
@@ -63,9 +52,9 @@ def test_code_stub_language_guesses():
 
 def test_cache_skips_second_backend_call(kit):
     el = RichTextElement("SCR", "[SCR1]", "https://img.test/a.png")
-    kit.run_tool(SCR_ANALYZER, el)
+    kit.run_tool(el)
     calls_after_first = kit.backend_calls
-    kit.run_tool(SCR_ANALYZER, el)
+    kit.run_tool(el)
     assert kit.backend_calls == calls_after_first
 
 
@@ -76,11 +65,11 @@ def test_cache_persists_on_disk(tmp_path):
     el = RichTextElement("SCR", "[SCR1]", "https://img.test/a.png")
 
     first = ToolKit(StubScrAnalyzer(fixtures), StubCodeAnalyzer(), cache_dir=cache)
-    first.run_tool(SCR_ANALYZER, el)
+    first.run_tool(el)
     assert first.backend_calls == 1
 
     second = ToolKit(StubScrAnalyzer(fixtures), StubCodeAnalyzer(), cache_dir=cache)
-    assert second.run_tool(SCR_ANALYZER, el).output_text == "shot text"
+    assert second.run_tool(el) == "shot text"
     assert second.backend_calls == 0
 
 
@@ -127,6 +116,64 @@ def test_flatten_unavailable_element_warns(kit):
 
 
 def test_make_toolkit_stub(tmp_path):
+    write_sidecar(tmp_path, "https://img.test/a.png", "shot text")
     kit = make_toolkit(ToolSection(scr_fixtures_dir=str(tmp_path),
                                    cache_dir=str(tmp_path / "cache")))
-    assert kit.run_tool(AGENT_TERMINATOR).output_text == "TERMINATE"
+    assert kit.run_tool(RichTextElement("SCR", "[SCR1]", "https://img.test/a.png")) == "shot text"
+    assert kit.run_tool(RichTextElement("CODE", "[CODE1]", "echo 1;")) == \
+        "code snippet in php: echo 1;"
+    assert kit.backend_calls == 2
+    assert len(list((tmp_path / "cache").glob("*.txt"))) == 2
+
+
+def http_error(code: int):
+    def fail(request, timeout):
+        raise urllib.error.HTTPError(request.full_url, code, "refused", {}, None)
+    return fail
+
+
+def http_kit(tmp_path) -> ToolKit:
+    return ToolKit(HttpAnalyzer("http://scr.invalid/v1"), StubCodeAnalyzer(),
+                   cache_dir=tmp_path / "cache")
+
+
+SCR_ELEMENT = RichTextElement("SCR", "[SCR1]", "https://img.test/a.png")
+
+UNAVAILABLE_REPLIES = {
+    "cut short": answering(http.client.IncompleteRead(b'{"te')),
+    "5xx": http_error(503),
+    "429": http_error(429),
+    "4xx": http_error(404),
+    "not json": answering(b"<html>busy</html>"),
+    "array": answering([1, 2]),
+    "string": answering("text"),
+    "no text": answering({"caption": "a login form"}),
+    "null text": answering({"text": None}),
+    "number text": answering({"text": 5}),
+}
+
+
+@pytest.mark.parametrize("urlopen", UNAVAILABLE_REPLIES.values(), ids=UNAVAILABLE_REPLIES)
+def test_http_analyzer_failure_is_unavailable_and_never_cached(tmp_path, urlopen):
+    kit = http_kit(tmp_path)
+    with mock.patch.object(urllib.request, "urlopen", urlopen):
+        with pytest.raises(ToolBackendUnavailable, match="scr.invalid"):
+            kit.run_tool(SCR_ELEMENT)
+    assert not (tmp_path / "cache").exists()
+    # the next good reply reaches the backend again and is the one cached
+    with mock.patch.object(urllib.request, "urlopen", answering({"text": "a login form"})):
+        assert kit.run_tool(SCR_ELEMENT) == "a login form"
+    with mock.patch.object(urllib.request, "urlopen", urlopen):
+        assert kit.run_tool(SCR_ELEMENT) == "a login form"
+    assert kit.backend_calls == 2
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+@pytest.mark.parametrize("urlopen", UNAVAILABLE_REPLIES.values(), ids=UNAVAILABLE_REPLIES)
+def test_flatten_expands_an_unavailable_http_element_empty(tmp_path, urlopen):
+    kit = http_kit(tmp_path)
+    ir = CanonicalIR("x#5", "t", "see [SCR1]", rich_text=[SCR_ELEMENT])
+    with mock.patch.object(urllib.request, "urlopen", urlopen):
+        assert kit.flatten_ir(ir) == "t\nsee [SCR1] ()"
+    assert len(kit.warnings) == 1
+    assert kit.warnings[0].startswith("x#5: [SCR1] output unavailable")
