@@ -14,7 +14,6 @@ import json
 import logging
 import time
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -245,7 +244,8 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
                 failed += 1
                 pred = Prediction(target.id, None, False, None, cfg.theta_out, False,
                                   unscored=True)
-            preds.append(replace(pred, run=run))
+            pred.run = run
+            preds.append(pred)
     write_predictions(preds, out_path, header={
         "kind": PREDICTIONS_KIND,
         "config_hash": config_hash(cfg),

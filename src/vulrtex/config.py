@@ -92,6 +92,12 @@ class PipelineConfig:
         for side in ("scr_backend", "code_backend"):
             if getattr(self.tool, side) not in ("stub", "http"):
                 raise ConfigError(f"unknown tool backend {getattr(self.tool, side)!r}")
+        for key, backend, endpoint in (
+                ("llm.endpoint_url", self.llm.backend, self.llm.endpoint_url),
+                ("tool.scr_endpoint", self.tool.scr_backend, self.tool.scr_endpoint),
+                ("tool.code_endpoint", self.tool.code_backend, self.tool.code_endpoint)):
+            if backend == "http" and not endpoint.strip():
+                raise ConfigError(f"an http backend needs {key}, which is empty")
 
     def resolved_dict(self) -> dict:
         return asdict(self)

@@ -16,7 +16,7 @@ import time
 import urllib.error
 import urllib.request
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import LlmSection
@@ -293,6 +293,13 @@ class Gateway:
         self.calls = 0
 
     def complete(self, req: LlmRequest) -> LlmResponse:
+        """The backend's reply to req, retried on a transport error or a
+        rate limit until max_retries or the deadline runs out.
+
+        Each attempt hands the backend req's fields, built afresh rather
+        than copied, with the temperature resolved (the gateway's when
+        req's is None) and `timeout` the deadline left.
+        """
         temperature = self.temperature if req.temperature is None else req.temperature
         start = time.monotonic()
         last_error: Exception | None = None
@@ -302,8 +309,9 @@ class Gateway:
                 break
             try:
                 self.calls += 1
-                return self.backend.complete(
-                    replace(req, temperature=temperature, timeout=remaining))
+                return self.backend.complete(LlmRequest(
+                    req.system_prompt, req.user_prompt, temperature, req.max_tokens,
+                    req.want_logprobs, req.seed, remaining))
             except (TransportError, RateLimited) as exc:
                 last_error = exc
                 if attempt < self.max_retries:

@@ -25,7 +25,10 @@ A prune costs only the work that can change its result:
     CorpusQuery cosines over tabled floats, with no index, Counter sum or
     vector per pair;
   - the dense ids of the pruned descriptions' terms, in one TermIds that
-    count_graphs shares among the graphs it counts.
+    count_graphs shares among the graphs it counts, which also keeps the
+    idf array query_cosines scores them under, per document count.
+- What only the run seed changes is computed once per (graph, run seed):
+  each graph's walk seed (CountedGraph.walk_seed).
 - For a fixed (graph, seed, walks), a prune is a pure function of the
   outcomes of the choices that read the target: a walk step among several
   unvisited options, and a closure among several terminator candidates.
@@ -116,15 +119,16 @@ class CountedGraph:
     one count_graphs call share it, so their descriptions score under one
     numbering, and it goes away with them.
 
-    Three memos fill as the stage walks and go away with it: `prunes`
+    Four memos fill as the stage walks and go away with it: `prunes`
     holds, per (seed, walks) asked for, random_walk_prune's trie of choices
     (the root _Choice, or the ReservedGraph when the prune makes no
     choice), so it holds at most one leaf per prune that had to walk;
     `subgraphs` the ReservedGraph of each distinct set of reserved action
     ids those walks reached, which leaves under other seeds or choices
-    share; and `term_tables` the term table (CorpusIdf.table) of each node
+    share; `term_tables` the term table (CorpusIdf.table) of each node
     text, keyed by node id, and of each joined pair text, keyed (src, dst),
-    that a walk-probability row has read.
+    that a walk-probability row has read; and `walk_seeds` this graph's
+    walk seed (graph_walk_seed) per run seed asked for.
     """
 
     graph: ReasoningGraph
@@ -142,6 +146,7 @@ class CountedGraph:
         default_factory=dict, repr=False, compare=False)
     term_tables: dict[str | tuple[str, str], TermTable] = field(
         default_factory=dict, repr=False, compare=False)
+    walk_seeds: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def terms(self, src: str, dst: str | None = None) -> TermTable:
         """The term table of src's text, or of "src dst" joined."""
@@ -153,6 +158,13 @@ class CountedGraph:
                 counts = counts + self.node_counts[dst]
             table = self.term_tables[key] = self.idf.table(counts)
         return table
+
+    def walk_seed(self, seed: int) -> int:
+        """graph_walk_seed(seed, this graph's id)."""
+        walk_seed = self.walk_seeds.get(seed)
+        if walk_seed is None:
+            walk_seed = self.walk_seeds[seed] = graph_walk_seed(seed, self.graph.ir_id)
+        return walk_seed
 
 
 def node_counts(g: ReasoningGraph) -> dict[str, Counter[str]]:
@@ -187,12 +199,14 @@ def _walk_tables(g: ReasoningGraph) -> tuple[
 
 def count_graphs(graphs) -> list[CountedGraph]:
     """Pair every graph with its target-independent statistics and walk
-    tables, the graphs counted here sharing one TermIds; counted graphs
-    pass through."""
+    tables, the graphs counted here sharing one TermIds, made only when a
+    graph is counted; counted graphs pass through."""
     out = []
-    term_ids = TermIds()
+    term_ids = None
     for g in graphs:
         if not isinstance(g, CountedGraph):
+            if term_ids is None:
+                term_ids = TermIds()
             counts = node_counts(g)
             g = CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
                              *_out_structure(g), *_walk_tables(g), term_ids)
@@ -488,12 +502,13 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
     keeps them as a trie per (rng_seed, walks): a prune descends it,
     computing each outcome from p, and walks (_walk) only when it meets an
     outcome not met before, then grafts the new choices and result on.
-    Walks that reserve the same action ids share one ReservedGraph. A plain
-    graph is counted afresh, so its memos last one call.
+    Walks that reserve the same action ids share one ReservedGraph. A
+    counted graph is used as given, so its memos last as long as it does;
+    a plain graph is counted afresh, so its memos last one call.
     """
     if walks < 1:
         raise ValueError("walks must be at least 1")
-    counted = count_graphs([g])[0]
+    counted = g if isinstance(g, CountedGraph) else count_graphs([g])[0]
     key = (rng_seed, walks)
     node = counted.prunes.get(key)
     parent, picked, depth = None, 0, 0
@@ -520,7 +535,7 @@ def prune_for_target(g: ReasoningGraph | CountedGraph, target: str | Counter[str
                      walks: int, rng_seed: int) -> ReservedGraph:
     """Probabilities and walk pruning in one step; the target is its text or
     its term counts."""
-    counted = count_graphs([g])[0]
+    counted = g if isinstance(g, CountedGraph) else count_graphs([g])[0]
     if isinstance(target, str):
         target = term_counts(target)
     return random_walk_prune(counted, target_probabilities(counted, target),
@@ -610,7 +625,8 @@ def retrieve_relevant(db, target: CanonicalIR | Target, theta_sim: float,
     tabled terms (textindex.query_cosines); the descriptions of graphs
     counted apart are renumbered under the first graph's TermIds on each
     call. Per-graph walk seeds derive from (seed, graph id), so results do
-    not depend on iteration or scheduling order.
+    not depend on iteration or scheduling order; each graph keeps its seed
+    per run seed (CountedGraph.walk_seed).
 
     `target` is a Target or a CanonicalIR, which is wrapped as a Target
     flattened with `toolkit`; a caller repeating a target under other
@@ -627,7 +643,7 @@ def retrieve_relevant(db, target: CanonicalIR | Target, theta_sim: float,
         raise ValueError("theta_sim must be in [0, 1]")
     target = Target.of(target, toolkit)
     pruned = [random_walk_prune(counted, target.probabilities(counted), walks,
-                                graph_walk_seed(seed, counted.graph.ir_id))
+                                counted.walk_seed(seed))
               for counted in graphs]
     scores = query_cosines(target.counts, [r.description_terms for r in pruned])
     kept = [ReservedGraph(r.graph, r.origin_ir, r.description, r.description_terms, score)

@@ -26,9 +26,12 @@ text (a knowledge store's records, the graphs one stage retrieves from and
 their pruned descriptions, one identify stage's targets) and go away with it.
 The term ids of pruned descriptions come from one table (`TermIds`) per
 retrieval.count_graphs call, shared by the graphs it counts and gone with
-them; a query's terms never join it. A doc numbered under another table is
-renumbered into the first doc's table on every call that scores it, so that
-table keeps the doc's terms, never the doc.
+them; a query's terms never join it. The same table keeps query_cosines'
+idf array per document count, which a stage scoring every target against
+one description per graph asks for with one count, so its logarithms are
+taken once per stage. A doc numbered under another table is renumbered into
+the first doc's table on every call that scores it, so that table keeps the
+doc's terms, never the doc.
 
 Floating-point results do not depend on whether a text or its counts came
 in: weights are built in the text's first-occurrence term order, which is
@@ -115,6 +118,11 @@ def _smoothed_idf(n_docs: int, doc_freq: int) -> float:
     return math.log((1 + n_docs) / (1 + doc_freq)) + 1.0
 
 
+def _smoothed_idfs(n_docs: int) -> list[float]:
+    """_smoothed_idf(n_docs, df) for every df in 0 .. n_docs, by index."""
+    return [_smoothed_idf(n_docs, df) for df in range(n_docs + 1)]
+
+
 class TfIdfIndex:
     """Frozen idf table over a corpus's terms.
 
@@ -157,10 +165,24 @@ class TermIds:
     """A dense numbering of terms, in order of first sight, that DocTerms
     index their arrays by. It grows only by the terms of the documents
     numbered under it (`doc_terms`) or renumbered into it (`renumber`);
-    query_cosines adds no query term."""
+    query_cosines adds no query term.
+
+    `idf_tables` keeps query_cosines' idf array (`idf`) per document
+    count, so docs scored together under this table, which all of one
+    stage's are, take their logarithms once per count, not once per call;
+    it holds no term and goes away with the table."""
 
     def __init__(self) -> None:
         self.ids: dict[str, int] = {}
+        self.idf_tables: dict[int, np.ndarray] = {}
+
+    def idf(self, n_docs: int) -> np.ndarray:
+        """The smoothed idf over n_docs documents, indexed by document
+        frequency 0 .. n_docs."""
+        table = self.idf_tables.get(n_docs)
+        if table is None:
+            table = self.idf_tables[n_docs] = np.array(_smoothed_idfs(n_docs))
+        return table
 
     def doc_terms(self, counts: Counter[str]) -> DocTerms:
         """One document's term counts, numbered under this table."""
@@ -201,9 +223,10 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
 
     The docs are read under the first doc's table (TermIds.renumber). The
     idf depends on a term only through its document frequency, so it is
-    tabled per frequency, one logarithm for each of 0 .. n_docs, and every
-    weight of every doc comes from one gather and one multiply over the
-    docs' concatenated arrays. A query term no doc holds has frequency 1.
+    tabled per frequency, one logarithm for each of 0 .. n_docs, and kept
+    on that table per document count (TermIds.idf); every weight of every
+    doc comes from one gather and one multiply over the docs' concatenated
+    arrays. A query term no doc holds has frequency 1.
     """
     if not docs:
         return []
@@ -217,7 +240,7 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     doc_freq = np.bincount(ids, minlength=n_terms + 1)
     doc_freq[q_ids] += 1  # once per slot, however often q_ids repeats it
     n_docs = len(docs) + 1
-    idf = np.array([_smoothed_idf(n_docs, df) for df in range(n_docs + 1)])
+    idf = table.idf(n_docs)
     q_weights = q_counts * idf[doc_freq[q_ids]]
     norm = math.sqrt(sum((q_weights * q_weights).tolist()))
     if norm == 0.0:
@@ -262,14 +285,17 @@ class CorpusIdf:
 
     @classmethod
     def from_corpus(cls, corpus: Sequence[Counter[str]]) -> "CorpusIdf":
-        """Table the idf of the corpus documents' term counts."""
+        """Table the idf of the corpus documents' term counts: one
+        logarithm per document frequency 0 .. n_docs, indexed by each
+        term's frequency (`absent`), by one more (`shared`) and by 1
+        (`query_only`)."""
         doc_freq: Counter[str] = Counter()
         for counts in corpus:
             doc_freq.update(counts.keys())
-        n_docs = len(corpus) + 1
-        return cls({t: _smoothed_idf(n_docs, df) for t, df in doc_freq.items()},
-                   {t: _smoothed_idf(n_docs, df + 1) for t, df in doc_freq.items()},
-                   _smoothed_idf(n_docs, 1))
+        idf = _smoothed_idfs(len(corpus) + 1)
+        return cls({t: idf[df] for t, df in doc_freq.items()},
+                   {t: idf[df + 1] for t, df in doc_freq.items()},
+                   idf[1])
 
     def table(self, counts: Counter[str]) -> TermTable:
         """The weights of a text whose terms the corpus holds, for any query:

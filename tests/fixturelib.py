@@ -6,8 +6,10 @@ import json
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from vulrtex.corpus import CanonicalIR, RichTextElement
-from vulrtex.gateway import StubRule
+from vulrtex.gateway import LlmResponse, StubRule
 from vulrtex.graph import (
     AGENT_TERMINATOR,
     CODE_ANALYZER,
@@ -382,3 +384,27 @@ def answering(body):
         return FakeHttpResponse(body)
     fake_urlopen.calls = 0
     return fake_urlopen
+
+
+class ScriptedBackend:
+    """An LLM backend that answers every request with one text and keeps
+    the requests it was sent."""
+
+    name = "scripted"
+
+    def __init__(self, text: str):
+        self.text = text
+        self.seen: list = []
+
+    def complete(self, req) -> LlmResponse:
+        self.seen.append(req)
+        return LlmResponse(self.text, None, self.name)
+
+
+def reply_texts(*pieces: str):
+    """Arbitrary reply texts: st.text(), or lines of it with the given
+    pieces of a reply grammar mixed in, so a parser's matching branches
+    run too."""
+    return st.one_of(st.text(), st.lists(st.one_of(
+        st.text(), st.sampled_from(pieces), st.builds(str.__add__, st.sampled_from(pieces),
+                                                       st.text()))).map("\n".join))

@@ -190,6 +190,17 @@ class TestPrepareDb:
         assert "Traceback" not in result.output
         assert not db.exists()
 
+    def test_http_tool_backend_without_endpoint_is_refused_at_load(self, env):
+        config = env.root / "http-scr.ini"
+        config.write_text(Path(env.config).read_text().replace(
+            "scr_backend = stub", "scr_backend = http"), encoding="utf-8")
+        db = env.root / "db"
+        result = env.runner.invoke(main, ["prepare-db", "-c", str(config), "--db", str(db)])
+        assert result.exit_code == 1
+        assert "an http backend needs tool.scr_endpoint, which is empty" in result.output
+        assert "Traceback" not in result.output
+        assert not db.exists()
+
 
 class TestRetrieve:
     def test_every_target_reports_relevant_graphs(self, env):

@@ -149,6 +149,21 @@ class TestValidate:
         with pytest.raises(ConfigError, match="tool backend"):
             cfg.validate()
 
+    @pytest.mark.parametrize("backend, endpoint", [
+        ("llm.backend", "llm.endpoint_url"),
+        ("tool.scr_backend", "tool.scr_endpoint"),
+        ("tool.code_backend", "tool.code_endpoint"),
+    ])
+    def test_http_backend_needs_an_endpoint(self, backend, endpoint):
+        cfg = apply_overrides(PipelineConfig(), {backend: "http"})
+        with pytest.raises(ConfigError, match=f"needs {endpoint}, which is empty"):
+            cfg.validate()
+        apply_overrides(cfg, {endpoint: "  "})
+        with pytest.raises(ConfigError, match=endpoint):
+            cfg.validate()
+        apply_overrides(cfg, {endpoint: "http://backend.invalid/v1"})
+        cfg.validate()
+
 
 class TestConfigHash:
     def test_stable_and_short(self):

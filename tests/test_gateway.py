@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import http.client
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixturelib import FakeHttpResponse, answering
+from fixturelib import FakeHttpResponse, ScriptedBackend, answering
 from vulrtex.errors import (
     BackendRejected,
     GatewayExhausted,
@@ -194,6 +195,35 @@ def test_gateway_exhausts_after_retries():
     with pytest.raises(GatewayExhausted):
         gw.complete(make_request("hi"))
     assert backend.calls == 3
+
+
+# a value other than its default for every LlmRequest field
+NON_DEFAULT_REQUEST = {
+    "system_prompt": "system", "user_prompt": "user", "temperature": 0.9,
+    "max_tokens": 7, "want_logprobs": True, "seed": 42, "timeout": 3.5,
+}
+
+
+@pytest.mark.parametrize("temperature", [0.9, None])
+def test_gateway_forwards_every_request_field(temperature):
+    """The backend sees every field of the request as sent, except the
+    temperature, resolved to the gateway's when the request's is None, and
+    the timeout, which is the deadline left."""
+    assert set(NON_DEFAULT_REQUEST) == {f.name for f in dataclasses.fields(LlmRequest)}
+    defaults = LlmRequest("", "")
+    for name, value in NON_DEFAULT_REQUEST.items():
+        assert value != getattr(defaults, name), name
+    req = LlmRequest(**{**NON_DEFAULT_REQUEST, "temperature": temperature})
+    backend = ScriptedBackend("ok")
+    gw = Gateway(backend, deadline_seconds=2.0, temperature=0.05)
+    gw.complete(req)
+    [seen] = backend.seen
+    expected = {**NON_DEFAULT_REQUEST, "temperature": 0.9 if temperature else 0.05}
+    for name, value in expected.items():
+        if name != "timeout":
+            assert getattr(seen, name) == value, name
+    assert 0.0 < seen.timeout <= 2.0
+    assert req.temperature == temperature and req.timeout == 3.5
 
 
 def test_gateway_does_not_retry_rejections():

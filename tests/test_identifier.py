@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
 
 import fixturelib as fx
 from vulrtex.corpus import CanonicalIR
@@ -73,6 +74,21 @@ def test_unparseable_guidance_falls_back_to_raw_step():
     guide = generate_guidance([reserved("a/b#1", "d")], target(), gw)
     assert guide.steps == ["just look at the screenshots carefully"]
     assert guide.raw_fallback
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fx.reply_texts("STEP-1: ", "STEP-2:", "  STEP-10:\t", "STEP-: ", "STEP-3"))
+def test_guidance_from_any_reply_has_a_step(text):
+    guide = generate_guidance([reserved("a/b#1", "d")], target(),
+                              Gateway(fx.ScriptedBackend(text)))
+    assert guide.steps
+    assert guide.source_graphs == ["a/b#1"]
+    if guide.raw_fallback:
+        assert guide.steps == [text.strip()]
+    else:
+        assert all(step and step in text for step in guide.steps)
+    if "STEP-" not in text:
+        assert guide.raw_fallback
 
 
 def test_guidance_gateway_errors_propagate():

@@ -17,6 +17,7 @@ from vulrtex.graph import (
     CODE_ANALYZER,
     SCR_ANALYZER,
     NOT_VUL,
+    TOOLS,
     UNDECIDED,
     VUL,
     Action,
@@ -109,6 +110,16 @@ def test_parse_missing_observation_warns():
     parsed = parse_step("Action: AgentTerminator()")
     assert parsed.observation_text == ""
     assert any("no observation block" in w for w in parsed.warnings)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fx.reply_texts("Observation: ", "Action: ", "Action: ScrAnalyzer([SCR1])",
+                      "Action: AgentTerminator()", "Action: WebSearcher(",
+                      "vulnerability identified: Yes CWE-79", "vulnerability identified: "))
+def test_parse_step_is_total(text):
+    parsed = parse_step(text)
+    assert parsed.actions
+    assert all(tool in TOOLS and isinstance(tag, str) for tool, tag in parsed.actions)
 
 
 # ------------------------------------------------- enforce_inclusion_order
@@ -207,6 +218,34 @@ def test_correct_path_keeps_original_on_gateway_failure():
     assert out is path
     assert g.nodes["O2.1"].text == "the login form passes raw input into the query"
     assert warnings and "correction failed" in warnings[0]
+
+
+def branching_path():
+    """two_node_path's graph with a second branch, O2.2, off the path."""
+    g, _ = two_node_path()
+    g.add_observation(Observation("O2.2", "an unrelated branch", verdict=NOT_VUL))
+    g.add_action(Action("A1.2", "O1", "O2.2", AGENT_TERMINATOR))
+    [path] = [p for p in extract_terminated_paths(g) if p.node_ids() == ("O1", "O2.1")]
+    return g, path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fx.reply_texts("O1: ", "O2.1: ", "O2.2: ", "O9: ", "O1:", "  O2.1:\t"))
+def test_correction_of_any_reply_rewrites_only_path_nodes(text):
+    g, path = branching_path()
+    before = {nid: (obs.text, obs.verdict, obs.cwe_id) for nid, obs in g.nodes.items()}
+    edges = [(a.id, a.src, a.dst) for a in g.edges]
+    out = correct_path(path, golden_store(), Gateway(fx.ScriptedBackend(text)), theta_sim=0.05)
+    assert out is path
+    assert list(g.nodes) == list(before)
+    assert [(a.id, a.src, a.dst) for a in g.edges] == edges
+    for nid, obs in g.nodes.items():
+        text_before, verdict, cwe_id = before[nid]
+        assert (obs.verdict, obs.cwe_id) == (verdict, cwe_id)
+        if nid not in path.node_ids():
+            assert obs.text == text_before
+        elif obs.text != text_before:
+            assert obs.text and obs.text in text
 
 
 # Node texts built to break a description cut into pieces: hyphens at either

@@ -49,7 +49,7 @@ from vulrtex.retrieval import (
     retrieve_relevant,
     target_probabilities,
 )
-from vulrtex.textindex import STOPWORDS, build_index, similarity, term_counts
+from vulrtex.textindex import STOPWORDS, TermIds, build_index, similarity, term_counts
 from vulrtex.tools import ToolKit
 
 import numpy as np
@@ -472,6 +472,39 @@ def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
     assert max(computed.values()) > 1
     assert (tmp_path / "kept.jsonl").read_bytes() == \
         (tmp_path / "fresh.jsonl").read_bytes()
+
+
+def test_stage_wide_work_done_once_per_stage(tmp_path, monkeypatch):
+    """Over three runs, stage_identify takes each graph's walk seed once per
+    run, numbers every pruned description under one TermIds, and that table
+    takes query_cosines' idf once per document count."""
+    paths = write_e2e_fixture(tmp_path / "fx")
+    cfg = load_config(str(write_e2e_config(
+        tmp_path / "config.ini", paths,
+        pipeline={"runs": 3, "db_path": tmp_path / "db"})))
+    cli.stage_prepare(cfg)
+    n_graphs = len(GraphStore(tmp_path / "db").ir_ids())
+    seeds = Counter()
+    walk_seed = retrieval.graph_walk_seed
+
+    def counting_walk_seed(seed, ir_id):
+        seeds[(seed, ir_id)] += 1
+        return walk_seed(seed, ir_id)
+
+    tables = []
+
+    class CountingTermIds(TermIds):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(retrieval, "graph_walk_seed", counting_walk_seed)
+    monkeypatch.setattr(retrieval, "TermIds", CountingTermIds)
+    cli.stage_identify(cfg, tmp_path / "preds.jsonl")
+    assert len(seeds) == n_graphs * cfg.runs
+    assert set(seeds.values()) == {1}
+    [table] = tables
+    assert list(table.idf_tables) == [n_graphs + 1]
 
 
 def test_invalid_theta_rejected():
