@@ -294,7 +294,7 @@ def stage_evaluate(cfg: PipelineConfig, preds_path: str | Path,
     if not rows:
         raise ConfigError(f"no predictions in {preds_path}")
     truth = _load_truth(truth_path)
-    # each run's rows stay in file order, the order mean_latency sums in
+    # each run's rows, in file order
     by_run: defaultdict[int, list[ScoredLabel]] = defaultdict(list)
     seen: defaultdict[int, set[str]] = defaultdict(set)
     excluded = 0

@@ -301,8 +301,13 @@ class GraphStore:
         return path
 
     def load(self, ir_id: str) -> ReasoningGraph:
+        """The graph saved under ir_id; a file that is not one raises a
+        ValueError naming it."""
         path = self.graphs_dir / graph_filename(ir_id)
-        return ReasoningGraph.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            return ReasoningGraph.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: not a reasoning graph: {type(exc).__name__}: {exc}") from exc
 
     def ir_ids(self) -> list[str]:
         if not self.graphs_dir.is_dir():

@@ -13,12 +13,12 @@ its similarity is exactly 0.0. A record's norm depends on the query only
 through which of the record's terms it holds, so it is computed
 (textindex.CorpusQuery.doc_norm) once per such set and reused by every later
 query holding that set. Every float equals that of an index built over the
-records plus the query: the norms are textindex's, and each dot is summed
-over the sorted common terms, as TermVector.dot sums it.
+records plus the query, since both sum the same products with `math.fsum`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,7 +101,7 @@ class KnowledgeStore:
         tables = tuple(map(self.idf.table, self.record_counts))
         postings: dict[str, list[tuple[int, float, int]]] = {}
         for i, table in enumerate(tables):
-            for j, (term, ws) in enumerate(table.shared):
+            for j, (term, _, _, ws) in enumerate(table):
                 postings.setdefault(term, []).append((i, ws, 1 << j))
         return postings, tables, tuple({} for _ in self.records)
 
@@ -112,9 +112,8 @@ class KnowledgeStore:
         The idf spans the stored texts plus the query, so its own terms still
         contribute: each float is bit-identical to the cosine under
         build_index(records + [text]). Only records reached through the
-        postings of the query's stored terms are scored, each dot summed over
-        the sorted terms it shares with the query; the rest share no term, so
-        their dot and similarity are exactly 0.0.
+        postings of the query's stored terms are scored; the rest share no
+        term, so their dot and similarity are exactly 0.0.
         """
         query = self.idf.query(term_counts(text) if isinstance(text, str) else text)
         scores = [0.0] * len(self.records)
@@ -123,7 +122,7 @@ class KnowledgeStore:
         postings, tables, norms = self._lookup
         products: dict[int, list[float]] = {}
         masks: dict[int, int] = {}
-        for term in sorted(query.weights.keys() & postings.keys()):
+        for term in query.weights.keys() & postings.keys():
             q = query.weights[term]
             for i, s, bit in postings[term]:
                 dots = products.get(i)
@@ -138,7 +137,7 @@ class KnowledgeStore:
             norm = memo.get(mask)
             if norm is None:
                 norm = memo[mask] = query.doc_norm(tables[i])
-            scores[i] = min(1.0, sum(dots) / (query.norm * norm))
+            scores[i] = min(1.0, math.fsum(dots) / (query.norm * norm))
         return scores
 
 

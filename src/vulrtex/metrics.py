@@ -15,6 +15,7 @@ counting the rows directly.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -202,12 +203,11 @@ def macro_cwe_metrics(rows: list[ScoredLabel]) -> tuple[float, float, float]:
 
 
 def build_report(rows: list[ScoredLabel], theta_out: float) -> MetricsReport:
-    """Every metric of one run from one sort of its rows; mean_latency sums
-    the rows in the order given."""
+    """Every metric of one run from one sort of its rows."""
     points = _scored(rows)
     precision, recall, f1 = _prf(*_counts_at(points, theta_out))
     macro_p, macro_r, macro_f1 = macro_cwe_metrics(rows)
-    mean_latency = sum(r.latency_seconds for r in rows) / len(rows)
+    mean_latency = math.fsum([r.latency_seconds for r in rows]) / len(rows)
     auroc_, auprc_ = _rank_areas(points, "auroc")
     return MetricsReport(precision, recall, f1, auroc_, auprc_,
                          macro_p, macro_r, macro_f1, mean_latency)
@@ -218,6 +218,6 @@ def repeated_mean(reports: list[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ValueError("no reports to average")
     n = len(reports)
-    return MetricsReport(**{f.name: sum(getattr(r, f.name) for r in reports) / n
+    return MetricsReport(**{f.name: math.fsum(getattr(r, f.name) for r in reports) / n
                             for f in fields(MetricsReport) if f.name != "n_runs"},
                          n_runs=n)

@@ -54,6 +54,7 @@ tabled weights against them bit for bit.
 
 from __future__ import annotations
 
+import math
 import zlib
 from bisect import bisect_right
 from collections import Counter
@@ -261,7 +262,7 @@ def _fill_row(probs: dict[tuple[str, str], float], src: str, dsts: list[str],
     if not dsts:
         return
     raw = [weight(src, dst) * (1.0 / degree[src] + 1.0 / degree[dst]) for dst in dsts]
-    total = sum(raw)
+    total = math.fsum(raw)
     if total <= 0.0:
         raise IsolatedNonTerminal(
             f"node {src} has zero outgoing raw mass; matrix misaligned with graph")

@@ -33,16 +33,9 @@ taken once per stage. A doc numbered under another table is renumbered into
 the first doc's table on every call that scores it, so that table keeps the
 doc's terms, never the doc.
 
-Floating-point results do not depend on whether a text or its counts came
-in: weights are built in the text's first-occurrence term order, which is
-the order `norm` sums in, and `dot` sums over the sorted common terms. Both
-shortcuts sum the same doubles in the same order with Python's `sum`, which
-Python 3.12 compensates, so only that keeps the floats on every interpreter.
-A TermTable holds both orders. In query_cosines each weight or product is
-one IEEE multiply of the same two doubles, in numpy as in Python; its dot
-sums over all of a document's terms in sorted order, with the query's
-weight 0.0 where the query lacks the term, and adding each such +0.0
-product leaves a plain or a compensated float `sum` unchanged.
+Every float reduction is `math.fsum`, which is correctly rounded, so a
+result depends only on the values summed: not on term order, on which of
+the three paths scored it, or on the Python version.
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,13 +97,11 @@ class TermVector:
 
     @cached_property
     def _norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights.values()))
+        return math.sqrt(math.fsum(w * w for w in self.weights.values()))
 
     def dot(self, other: "TermVector") -> float:
-        # Summation runs in sorted term order so dot(a, b) == dot(b, a)
-        # bit-for-bit, which keeps similarity exactly symmetric.
-        common = sorted(self.weights.keys() & other.weights.keys())
-        return sum(self.weights[t] * other.weights[t] for t in common)
+        mine, theirs = self.weights, other.weights
+        return math.fsum(mine[t] * theirs[t] for t in mine.keys() & theirs.keys())
 
 
 def _smoothed_idf(n_docs: int, doc_freq: int) -> float:
@@ -197,22 +187,17 @@ class TermIds:
     def _numbered(self, terms: list[str], counts: np.ndarray) -> DocTerms:
         table, number = self.ids, self.ids.setdefault
         ids = np.array([number(t, len(table)) for t in terms], dtype=np.intp)
-        order = sorted(range(len(terms)), key=terms.__getitem__)
-        return DocTerms(self, ids, counts, ids[order], counts[order])
+        return DocTerms(self, ids, counts)
 
 
 @dataclass(frozen=True, eq=False)
 class DocTerms:
     """One document's term counts as arrays over its table's term ids, for
-    query_cosines: `ids` and `counts` in first-occurrence order, the order
-    TermVector.norm sums in, and `sorted_ids` and `sorted_counts` in sorted
-    term order, the order TermVector.dot sums in."""
+    query_cosines."""
 
     table: TermIds
     ids: np.ndarray
     counts: np.ndarray
-    sorted_ids: np.ndarray
-    sorted_counts: np.ndarray
 
 
 def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
@@ -242,7 +227,7 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     n_docs = len(docs) + 1
     idf = table.idf(n_docs)
     q_weights = q_counts * idf[doc_freq[q_ids]]
-    norm = math.sqrt(sum((q_weights * q_weights).tolist()))
+    norm = math.sqrt(math.fsum((q_weights * q_weights).tolist()))
     if norm == 0.0:
         return [0.0] * len(docs)
     weights = np.concatenate([d.counts for d in docs]) * idf[doc_freq[ids]]
@@ -250,20 +235,22 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     # the query's weight per term id, 0.0 where it lacks the term
     by_id = np.zeros(n_terms + 1)
     by_id[q_ids] = q_weights
-    sorted_ids = np.concatenate([d.sorted_ids for d in docs])
-    products = (by_id[sorted_ids]
-                * (np.concatenate([d.sorted_counts for d in docs]) * idf[doc_freq[sorted_ids]])
-                ).tolist()
+    products = (by_id[ids] * weights).tolist()
     scores = []
     end = 0
     for d in docs:
         start, end = end, end + len(d.ids)
-        doc_norm = math.sqrt(sum(squares[start:end]))
+        doc_norm = math.sqrt(math.fsum(squares[start:end]))
         if doc_norm == 0.0:
             scores.append(0.0)
             continue
-        scores.append(min(1.0, sum(products[start:end]) / (norm * doc_norm)))
+        scores.append(min(1.0, math.fsum(products[start:end]) / (norm * doc_norm)))
     return scores
+
+
+# One text's weights under a CorpusIdf (CorpusIdf.table): (term, w_absent ** 2,
+# w_shared ** 2, w_shared) per term.
+TermTable = tuple[tuple[str, float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -300,36 +287,23 @@ class CorpusIdf:
     def table(self, counts: Counter[str]) -> TermTable:
         """The weights of a text whose terms the corpus holds, for any query:
         w_absent = count * absent[term] and w_shared = count * shared[term]."""
-        squares = []
-        shared = {}
+        rows = []
         for term, count in counts.items():
             wa, ws = count * self.absent[term], count * self.shared[term]
-            squares.append((term, wa * wa, ws * ws))
-            shared[term] = ws
-        return TermTable(tuple(squares), tuple(sorted(shared.items())))
+            rows.append((term, wa * wa, ws * ws, ws))
+        return tuple(rows)
 
     def query(self, counts: Counter[str]) -> CorpusQuery:
         """The weights of one query's term counts, and their norm."""
         shared, query_only = self.shared, self.query_only
         weights = {t: c * shared.get(t, query_only) for t, c in counts.items()}
-        return CorpusQuery(weights, math.sqrt(sum([w * w for w in weights.values()])))
-
-
-class TermTable(NamedTuple):
-    """One text's weights under a CorpusIdf (CorpusIdf.table): `squares` is
-    (term, w_absent ** 2, w_shared ** 2) in first-occurrence order, the
-    order TermVector.norm sums in, and `shared` is (term, w_shared) in sorted
-    term order, the order TermVector.dot sums in."""
-
-    squares: tuple[tuple[str, float, float], ...]
-    shared: tuple[tuple[str, float], ...]
+        return CorpusQuery(weights, math.sqrt(math.fsum([w * w for w in weights.values()])))
 
 
 @dataclass(frozen=True)
 class CorpusQuery:
-    """A query's weights under a CorpusIdf, in its first-occurrence order,
-    and their norm: index.vectorize(query) under build_index(corpus +
-    [query])."""
+    """A query's weights under a CorpusIdf and their norm:
+    index.vectorize(query) under build_index(corpus + [query])."""
 
     weights: dict[str, float]
     norm: float
@@ -338,7 +312,7 @@ class CorpusQuery:
         """The norm of a tabled text under this query's idf, taking
         w_shared ** 2 where the query holds the term."""
         weights = self.weights
-        return math.sqrt(sum([ws if t in weights else wa for t, wa, ws in table.squares]))
+        return math.sqrt(math.fsum([ws2 if t in weights else wa2 for t, wa2, ws2, _ in table]))
 
     def cosine(self, table: TermTable) -> float:
         """similarity(build_index(corpus + [query]), query, text) of the
@@ -347,7 +321,7 @@ class CorpusQuery:
         if self.norm == 0.0 or norm == 0.0:
             return 0.0
         weights = self.weights
-        dot = sum([weights[t] * w for t, w in table.shared if t in weights])
+        dot = math.fsum([weights[t] * ws for t, _, _, ws in table if t in weights])
         return min(1.0, dot / (self.norm * norm))
 
 

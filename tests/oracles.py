@@ -31,11 +31,11 @@ def oracle_tfidf_weights(doc_tokens: list[str], corpus_tokens: list[list[str]]) 
 
 
 def oracle_cosine(wa: dict[str, float], wb: dict[str, float]) -> float:
-    na = math.sqrt(sum(v * v for v in wa.values()))
-    nb = math.sqrt(sum(v * v for v in wb.values()))
+    na = math.sqrt(math.fsum(v * v for v in wa.values()))
+    nb = math.sqrt(math.fsum(v * v for v in wb.values()))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    dot = sum(wa[t] * wb.get(t, 0.0) for t in wa)
+    dot = math.fsum(wa[t] * wb.get(t, 0.0) for t in wa)
     return dot / (na * nb)
 
 
@@ -92,7 +92,7 @@ def oracle_midrank_auroc(rows) -> float:
         for k in range(i, j):
             ranks[id(ranked[k])] = midrank
         i = j
-    rank_sum = sum(ranks[id(r)] for r in rows if r.truth_vul)
+    rank_sum = math.fsum(ranks[id(r)] for r in rows if r.truth_vul)
     n_pos, n_neg = len(pos), len(neg)
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -156,7 +156,7 @@ def oracle_build_report(rows, theta_out: float) -> dict[str, float]:
         "precision": precision, "recall": recall, "f1": f1,
         "auroc": oracle_midrank_auroc(rows), "auprc": _oracle_step_auprc(rows),
         "macro_p": p_sum / n, "macro_r": r_sum / n, "macro_f1": f_sum / n,
-        "mean_latency": sum(r.latency_seconds for r in rows) / len(rows),
+        "mean_latency": math.fsum(r.latency_seconds for r in rows) / len(rows),
     }
 
 
@@ -228,7 +228,7 @@ def oracle_edge_probabilities(pair_weights: dict[tuple[str, str], float],
     probs = {}
     for src in {p[0] for p in raw}:
         out_pairs = [p for p in raw if p[0] == src]
-        total = sum(raw[p] for p in out_pairs)
+        total = math.fsum(raw[p] for p in out_pairs)
         for p in out_pairs:
             probs[p] = raw[p] / total
     return probs

@@ -236,6 +236,21 @@ class TestRetrieve:
                           "--db", str(env.root / "nowhere"))
         assert "prepare-db" in result.output
 
+    @pytest.mark.parametrize("body, reason", [
+        ("{}", "KeyError: 'ir_id'"),
+        ('{"ir_id": "x", "nodes": 3, "edges": []}', "TypeError: 'int' object is not iterable"),
+        ("{not json", "JSONDecodeError: Expecting property name"),
+    ])
+    def test_corrupt_graph_file_is_named(self, env, body, reason):
+        db = prepared_db(env)
+        (db / "graphs" / "zz.json").write_text(body, encoding="utf-8")
+        result = env.runner.invoke(main, ["retrieve", "-c", env.config, "--db", str(db)])
+        assert result.exit_code == 1
+        # exited through the CLI's error handler, not an uncaught exception
+        assert isinstance(result.exception, SystemExit)
+        assert f"zz.json: not a reasoning graph: {reason}" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestIdentify:
     def test_predictions_follow_the_script(self, env):

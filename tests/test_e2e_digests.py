@@ -16,18 +16,33 @@ the reasoner case pins the graph JSON (as GraphStore writes it) and the call
 counts of the agent loop over scripted reports that do: dedup links,
 inclusion deferral, binding node, depth and branch budgets, an aborted
 partial graph, corrections that rewrite, and the closing undecided terminal.
+
+The digests hold on every Python version: `src/` sums floats only with
+`math.fsum`, which is correctly rounded. Python 3.12 made the builtin `sum`
+compensated, so a float `sum` would move them. One case reruns the pipeline
+with every module's `sum` swapped for 3.11's and then for 3.12's, so both
+versions are checked on either, and an AST guard keeps the builtin `sum` to
+counts.
 """
 
+import ast
+import functools
 import hashlib
+import importlib
 import json
+import math
+import operator
+import pkgutil
 import random
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import fixturelib
 from e2e_fixture import write_e2e_config, write_e2e_fixture
+import vulrtex
 from vulrtex import cli
 from vulrtex.config import load_config
 from vulrtex.corpus import load_corpus
@@ -48,9 +63,9 @@ EXPECTED = {
         "preds.jsonl": "1f38fe7a18b043b3e1c7ea23d9689b54b53d6726fdd2eb827010d71cce002b04",
         "report.json": "b9849fc65c80bdc8d07a2d52425cdab80d4197943d9559ff2d502f2a709658fa",
         "curve.csv": "b124be22357b62fe92f720a2f78de25c9e6444c73a34c10438905036f595161a",
-        "retrieve": "6333221c740cc3e29b029a9acd8c9fe49400c71b61a27ede67ad65208dbbd9ed",
+        "retrieve": "3e2dbdbd615b47db513b9da1b9ea311bfdf4b07afe8e66792f9b4522ad881423",
     },
-    "branching": "a1c1f8158d57f78ebb0e501b96d6e0a389f0277a33a0e4ba789b44645e0243e9",
+    "branching": "ba71534ebd5d1bb54caf6b3f51db33b7fff8efeb272c0e321edcdab7de0eadae",
     "reasoner": "1d0667de0740a83bd99b8decc17983656c4a44a1192dbb4a796f8ad2e76c4f05",
     "runs3": {
         "preds.jsonl": "3f639485bf7e2399d2ad8c4134bb916a12660d7856ae86590db1eae2a0b9cd23",
@@ -133,6 +148,62 @@ def test_branching_case_matches_recorded_digest(tmp_path):
     digest, filled = _branching(tmp_path)
     assert filled > 0
     assert digest == EXPECTED["branching"]
+
+
+def _left_fold_sum(iterable, /, start=0):
+    """The builtin `sum` as Python 3.11 and earlier compute it: one `+` per
+    term, left to right."""
+    return functools.reduce(operator.add, iterable, start)
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The builtin `sum` as Python 3.12 computes it: once the running total
+    is a float, float terms are added with Neumaier's compensation, which is
+    folded in before any other term and at the end."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            if comp:
+                total, comp = total + comp, 0.0
+            total = total + x
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.mark.parametrize("float_sum", [_left_fold_sum, _compensated_sum],
+                         ids=["py3.11", "py3.12"])
+def test_digests_hold_under_either_builtin_sum(tmp_path, monkeypatch, float_sum):
+    # the two differ in the last bit here, and agree on counts
+    assert {_left_fold_sum([0.1] * 10), _compensated_sum([0.1] * 10)} == {
+        0.9999999999999999, 1.0}
+    assert float_sum(1 for _ in range(3)) == 3
+    modules = [vulrtex] + [importlib.import_module(f"vulrtex.{info.name}")
+                           for info in pkgutil.iter_modules(vulrtex.__path__)]
+    for module in modules:
+        monkeypatch.setattr(module, "sum", float_sum, raising=False)
+    assert _run_all(tmp_path / "runs1", 1) == EXPECTED["runs1"]
+    digest, _ = _branching(tmp_path / "branching")
+    assert digest == EXPECTED["branching"]
+
+
+def _is_count(call: ast.Call) -> bool:
+    """Whether the call is sum(1 for ...)."""
+    gen = call.args[0] if len(call.args) == 1 and not call.keywords else None
+    return (isinstance(gen, ast.GeneratorExp) and isinstance(gen.elt, ast.Constant)
+            and type(gen.elt.value) is int and gen.elt.value == 1)
+
+
+def test_src_calls_the_builtin_sum_only_to_count():
+    calls = []
+    for path in sorted(Path(vulrtex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum" and not _is_count(node)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 class _FailsAt:

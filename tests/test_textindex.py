@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vulrtex.errors import EmptyCorpus
+from vulrtex.knowledge import KnowledgeRecord, KnowledgeStore
 from vulrtex.textindex import (
     STOPWORDS,
     CorpusIdf,
@@ -177,13 +179,13 @@ def test_vectorize_merged_counts_equals_joined_text(docs, a, b):
     idx = build_index(docs + [a, b])
     from_counts = idx.vectorize(term_counts(a) + term_counts(b))
     from_text = idx.vectorize(a + " " + b)
-    # same keys in the same order, so norm() sums in the same order: the
-    # order in which the joined text's terms first occur
+    # same keys in the same order: the order in which the joined text's
+    # terms first occur
     assert list(from_counts.weights.items()) == list(from_text.weights.items())
     first_seen = dict.fromkeys(tokenize(a + " " + b))
     assert list(from_text.weights) == list(first_seen)
     assert from_counts.norm() == from_text.norm()
-    assert from_text.norm() == math.sqrt(sum(w * w for w in from_text.weights.values()))
+    assert from_text.norm() == math.sqrt(math.fsum(w * w for w in from_text.weights.values()))
 
 
 @exact
@@ -226,7 +228,7 @@ query_texts = st.lists(
 @example(["xss payload", "sql token page"], "")                   # an empty query
 @example(["xss payload", "the of", "page"], "xss page")           # a stopword-only doc
 @example(["xss payload", "sql token"], "xss zero-day unseen xss")  # query-only terms
-# a norm whose last bit depends on summing in first-occurrence order
+# a norm whose last bit, summed left to right, depends on term order
 @example(["", "xss xssxss payload payload payload"], "xss")
 def test_corpus_query_cosine_equals_index_path(docs, query):
     # every text a corpus query scores, each doc and each doc joined to
@@ -253,7 +255,7 @@ def test_corpus_query_cosine_equals_index_path(docs, query):
 @example([("xss payload", False), ("sql token", False)], [], "the of")     # stopwords only
 @example([("", False), ("the of", True), ("xss", False)], [0], "xss")     # empty docs
 @example([("token page", True), ("xss token", False)], [1], "token xss")  # two tables
-# a dot whose last bit depends on summing in sorted term order
+# a dot whose last bit, summed left to right, depends on term order
 @example([("a-b", False), ("42 payload tag page", False)], [], "page page 42 tag 42")
 def test_query_cosines_equal_index_path(docs, repeats, query):
     # every float must be the index path's, bit for bit, with each doc
@@ -276,3 +278,42 @@ def test_query_cosines_equal_index_path(docs, repeats, query):
         assert sorted(ids.values()) == list(range(len(ids)))
         assert [s.hex() for s in query_cosines(q, doc_terms)] == want
         assert doc_terms[0].table.ids == ids
+
+
+def _reordered(counts, rng):
+    items = list(counts.items())
+    rng.shuffle(items)
+    return Counter(dict(items))
+
+
+def _record(i, text, counts):
+    record = KnowledgeRecord("prop", str(i), text)
+    record.__dict__["counts"] = counts  # the cached term counts, in this key order
+    return record
+
+
+@exact
+@given(st.lists(texts.filter(lambda t: bool(term_counts(t))), min_size=1, max_size=5),
+       query_texts, st.randoms(use_true_random=False))
+# a doc norm whose last bit a left-to-right float sum changes when the doc's
+# term order is reversed
+@example(["tag xss token 42 page"], "42", random.Random(0))
+def test_every_path_gives_the_index_float_in_any_term_order(docs, query, rng):
+    # the index path, the two shortcut paths and the knowledge store must give
+    # one double per doc, whatever the key order of the query's and the docs'
+    # counts
+    counts = [term_counts(d) for d in docs]
+    q = term_counts(query)
+    index = build_index(counts + [q])
+    want = [similarity(index, q, c).hex() for c in counts]
+    for order in (lambda c: c, lambda c: Counter(dict(reversed(c.items()))),
+                  lambda c: _reordered(c, rng)):
+        qo, co = order(q), [order(c) for c in counts]
+        assert [similarity(build_index(co + [qo]), qo, c).hex() for c in co] == want
+        ids = TermIds()
+        assert [s.hex() for s in query_cosines(qo, [ids.doc_terms(c) for c in co])] == want
+        idf = CorpusIdf.from_corpus(co)
+        scorer = idf.query(qo)
+        assert [scorer.cosine(idf.table(c)).hex() for c in co] == want
+        store = KnowledgeStore([_record(i, d, c) for i, (d, c) in enumerate(zip(docs, co))])
+        assert [s.hex() for s in store.similarities(qo)] == want
