@@ -199,9 +199,8 @@ def stage_retrieve(cfg: PipelineConfig,
     graphs = count_graphs(graph_store.load_all())
     results = []
     for target in targets:
-        kept = retrieve_relevant(graphs, target, cfg.theta_sim,
-                                 walks=cfg.walks, seed=cfg.seed,
-                                 toolkit=toolkit)
+        kept = retrieve_relevant(graphs, Target(target, toolkit), cfg.theta_sim,
+                                 walks=cfg.walks, seed=cfg.seed)
         results.append({
             "ir_id": target.id,
             "retrieved": [{

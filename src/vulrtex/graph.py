@@ -301,13 +301,17 @@ class GraphStore:
         return path
 
     def load(self, ir_id: str) -> ReasoningGraph:
-        """The graph saved under ir_id; a file that is not one raises a
-        ValueError naming it."""
+        """The graph saved under ir_id; a file that is not a graph, or is
+        the graph of another id, raises a ValueError naming it."""
         path = self.graphs_dir / graph_filename(ir_id)
         try:
-            return ReasoningGraph.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (ValueError, KeyError, TypeError) as exc:
+            g = ReasoningGraph.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, KeyError, TypeError,
+                DuplicateId, DanglingEndpoint, CycleIntroduced) as exc:
             raise ValueError(f"{path}: not a reasoning graph: {type(exc).__name__}: {exc}") from exc
+        if g.ir_id != ir_id:
+            raise ValueError(f"{path}: holds the graph of {g.ir_id!r}, not of {ir_id!r}")
+        return g
 
     def ir_ids(self) -> list[str]:
         if not self.graphs_dir.is_dir():

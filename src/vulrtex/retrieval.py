@@ -15,8 +15,7 @@ A prune costs only the work that can change its result:
   a choice reads it. A walk step with one unvisited option and a closure
   with one terminator candidate read none, so most rows are never computed.
 - What no target changes is computed once per stage, on the CountedGraph:
-  - node term counts, the idf tables of the node texts, degrees and each
-    source's destinations;
+  - node term counts, the idf tables of the node texts and degrees;
   - the walk's structure: each node's sorted successors, each (src, dst)
     hop's action ids and whether it holds a terminator, and each node's
     terminator out-actions, so no walk step or closure calls a graph method;
@@ -25,8 +24,8 @@ A prune costs only the work that can change its result:
     CorpusQuery cosines over tabled floats, with no index, Counter sum or
     vector per pair;
   - the dense ids of the pruned descriptions' terms, in one TermIds that
-    count_graphs shares among the graphs it counts, which also keeps the
-    idf array query_cosines scores them under, per document count.
+    the graphs of one count_graphs call share, which also keeps the idf
+    array query_cosines scores them under, per document count.
 - What only the run seed changes is computed once per (graph, run seed):
   each graph's walk seed (CountedGraph.walk_seed).
 - For a fixed (graph, seed, walks), a prune is a pure function of the
@@ -58,6 +57,7 @@ import math
 import zlib
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -110,15 +110,15 @@ class CountedGraph:
     once per stage so many targets share it.
 
     `node_counts` and `idf` (over the node texts) feed the edge weights;
-    `degree` and `dsts` (each source's distinct destinations, in out_actions
-    order) shape the walk probabilities. The walk reads its structure from
-    three tables: `succ` (each node's distinct successors, sorted), `hops`
-    (each connected (src, dst) pair's action ids, and whether one of them
-    is an AgentTerminator) and `terminators` (each node's AgentTerminator
-    out-actions, in out_actions order). `term_ids` numbers the terms of the
-    pruned descriptions (ReservedGraph.description_terms); the graphs of
-    one count_graphs call share it, so their descriptions score under one
-    numbering, and it goes away with them.
+    `degree` and `succ` (each node's distinct successors, sorted) shape the
+    walk probabilities. The walk reads its structure from `succ` and two
+    more tables: `hops` (each connected (src, dst) pair's action ids, and
+    whether one of them is an AgentTerminator) and `terminators` (each
+    node's AgentTerminator out-actions, in out_actions order). `term_ids`
+    numbers the terms of the pruned descriptions
+    (ReservedGraph.description_terms); the graphs of one count_graphs call
+    share it, so their descriptions score under one numbering, and it goes
+    away with them.
 
     Four memos fill as the stage walks and go away with it: `prunes`
     holds, per (seed, walks) asked for, random_walk_prune's trie of choices
@@ -136,7 +136,6 @@ class CountedGraph:
     node_counts: dict[str, Counter[str]]
     idf: CorpusIdf
     degree: dict[str, int]
-    dsts: dict[str, list[str]]
     succ: dict[str, tuple[str, ...]]
     hops: dict[tuple[str, str], tuple[tuple[str, ...], bool]]
     terminators: dict[str, tuple[Action, ...]]
@@ -172,13 +171,10 @@ def node_counts(g: ReasoningGraph) -> dict[str, Counter[str]]:
     return {nid: term_counts(g.node_text(nid)) for nid in g.nodes}
 
 
-def _out_structure(g: ReasoningGraph) -> tuple[dict[str, int], dict[str, list[str]]]:
+def _degrees(g: ReasoningGraph) -> dict[str, int]:
     """Each node's degree, counting every incident action of the multigraph
-    (in and out, parallels included), and its distinct destinations in
-    out_actions order."""
-    degree = {nid: len(g.out_actions(nid)) + len(g.in_actions(nid)) for nid in g.nodes}
-    dsts = {nid: list(dict.fromkeys(a.dst for a in g.out_actions(nid))) for nid in g.nodes}
-    return degree, dsts
+    (in and out, parallels included)."""
+    return {nid: len(g.out_actions(nid)) + len(g.in_actions(nid)) for nid in g.nodes}
 
 
 def _walk_tables(g: ReasoningGraph) -> tuple[
@@ -200,18 +196,24 @@ def _walk_tables(g: ReasoningGraph) -> tuple[
 
 def count_graphs(graphs) -> list[CountedGraph]:
     """Pair every graph with its target-independent statistics and walk
-    tables, the graphs counted here sharing one TermIds, made only when a
-    graph is counted; counted graphs pass through."""
+    tables.
+
+    A list whose graphs one earlier call counted (CountedGraphs sharing one
+    TermIds) comes back as it is, memos and all. Any other list is counted
+    again as a whole under one new TermIds, taking the .graph of each
+    CountedGraph in it, so the graphs of a returned list always number
+    their descriptions under one table."""
+    graphs = list(graphs)
+    if all(isinstance(g, CountedGraph) and g.term_ids is graphs[0].term_ids for g in graphs):
+        return graphs
+    term_ids = TermIds()
     out = []
-    term_ids = None
     for g in graphs:
-        if not isinstance(g, CountedGraph):
-            if term_ids is None:
-                term_ids = TermIds()
-            counts = node_counts(g)
-            g = CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
-                             *_out_structure(g), *_walk_tables(g), term_ids)
-        out.append(g)
+        if isinstance(g, CountedGraph):
+            g = g.graph
+        counts = node_counts(g)
+        out.append(CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
+                                _degrees(g), *_walk_tables(g), term_ids))
     return out
 
 
@@ -255,7 +257,7 @@ def build_adjacency(g: ReasoningGraph, target: str | Counter[str], index: TfIdfI
                             for pair in sorted({(a.src, a.dst) for a in g.edges})})
 
 
-def _fill_row(probs: dict[tuple[str, str], float], src: str, dsts: list[str],
+def _fill_row(probs: dict[tuple[str, str], float], src: str, dsts: Sequence[str],
               degree: dict[str, int], weight: Callable[[str, str], float]) -> None:
     """Degree-weighted walk probabilities of src's out-edges, normalized
     over its distinct destinations; a source without any has no row."""
@@ -295,7 +297,7 @@ class EdgeProbabilities:
         if self._weigh is None:
             query, terms = c.idf.query(self.target), c.terms
             self._weigh = _PairWeights(lambda src, dst: query.cosine(terms(src, dst)))
-        _fill_row(self.probs, src, c.dsts[src], c.degree, self._weigh)
+        _fill_row(self.probs, src, c.succ[src], c.degree, self._weigh)
         self._rows.add(src)
 
     def outgoing(self, src: str) -> list[tuple[str, float]]:
@@ -306,10 +308,10 @@ class EdgeProbabilities:
 def edge_probabilities(m: AdjacencyMatrix, g: ReasoningGraph) -> EdgeProbabilities:
     """Every row of the walk probabilities over the weights in m (see
     _fill_row)."""
-    degree, dsts = _out_structure(g)
+    degree = _degrees(g)
     probs: dict[tuple[str, str], float] = {}
     for src in g.nodes:
-        _fill_row(probs, src, dsts[src], degree, m.weight)
+        _fill_row(probs, src, g.successors(src), degree, m.weight)
     return EdgeProbabilities(probs)
 
 
@@ -509,7 +511,7 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
     """
     if walks < 1:
         raise ValueError("walks must be at least 1")
-    counted = g if isinstance(g, CountedGraph) else count_graphs([g])[0]
+    counted = count_graphs([g])[0]
     key = (rng_seed, walks)
     node = counted.prunes.get(key)
     parent, picked, depth = None, 0, 0
@@ -536,7 +538,7 @@ def prune_for_target(g: ReasoningGraph | CountedGraph, target: str | Counter[str
                      walks: int, rng_seed: int) -> ReservedGraph:
     """Probabilities and walk pruning in one step; the target is its text or
     its term counts."""
-    counted = g if isinstance(g, CountedGraph) else count_graphs([g])[0]
+    counted = count_graphs([g])[0]
     if isinstance(target, str):
         target = term_counts(target)
     return random_walk_prune(counted, target_probabilities(counted, target),
@@ -588,13 +590,9 @@ class Target:
         return ir_json(self.ir)
 
     @classmethod
-    def of(cls, target: CanonicalIR | Target, toolkit: ToolKit | None = None) -> Target:
+    def of(cls, target: CanonicalIR | Target) -> Target:
         """`target` itself when it is a Target, else `target` wrapped."""
-        if not isinstance(target, Target):
-            return cls(target, toolkit)
-        if toolkit is not None and toolkit is not target.toolkit:
-            raise ValueError(f"target {target.id} flattens with its own toolkit")
-        return target
+        return target if isinstance(target, Target) else cls(target)
 
     def probabilities(self, counted: CountedGraph) -> EdgeProbabilities:
         """This target's walk probabilities over a counted graph; the kept
@@ -608,41 +606,38 @@ class Target:
         return probs
 
 
-def retrieve_relevant(db, target: CanonicalIR | Target, theta_sim: float,
-                      walks: int = DEFAULT_WALKS, seed: int = 0,
-                      toolkit: ToolKit | None = None) -> list[ReservedGraph]:
-    """Prune every stored graph for this target, keep the ones whose
-    description scores strictly above theta_sim, best first.
+def retrieve_relevant(graphs, target: CanonicalIR | Target, theta_sim: float,
+                      walks: int = DEFAULT_WALKS, seed: int = 0) -> list[ReservedGraph]:
+    """Prune every graph for this target, keep the ones whose description
+    scores strictly above theta_sim, best first.
 
-    `db` is a GraphStore or a list of graphs; a caller retrieving for many
-    targets passes count_graphs(store.load_all()) once, so no graph is
-    loaded or node text counted per target, and the graphs' memos serve
-    every target: a prune whose choices all meet outcomes an earlier
-    prune of the graph met under the same seed does not walk, and each
-    distinct reserved subgraph of a graph is described and its terms
-    tabled once. The memos hold at most one leaf per prune that walked and
-    go away with the list. Similarities are those of an index over all
-    pruned descriptions plus the flattened target, computed from the
-    tabled terms (textindex.query_cosines); the descriptions of graphs
-    counted apart are renumbered under the first graph's TermIds on each
-    call. Per-graph walk seeds derive from (seed, graph id), so results do
-    not depend on iteration or scheduling order; each graph keeps its seed
-    per run seed (CountedGraph.walk_seed).
+    `graphs` goes through count_graphs; a caller retrieving for many
+    targets passes the list of one count_graphs call, so no node text is
+    counted per target, and the graphs' memos serve every target: a prune
+    whose choices all meet outcomes an earlier prune of the graph met
+    under the same seed does not walk, and each distinct reserved subgraph
+    of a graph is described and its terms tabled once. The memos hold at
+    most one leaf per prune that walked and go away with the list.
+    Similarities are those of an index over all pruned descriptions plus
+    the flattened target, computed from the tabled terms
+    (textindex.query_cosines). Per-graph walk seeds derive from (seed,
+    graph id), so results do not depend on iteration or scheduling order;
+    each graph keeps its seed per run seed (CountedGraph.walk_seed).
 
     `target` is a Target or a CanonicalIR, which is wrapped as a Target
-    flattened with `toolkit`; a caller repeating a target under other
-    seeds passes the same Target each time, so it is flattened and counted
+    without a toolkit; a caller repeating a target under other seeds
+    passes the same Target each time, so it is flattened and counted
     once. Walk probabilities fill only the source rows that a draw among
     several options, or a closure among several terminators, reads; a
     Target that keeps rows (Target.rows) hands the rows filled so far to
     the next call.
     """
-    graphs = count_graphs(db.load_all() if hasattr(db, "load_all") else db)
+    graphs = count_graphs(graphs)
     if not graphs:
         raise EmptyDatabase("no reasoning graphs to retrieve from")
     if not 0.0 <= theta_sim <= 1.0:
         raise ValueError("theta_sim must be in [0, 1]")
-    target = Target.of(target, toolkit)
+    target = Target.of(target)
     pruned = [random_walk_prune(counted, target.probabilities(counted), walks,
                                 counted.walk_seed(seed))
               for counted in graphs]

@@ -29,9 +29,7 @@ retrieval.count_graphs call, shared by the graphs it counts and gone with
 them; a query's terms never join it. The same table keeps query_cosines'
 idf array per document count, which a stage scoring every target against
 one description per graph asks for with one count, so its logarithms are
-taken once per stage. A doc numbered under another table is renumbered into
-the first doc's table on every call that scores it, so that table keeps the
-doc's terms, never the doc.
+taken once per stage.
 
 Every float reduction is `math.fsum`, which is correctly rounded, so a
 result depends only on the values summed: not on term order, on which of
@@ -154,8 +152,7 @@ def build_index(docs: list[str | Counter[str]]) -> TfIdfIndex:
 class TermIds:
     """A dense numbering of terms, in order of first sight, that DocTerms
     index their arrays by. It grows only by the terms of the documents
-    numbered under it (`doc_terms`) or renumbered into it (`renumber`);
-    query_cosines adds no query term.
+    numbered under it (`doc_terms`); query_cosines adds no query term.
 
     `idf_tables` keeps query_cosines' idf array (`idf`) per document
     count, so docs scored together under this table, which all of one
@@ -176,18 +173,9 @@ class TermIds:
 
     def doc_terms(self, counts: Counter[str]) -> DocTerms:
         """One document's term counts, numbered under this table."""
-        return self._numbered(list(counts), np.array(list(counts.values()), dtype=np.float64))
-
-    def renumber(self, doc: DocTerms) -> DocTerms:
-        """`doc`, numbered under another table, numbered under this one;
-        this table keeps its terms, not the doc."""
-        terms = list(doc.table.ids)
-        return self._numbered([terms[i] for i in doc.ids.tolist()], doc.counts)
-
-    def _numbered(self, terms: list[str], counts: np.ndarray) -> DocTerms:
         table, number = self.ids, self.ids.setdefault
-        ids = np.array([number(t, len(table)) for t in terms], dtype=np.intp)
-        return DocTerms(self, ids, counts)
+        ids = np.array([number(t, len(table)) for t in counts], dtype=np.intp)
+        return DocTerms(self, ids, np.array(list(counts.values()), dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +194,9 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     with index = build_index(docs + [query]), bit for bit, but with no index
     or vector.
 
-    The docs are read under the first doc's table (TermIds.renumber). The
-    idf depends on a term only through its document frequency, so it is
+    The docs must share one table; docs numbered under two raise
+    ValueError, since their ids would name different terms. The idf
+    depends on a term only through its document frequency, so it is
     tabled per frequency, one logarithm for each of 0 .. n_docs, and kept
     on that table per document count (TermIds.idf); every weight of every
     doc comes from one gather and one multiply over the docs' concatenated
@@ -216,7 +205,8 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     if not docs:
         return []
     table = docs[0].table
-    docs = [d if d.table is table else table.renumber(d) for d in docs]
+    if any(d.table is not table for d in docs):
+        raise ValueError("query_cosines needs docs numbered under one TermIds")
     n_terms = len(table.ids)
     # slot n_terms stands for every query term no doc holds
     q_ids = np.array([table.ids.get(t, n_terms) for t in query], dtype=np.intp)

@@ -240,6 +240,15 @@ class TestRetrieve:
         ("{}", "KeyError: 'ir_id'"),
         ('{"ir_id": "x", "nodes": 3, "edges": []}', "TypeError: 'int' object is not iterable"),
         ("{not json", "JSONDecodeError: Expecting property name"),
+        ('{"ir_id": "zz", "nodes": [{"id": "O1", "text": "a"}, {"id": "O1", "text": "b"}],'
+         ' "edges": []}', "DuplicateId: observation O1 already present"),
+        ('{"ir_id": "zz", "nodes": [{"id": "O1", "text": "a"}],'
+         ' "edges": [{"id": "A1", "src": "O1", "dst": "O2", "tool": "t"}]}',
+         "DanglingEndpoint: action A1: O1->O2 references a missing node"),
+        ('{"ir_id": "zz", "nodes": [{"id": "O1", "text": "a"}, {"id": "O2", "text": "b"}],'
+         ' "edges": [{"id": "A1", "src": "O1", "dst": "O2", "tool": "t"},'
+         ' {"id": "A2", "src": "O2", "dst": "O1", "tool": "t"}]}',
+         "CycleIntroduced: action A2: O2->O1 would close a cycle"),
     ])
     def test_corrupt_graph_file_is_named(self, env, body, reason):
         db = prepared_db(env)
@@ -249,6 +258,18 @@ class TestRetrieve:
         # exited through the CLI's error handler, not an uncaught exception
         assert isinstance(result.exception, SystemExit)
         assert f"zz.json: not a reasoning graph: {reason}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_graph_file_of_another_id_is_refused(self, env):
+        # a copied graph file would give two graphs one id
+        db = prepared_db(env)
+        stored = sorted((db / "graphs").glob("*.json"))[0].read_text(encoding="utf-8")
+        (db / "graphs" / "zz.json").write_text(stored, encoding="utf-8")
+        result = env.runner.invoke(main, ["retrieve", "-c", env.config, "--db", str(db)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        ir_id = json.loads(stored)["ir_id"]
+        assert f"zz.json: holds the graph of {ir_id!r}, not of 'zz'" in result.output
         assert "Traceback" not in result.output
 
 

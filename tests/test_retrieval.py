@@ -415,7 +415,7 @@ def test_result_independent_of_database_order():
 
 def test_target_rows_serve_only_the_graphs_that_filled_them():
     """A new count of the same graphs fills fresh rows and retrieves the
-    same; a Target flattens with its own toolkit, not the call's."""
+    same."""
     target = Target(target_ir(), rows={})
     first = retrieve_relevant(count_graphs(retrieval_db()), target, theta_sim=0.0, seed=5)
     rows = dict(target.rows)
@@ -423,8 +423,6 @@ def test_target_rows_serve_only_the_graphs_that_filled_them():
     assert [(r.origin_ir, r.similarity) for r in again] == \
         [(r.origin_ir, r.similarity) for r in first]
     assert rows and all(target.rows[ir_id] is not probs for ir_id, probs in rows.items())
-    with pytest.raises(ValueError, match="own toolkit"):
-        retrieve_relevant(retrieval_db(), target, theta_sim=0.0, toolkit=ToolKit(None, None))
 
 
 def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
@@ -581,10 +579,17 @@ def test_graphs_counted_apart_score_as_counted_together(make, graph_seed, text, 
 
 
 def test_counted_table_keeps_no_doc_of_a_later_call():
-    # a plain graph passed beside a counted one is counted afresh on each
-    # call; the counted graph's TermIds must not keep that call's documents
+    # a plain graph passed beside a counted one makes the call count both
+    # afresh, scoring them as count_graphs of the plain graphs does; the
+    # counted graph's TermIds must not keep that call's documents
     counted = count_graphs([chain_graph()])[0]
     plain = fx.build_fig_graph()
+
+    def scores(db):
+        return [(r.origin_ir, r.similarity.hex())
+                for r in retrieve_relevant(db, target_ir(), theta_sim=0.0, seed=5)]
+
+    assert scores([counted, plain]) == scores(count_graphs([chain_graph(), plain]))
     for _ in range(2):
         got = retrieve_relevant([counted, plain], target_ir(), theta_sim=0.0, seed=5)
         foreign = [weakref.ref(r.description_terms) for r in got

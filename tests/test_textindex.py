@@ -254,15 +254,15 @@ def test_corpus_query_cosine_equals_index_path(docs, query):
 @example([("xss payload", False), ("sql token", False)], [], "")           # an empty query
 @example([("xss payload", False), ("sql token", False)], [], "the of")     # stopwords only
 @example([("", False), ("the of", True), ("xss", False)], [0], "xss")     # empty docs
-@example([("token page", True), ("xss token", False)], [1], "token xss")  # two tables
+@example([("token page", True), ("xss token", False)], [1], "token xss")  # refused
 # a dot whose last bit, summed left to right, depends on term order
 @example([("a-b", False), ("42 payload tag page", False)], [], "page page 42 tag 42")
 def test_query_cosines_equal_index_path(docs, repeats, query):
-    # every float must be the index path's, bit for bit, with each doc
-    # numbered under one of two tables
-    tables = [TermIds(), TermIds()]
-    numbered = [(term_counts(d), tables[other]) for d, other in docs]
-    numbered = [(c, t.doc_terms(c)) for c, t in numbered]
+    # every float must be the index path's, bit for bit, with every doc
+    # numbered under one table; docs numbered under two, whose ids name
+    # different terms, are refused
+    table = TermIds()
+    numbered = [(c, table.doc_terms(c)) for c in (term_counts(d) for d, _ in docs)]
     numbered += [numbered[i % len(numbered)] for i in repeats if numbered]
     counts = [c for c, _ in numbered]
     q = term_counts(query)
@@ -278,6 +278,12 @@ def test_query_cosines_equal_index_path(docs, repeats, query):
         assert sorted(ids.values()) == list(range(len(ids)))
         assert [s.hex() for s in query_cosines(q, doc_terms)] == want
         assert doc_terms[0].table.ids == ids
+    other = TermIds()
+    mixed = [other.doc_terms(c) if apart else d
+             for (c, d), (_, apart) in zip(numbered, docs)]
+    if len({d.table for d in mixed}) > 1:
+        with pytest.raises(ValueError, match="one TermIds"):
+            query_cosines(q, mixed)
 
 
 def _reordered(counts, rng):
