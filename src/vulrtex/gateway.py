@@ -7,14 +7,11 @@ a generic chat-completion JSON protocol and is configured, never hard-coded.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,7 +213,15 @@ def post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) 
     BackendRejected; a 5xx, a failed connection or a reply cut short raises
     TransportError. urlopen is looked up on each call, so a test can patch
     urllib.request.urlopen.
+
+    The HTTP stack (http.client, urllib.request and the ssl and email
+    modules they pull in) is imported here, on the first exchange, so a
+    run on stub backends never loads it.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json", **headers}, method="POST")

@@ -286,6 +286,11 @@ def graph_filename(ir_id: str) -> str:
     return urllib.parse.quote(ir_id, safe="") + ".json"
 
 
+def _named_id(path: FsPath) -> str:
+    """The report id a graph file's name encodes."""
+    return urllib.parse.unquote(path.name[:-len(".json")])
+
+
 class GraphStore:
     """Reasoning-database directory: graphs/<ir_id>.json plus manifest.json."""
 
@@ -303,31 +308,43 @@ class GraphStore:
     def load(self, ir_id: str) -> ReasoningGraph:
         """The graph saved under ir_id; a file that is not a graph, or is
         the graph of another id, raises a ValueError naming it."""
-        path = self.graphs_dir / graph_filename(ir_id)
+        return self._read(self.graphs_dir / graph_filename(ir_id))
+
+    def _read(self, path: FsPath) -> ReasoningGraph:
+        """The graph in a graphs/ file, which must be named
+        graph_filename(ir_id) of the graph it holds; any other file raises
+        a ValueError naming it."""
         try:
             g = ReasoningGraph.from_dict(json.loads(path.read_text(encoding="utf-8")))
         except (ValueError, KeyError, TypeError,
                 DuplicateId, DanglingEndpoint, CycleIntroduced) as exc:
             raise ValueError(f"{path}: not a reasoning graph: {type(exc).__name__}: {exc}") from exc
-        if g.ir_id != ir_id:
-            raise ValueError(f"{path}: holds the graph of {g.ir_id!r}, not of {ir_id!r}")
+        if path.name != graph_filename(g.ir_id):
+            named = _named_id(path)
+            if named != g.ir_id:
+                raise ValueError(f"{path}: holds the graph of {g.ir_id!r}, not of {named!r}")
+            raise ValueError(f"{path}: the graph of {g.ir_id!r} must be saved as "
+                             f"{graph_filename(g.ir_id)}")
         return g
 
-    def ir_ids(self) -> list[str]:
+    def _paths(self) -> list[FsPath]:
+        """The graph files, in the order of the ids their names encode."""
         if not self.graphs_dir.is_dir():
             return []
-        ids = [urllib.parse.unquote(p.name[:-len(".json")])
-               for p in self.graphs_dir.glob("*.json")]
-        return sorted(ids)
+        return sorted(self.graphs_dir.glob("*.json"), key=lambda p: (_named_id(p), p.name))
+
+    def ir_ids(self) -> list[str]:
+        return [_named_id(p) for p in self._paths()]
 
     def load_all(self) -> list[ReasoningGraph]:
-        return [self.load(ir_id) for ir_id in self.ir_ids()]
+        """Every graph file's graph, each file read as listed."""
+        return [self._read(path) for path in self._paths()]
 
     def write_manifest(self, manifest: dict) -> None:
         self.db_dir.mkdir(parents=True, exist_ok=True)
         payload = dict(manifest)
         payload.setdefault("schema_version", GRAPH_SCHEMA_VERSION)
-        payload["count"] = len(self.ir_ids())
+        payload["count"] = len(self._paths())
         (self.db_dir / "manifest.json").write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 

@@ -19,7 +19,7 @@ from .config import DEFAULT_THETA_OUT
 from .corpus import CanonicalIR
 from .errors import NoLabelToken
 from .gateway import Gateway, LlmRequest, yes_probability
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import iter_jsonl, write_jsonl
 from .metrics import NUMBER_TYPES, ScoredLabel
 from .prompts import build_guidance_prompt, build_identify_prompt
 from .retrieval import ReservedGraph, Target
@@ -191,7 +191,7 @@ def _prediction_row(d: dict) -> Prediction | None:
 def read_predictions(path: str | Path) -> list[Prediction]:
     """The prediction rows of a file, header records dropped; a bad line
     raises ValueError naming its path and line number."""
-    return [p for p in read_jsonl(path, _prediction_row) if p is not None]
+    return [p for p in iter_jsonl(path, _prediction_row) if p is not None]
 
 
 class Unscored(NamedTuple):
@@ -219,4 +219,4 @@ def read_scored(path: str | Path,
                             get("unscored", False), get("latency_seconds", 0.0), run)
         return Unscored(ir_id, run) if scored is None else scored
 
-    return [r for r in read_jsonl(path, row) if r is not None]
+    return [r for r in iter_jsonl(path, row) if r is not None]

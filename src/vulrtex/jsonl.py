@@ -4,13 +4,14 @@ JSON Lines output.
 
 Each non-blank line holds one JSON value and is decoded on its own, so a bad
 line is reported as `<path>:<line>: <reason>` and cannot be masked by its
-neighbours.
+neighbours. A file is read one line at a time, so reading holds one line of
+it beside the rows made so far.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -19,35 +20,45 @@ T = TypeVar("T")
 _scan_once = json.JSONDecoder().scan_once
 
 
-def read_jsonl(path: str | Path, row: Callable[[Any], T]) -> list[T]:
+def iter_jsonl(path: str | Path, row: Callable[[Any], T]) -> Iterator[T]:
     """`row` of each line's value, in file order; blank lines are skipped.
 
+    Lines end at "\n" alone, so a "\r" before it strips as whitespace and
+    a U+2028, U+2029 or U+0085 inside a JSON string is content. Each line
+    is UTF-8, decoded on its own.
     A stripped line decodes exactly as json.loads would take it: the
     decoder's scanner reads one value from the line's first character, a
     line where none starts raises what JSONDecoder.raw_decode raises, and
     any text left after the value is "Extra data" (a BOM, which json.loads
     refuses, is no value).
-    A line that does not decode, or whose `row` raises ValueError, KeyError
-    or TypeError, raises ValueError naming the path and line number.
+    A line that is not UTF-8, does not decode, or whose `row` raises
+    ValueError, KeyError or TypeError, raises ValueError naming the path
+    and line number.
     """
-    out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                value, end = _scan_once(line, 0)
-            except StopIteration as err:
-                raise json.JSONDecodeError("Expecting value", line, err.value) from None
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-            out.append(row(value))
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+                # UnicodeDecodeError is a ValueError
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                try:
+                    value, end = _scan_once(line, 0)
+                except StopIteration as err:
+                    raise json.JSONDecodeError("Expecting value", line, err.value) from None
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                value = row(value)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield value
+
+
+def read_jsonl(path: str | Path, row: Callable[[Any], T]) -> list[T]:
+    """The rows of iter_jsonl as a list."""
+    return list(iter_jsonl(path, row))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:

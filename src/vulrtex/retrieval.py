@@ -511,7 +511,7 @@ def random_walk_prune(g: ReasoningGraph | CountedGraph, p: EdgeProbabilities,
     """
     if walks < 1:
         raise ValueError("walks must be at least 1")
-    counted = count_graphs([g])[0]
+    counted = g if isinstance(g, CountedGraph) else count_graphs([g])[0]
     key = (rng_seed, walks)
     node = counted.prunes.get(key)
     parent, picked, depth = None, 0, 0

@@ -33,10 +33,13 @@ class StubScrAnalyzer:
         self.fixtures_dir = Path(fixtures_dir)
 
     def analyze(self, payload: str) -> str:
-        sidecar = self.fixtures_dir / sidecar_filename(payload)
-        if not sidecar.is_file():
-            raise ToolBackendUnavailable(f"no sidecar text for screenshot {payload}")
-        return sidecar.read_text(encoding="utf-8").strip()
+        """The sidecar's text, stripped; a sidecar that is missing or is not
+        a file raises ToolBackendUnavailable."""
+        try:
+            text = (self.fixtures_dir / sidecar_filename(payload)).read_text(encoding="utf-8")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+            raise ToolBackendUnavailable(f"no sidecar text for screenshot {payload}") from exc
+        return text.strip()
 
 
 def sidecar_filename(url: str) -> str:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +14,7 @@ from click.testing import CliRunner
 
 from e2e_fixture import (E2E_HISTORICAL, E2E_TARGET_COUNT, e2e_corpus,
                          e2e_knowledge, write_e2e_config, write_e2e_fixture)
+import vulrtex
 from vulrtex import cli
 from vulrtex.cli import main
 from vulrtex.config import config_hash, load_config
@@ -270,6 +274,19 @@ class TestRetrieve:
         assert isinstance(result.exception, SystemExit)
         ir_id = json.loads(stored)["ir_id"]
         assert f"zz.json: holds the graph of {ir_id!r}, not of 'zz'" in result.output
+        assert "Traceback" not in result.output
+
+    def test_graph_file_under_another_quoting_is_named(self, env):
+        db = prepared_db(env)
+        saved = sorted((db / "graphs").glob("*.json"))[0]
+        renamed = saved.with_name(saved.name.replace("%2F", "%2f"))
+        assert renamed != saved
+        saved.rename(renamed)
+        result = env.runner.invoke(main, ["retrieve", "-c", env.config, "--db", str(db)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{renamed.name}: the graph of " in result.output
+        assert f"must be saved as {saved.name}" in result.output
         assert "Traceback" not in result.output
 
 
@@ -566,6 +583,25 @@ class TestRunAll:
         payload = json.loads(result.stdout)
         assert (payload["failed"], payload["unscored"]) == (1, 1)
         assert payload["predictions"] == E2E_TARGET_COUNT
+
+    def test_stub_run_never_loads_the_http_stack(self, env):
+        # in a fresh interpreter, since this one may have loaded it already
+        script = (
+            "import sys\n"
+            "from vulrtex.cli import main\n"
+            "main(['run-all', '-c', sys.argv[1], '--out-dir', sys.argv[2]],"
+            " standalone_mode=False)\n"
+            "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl')"
+            " if m in sys.modules))\n")
+        src = str(Path(vulrtex.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, env.config, str(env.root / "run")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (env.root / "run" / "report.json").is_file()
 
     def test_dry_run_creates_nothing(self, env):
         out = env.root / "run"

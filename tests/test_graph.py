@@ -219,6 +219,19 @@ def test_store_round_trip(tmp_path):
     assert manifest["config_hash"] == "abc"
 
 
+def test_load_all_names_a_file_saved_under_another_quoting(tmp_path):
+    store = GraphStore(tmp_path / "db")
+    g = build_fig_graph()
+    saved = store.save(g)
+    assert saved.name == "fixture%2Ffig%231.json"
+    renamed = saved.rename(saved.with_name("fixture%2ffig%231.json"))
+    assert store.ir_ids() == ["fixture/fig#1"]
+    with pytest.raises(ValueError) as info:
+        store.load_all()
+    assert str(info.value) == (f"{renamed}: the graph of 'fixture/fig#1' must be saved "
+                               "as fixture%2Ffig%231.json")
+
+
 def test_graph_filename_is_path_safe():
     name = graph_filename("owner/repo#12")
     assert "/" not in name and "#" not in name

@@ -2,13 +2,14 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vulrtex.identifier import Prediction, read_predictions, write_predictions
+from vulrtex.identifier import Prediction, read_predictions, read_scored, write_predictions
 from vulrtex.jsonl import read_jsonl
 
 
@@ -54,6 +55,28 @@ def test_blank_and_whitespace_lines_are_skipped(tmp_path):
     assert read_jsonl(path, same) == [{"a": 1}, [2]]
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+def test_unicode_line_separators_inside_a_string_are_content(tmp_path, sep):
+    line = json.dumps({"text": f"a{sep}b"}, ensure_ascii=False)
+    assert sep in line
+    path = write(tmp_path, line + '\n{"n": 2}\n')
+    assert read_jsonl(path, same) == [json.loads(line), {"n": 2}]
+
+
+def test_lines_end_at_newline_alone(tmp_path):
+    assert read_jsonl(write(tmp_path, '{"a": 1}\r\n[2]\r\n'), same) == [{"a": 1}, [2]]
+    # a lone "\r" ends no line, so two values are on one
+    with pytest.raises(ValueError, match="rows.jsonl:1: Extra data"):
+        read_jsonl(write(tmp_path, '{"a": 1}\r{"b": 2}\n'), same)
+
+
+def test_bad_utf8_byte_names_its_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n{"a": "\xff"}\n{"a": 2}\n')
+    with pytest.raises(ValueError, match=r"rows.jsonl:3: 'utf-8' codec can't decode byte 0xff"):
+        read_jsonl(path, same)
+
+
 def test_line_numbers_count_skipped_lines(tmp_path):
     path = write(tmp_path, '\n{"a": 1}\n\n{"a": tru}\n')
     with pytest.raises(ValueError, match=r"rows.jsonl:4: Expecting value"):
@@ -93,6 +116,27 @@ def test_read_predictions_refuses_a_row_that_is_not_an_object(tmp_path, line):
         read_predictions(path)
 
 
+def test_read_scored_holds_one_line_at_a_time(tmp_path):
+    # what reading allocates beyond the rows it returns stays a small share
+    # of the file, so the file is never held whole
+    path = tmp_path / "preds.jsonl"
+    preds = []
+    for i in range(20_000):
+        p = (i * 7919 % 10007) / 10007
+        preds.append(Prediction(f"big/repo#{i // 8}", p, p >= 0.55,
+                                "CWE-79" if p >= 0.55 else None, 0.55, True, run=i % 8))
+    write_predictions(preds, path, header={"kind": "predictions", "config_hash": "x"})
+    del preds
+    tracemalloc.start()
+    try:
+        rows = read_scored(path, lambda header: None)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20_000
+    assert peak - retained < 0.1 * path.stat().st_size
+
+
 # single lines: JSON values, two values joined, and near-misses (no line
 # breaks, which would make them two lines)
 _json_values = st.recursive(
@@ -128,9 +172,11 @@ def test_each_line_reads_as_json_loads(line):
 
 
 # whole files: JSON values, junk, BOMs, blank lines and trailing text, one
-# piece per line (any line breaks inside a piece split it further)
+# piece per line (a "\n" inside a piece splits it further; no other
+# character ends a line)
 _pieces = st.one_of(
     _json_values.map(json.dumps),
+    _json_values.map(lambda v: json.dumps(v, ensure_ascii=False)),
     _json_values.map(json.dumps).map(lambda v: "\ufeff" + v),
     st.tuples(_json_values.map(json.dumps), st.text(max_size=4)).map("".join),
     st.sampled_from(["", " ", "\t", "\r"]),
@@ -144,7 +190,7 @@ def test_each_file_reads_as_json_loads_per_line(pieces):
     text = "\n".join(pieces)
     want = []
     bad_line = None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue

@@ -115,6 +115,26 @@ def test_flatten_unavailable_element_warns(kit):
     assert "[SCR1]" in kit.warnings[0]
 
 
+def test_sidecar_that_is_a_directory_expands_empty(tmp_path, caplog):
+    url = "https://img.test/dir.png"
+    (tmp_path / "shots" / sidecar_filename(url)).mkdir(parents=True)
+    kit = ToolKit(StubScrAnalyzer(tmp_path / "shots"), StubCodeAnalyzer())
+    ir = CanonicalIR("x#6", "t", "see [SCR1]",
+                     rich_text=[RichTextElement("SCR", "[SCR1]", url)])
+    with caplog.at_level("WARNING", logger="vulrtex.tools"):
+        assert kit.flatten_ir(ir) == "t\nsee [SCR1] ()"
+    assert kit.warnings == [f"x#6: [SCR1] output unavailable (no sidecar text for "
+                            f"screenshot {url})"]
+    assert kit.warnings[0] in caplog.text
+
+
+def test_fixtures_dir_that_is_a_file_is_unavailable(tmp_path):
+    (tmp_path / "shots").write_text("", encoding="utf-8")
+    kit = ToolKit(StubScrAnalyzer(tmp_path / "shots"), StubCodeAnalyzer())
+    with pytest.raises(ToolBackendUnavailable):
+        kit.run_tool(RichTextElement("SCR", "[SCR1]", "https://img.test/a.png"))
+
+
 def test_make_toolkit_stub(tmp_path):
     write_sidecar(tmp_path, "https://img.test/a.png", "shot text")
     kit = make_toolkit(ToolSection(scr_fixtures_dir=str(tmp_path),
