@@ -146,7 +146,8 @@ def _db_targets(cfg: PipelineConfig) -> list[CanonicalIR]:
 
 def stage_prepare(cfg: PipelineConfig) -> dict:
     """Split the corpus, build one reasoning graph per historical IR, and
-    persist graphs plus both corpus halves under db_path."""
+    write the database under db_path afresh: the graphs, the target half
+    of the corpus and the manifest."""
     if not cfg.corpus_path:
         raise ConfigError("corpus_path is not set")
     irs = load_corpus(cfg.corpus_path)
@@ -157,20 +158,21 @@ def stage_prepare(cfg: PipelineConfig) -> dict:
         max_depth=cfg.max_depth, max_nodes=cfg.max_nodes, branch_limit=cfg.branch_limit,
         theta_sim=cfg.theta_sim, inclusion_order=cfg.inclusion_order)
     db_dir = Path(cfg.db_path)
-    db_dir.mkdir(parents=True, exist_ok=True)
     graph_store = GraphStore(db_dir)
     statuses: dict[str, str] = {}
-    built = 0
-    for ir in split.historical:
-        try:
-            g = generate_reasoning_graph(ir, reasoner_cfg)
-        except VulrtexError as exc:
-            statuses[ir.id] = f"failed: {exc}"
-            continue
-        graph_store.save(g)
-        built += 1
-        statuses[ir.id] = "partial" if g.meta.get("partial") else "ok"
-    save_corpus(split.historical, db_dir / "historical.jsonl")
+
+    def graphs():
+        for ir in split.historical:
+            try:
+                g = generate_reasoning_graph(ir, reasoner_cfg)
+            except VulrtexError as exc:
+                statuses[ir.id] = f"failed: {exc}"
+                continue
+            statuses[ir.id] = "partial" if g.meta.get("partial") else "ok"
+            yield g
+
+    # replaces the graphs of any database prepared here before
+    built = graph_store.replace_graphs(graphs())
     save_corpus(split.target, db_dir / "targets.jsonl")
     summary = {
         "config_hash": config_hash(cfg),
@@ -179,7 +181,7 @@ def stage_prepare(cfg: PipelineConfig) -> dict:
         "graphs_built": built,
         "status": statuses,
     }
-    graph_store.write_manifest(summary)
+    graph_store.write_manifest(summary, count=built)
     return {"db_path": str(db_dir), **summary}
 
 

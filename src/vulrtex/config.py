@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -37,6 +38,20 @@ class LlmSection:
     max_retries: int = 3
     deadline_seconds: float = 120.0
     temperature: float = DEFAULT_TEMPERATURE
+
+    def validate(self) -> None:
+        """Refuse the values with which every LLM call fails or no JSON
+        request can carry."""
+        if self.max_retries < 0:
+            raise ConfigError(f"llm.max_retries must be at least 0, got {self.max_retries}")
+        if not (math.isfinite(self.deadline_seconds) and self.deadline_seconds > 0):
+            raise ConfigError("llm.deadline_seconds must be a finite number above 0, "
+                              f"got {self.deadline_seconds}")
+        if not (math.isfinite(self.stub_jitter) and self.stub_jitter >= 0):
+            raise ConfigError("llm.stub_jitter must be a finite number at least 0, "
+                              f"got {self.stub_jitter}")
+        if not math.isfinite(self.temperature):
+            raise ConfigError(f"llm.temperature must be a finite number, got {self.temperature}")
 
 
 @dataclass
@@ -89,6 +104,7 @@ class PipelineConfig:
             raise ConfigError("reasoning budgets must be at least 1")
         if self.llm.backend not in ("stub", "http"):
             raise ConfigError(f"unknown llm backend {self.llm.backend!r}")
+        self.llm.validate()
         for side in ("scr_backend", "code_backend"):
             if getattr(self.tool, side) not in ("stub", "http"):
                 raise ConfigError(f"unknown tool backend {getattr(self.tool, side)!r}")

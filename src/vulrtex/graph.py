@@ -11,8 +11,9 @@ retrieval walk both list paths through it.
 from __future__ import annotations
 
 import json
+import tempfile
 import urllib.parse
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -291,6 +292,13 @@ def _named_id(path: FsPath) -> str:
     return urllib.parse.unquote(path.name[:-len(".json")])
 
 
+def _write_graph(graphs_dir: FsPath, g: ReasoningGraph) -> FsPath:
+    path = graphs_dir / graph_filename(g.ir_id)
+    # compact, so that json's C encoder writes it
+    path.write_text(json.dumps(g.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
 class GraphStore:
     """Reasoning-database directory: graphs/<ir_id>.json plus manifest.json."""
 
@@ -299,11 +307,29 @@ class GraphStore:
         self.graphs_dir = self.db_dir / "graphs"
 
     def save(self, g: ReasoningGraph) -> FsPath:
+        """Add one graph to graphs/, made if missing."""
         self.graphs_dir.mkdir(parents=True, exist_ok=True)
-        path = self.graphs_dir / graph_filename(g.ir_id)
-        # compact, so that json's C encoder writes it
-        path.write_text(json.dumps(g.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
-        return path
+        return _write_graph(self.graphs_dir, g)
+
+    def replace_graphs(self, graphs: Iterable[ReasoningGraph]) -> int:
+        """Make graphs/ hold exactly these graphs; returns how many.
+
+        They are written into a fresh directory beside graphs/, which takes
+        its place once every graph is written: no graph of an earlier
+        database survives, and a run that stops early leaves the earlier
+        graphs whole."""
+        self.db_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".graphs-", dir=self.db_dir) as work:
+            fresh = FsPath(work) / "graphs"
+            fresh.mkdir()
+            count = 0
+            for g in graphs:
+                _write_graph(fresh, g)
+                count += 1
+            if self.graphs_dir.exists():
+                self.graphs_dir.rename(FsPath(work) / "replaced")
+            fresh.rename(self.graphs_dir)
+        return count
 
     def load(self, ir_id: str) -> ReasoningGraph:
         """The graph saved under ir_id; a file that is not a graph, or is
@@ -340,11 +366,13 @@ class GraphStore:
         """Every graph file's graph, each file read as listed."""
         return [self._read(path) for path in self._paths()]
 
-    def write_manifest(self, manifest: dict) -> None:
+    def write_manifest(self, manifest: dict, count: int) -> None:
+        """manifest.json: the manifest, with the schema version and `count`,
+        the number of graphs the caller wrote."""
         self.db_dir.mkdir(parents=True, exist_ok=True)
         payload = dict(manifest)
         payload.setdefault("schema_version", GRAPH_SCHEMA_VERSION)
-        payload["count"] = len(self._paths())
+        payload["count"] = count
         (self.db_dir / "manifest.json").write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 

@@ -81,6 +81,7 @@ from .prompts import ir_json
 from .textindex import (CorpusIdf, DocTerms, TermIds, TermTable, TfIdfIndex, cosine,
                         query_cosines, term_counts)
 from .tools import ToolKit
+from .walkrng import Pcg64, spawn
 
 ADJ_EPSILON = 1e-6
 
@@ -349,10 +350,10 @@ def _pick(u: float, weights: list[float]) -> int:
     return int(cdf.searchsorted(u, side="right"))
 
 
-def _choose(rng: np.random.Generator, weights: list[float]) -> int:
-    """rng.choice(len(weights), p=normalized weights) without its argument
-    checks: the same search over the same single double, so the index and
-    the generator's next state are exactly choice's."""
+def _choose(rng: Pcg64, weights: list[float]) -> int:
+    """numpy's Generator.choice(len(weights), p=normalized weights) without
+    its argument checks: the same search over the same single double, so
+    the index and the generator's next state are exactly choice's."""
     return _pick(rng.random(), weights)
 
 
@@ -381,7 +382,7 @@ class _Choice:
             self.ranks[i][0], -weights[i], self.ranks[i][1]))
 
 
-def _step(rng: np.random.Generator, p: EdgeProbabilities, src: str,
+def _step(rng: Pcg64, p: EdgeProbabilities, src: str,
           options: list[str], made: list[tuple[_Choice, int]]) -> str:
     """One walk step from src, as options[_choose(rng, src's
     probabilities)]; a choice among several options is appended to `made`
@@ -401,9 +402,9 @@ def _step(rng: np.random.Generator, p: EdgeProbabilities, src: str,
 
 def _walk(counted: CountedGraph, p: EdgeProbabilities, walks: int,
           rng_seed: int) -> tuple[list[tuple[_Choice, int]], ReservedGraph]:
-    """The walks and closure of random_walk_prune, from freshly spawned
-    streams: the choices made, each with its outcome, in order, and the
-    reserved subgraph (_reserve)."""
+    """The walks and closure of random_walk_prune, one walk per stream of
+    walkrng.spawn(rng_seed, walks): the choices made, each with its
+    outcome, in order, and the reserved subgraph (_reserve)."""
     g = counted.graph
     succ, hops = counted.succ, counted.hops
     made: list[tuple[_Choice, int]] = []
@@ -416,11 +417,11 @@ def _walk(counted: CountedGraph, p: EdgeProbabilities, walks: int,
     def unvisited_successors(node_id: str) -> list[str]:
         return [v for v in succ.get(node_id, ()) if v not in reserved_nodes]
 
-    for rng in map(np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(walks)):
+    for rng in spawn(rng_seed, walks):
         frontier = [u for u in reserved_nodes if unvisited_successors(u)]
         if not frontier:
             continue
-        current = frontier[int(rng.integers(len(frontier)))]
+        current = frontier[rng.integers(len(frontier))]
         while True:
             options = unvisited_successors(current)
             if not options:

@@ -1,5 +1,8 @@
 """Configuration loading, overrides, validation, and the artifact hash."""
 
+import math
+import re
+
 import pytest
 
 from vulrtex.config import (PipelineConfig, apply_overrides, check_artifact_hash,
@@ -138,6 +141,26 @@ class TestValidate:
         setattr(cfg, field, value)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    # each of these made every LLM call fail, or every prediction unscored,
+    # or put NaN (not JSON) into an HTTP body; -0.5 jitter acted as 0
+    @pytest.mark.parametrize("key, value", [
+        ("llm.max_retries", -1), ("llm.deadline_seconds", 0.0),
+        ("llm.deadline_seconds", math.inf), ("llm.deadline_seconds", math.nan),
+        ("llm.stub_jitter", math.inf), ("llm.stub_jitter", -0.5),
+        ("llm.stub_jitter", math.nan), ("llm.temperature", math.nan),
+        ("llm.temperature", -math.inf),
+    ])
+    def test_llm_values_every_call_fails_on_are_refused(self, key, value):
+        cfg = apply_overrides(PipelineConfig(), {key: value})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cfg.validate()
+
+    def test_llm_bounds_are_allowed(self):
+        cfg = apply_overrides(PipelineConfig(), {
+            "llm.max_retries": 0, "llm.deadline_seconds": 1e-3,
+            "llm.stub_jitter": 0.0, "llm.temperature": 0.0})
+        cfg.validate()
 
     def test_unknown_backends(self):
         cfg = PipelineConfig()

@@ -213,7 +213,7 @@ def test_store_round_trip(tmp_path):
     store.save(g)
     assert store.ir_ids() == ["fixture/fig#1"]
     assert store.load("fixture/fig#1") == g
-    store.write_manifest({"config_hash": "abc"})
+    store.write_manifest({"config_hash": "abc"}, count=1)
     manifest = store.read_manifest()
     assert manifest["count"] == 1
     assert manifest["config_hash"] == "abc"

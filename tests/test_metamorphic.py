@@ -7,12 +7,15 @@ output threshold may move the predictions:
 - the line order of the corpus and of the awareness store moves no output;
 - adding runs leaves the rows of the runs already there as they were;
 - theta_out moves only each row's verdict, its theta_out and its CWE, and a
-  higher threshold never turns a negative verdict positive.
+  higher threshold never turns a negative verdict positive;
+- prepare-db into a database directory used before gives the same database,
+  and the same retrieval from it, as into a fresh directory.
 
 The stub rules file is exempt from the first: the stub backend answers with
 the first rule that matches, so its line order is part of its meaning.
 
-Every run uses two runs and a jittered stub, so the p_yes values vary by run.
+Every run-all uses two runs and a jittered stub, so the p_yes values vary
+by run.
 The config hash is masked: it covers the input paths, which differ per run.
 """
 
@@ -114,3 +117,33 @@ def test_fixture_verdicts_fall_on_both_sides_of_the_threshold(fixture):
     root, fx, base = fixture
     verdicts = {r["verdict"] for r in _rows(base)}
     assert verdicts == {True, False}
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_prepare_into_a_used_db_equals_prepare_into_a_fresh_one(tmp_path):
+    fx = write_e2e_fixture(tmp_path / "fx")
+    # the first 10 reports: 6 historical, and reports 7-10 as targets, whose
+    # graphs the 20-report database before them holds
+    first = {**fx, "corpus": _reordered(fx["corpus"], list(range(10)),
+                                        tmp_path / "first.jsonl")}
+    configs = {name: str(write_e2e_config(tmp_path / f"{name}.ini", corpus))
+               for name, corpus in (("all", fx), ("first", first))}
+
+    def invoke(command: str, config: str, db: Path, *args: str) -> str:
+        result = CliRunner().invoke(cli.main, [command, "-c", configs[config],
+                                               "--db", str(db), *args])
+        assert result.exit_code == 0, result.output
+        return result.stdout
+
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    invoke("prepare-db", "all", used)
+    invoke("prepare-db", "first", used)
+    invoke("prepare-db", "first", fresh)
+    assert _tree(used) == _tree(fresh)
+    assert len(list((used / "graphs").iterdir())) == 6
+    assert invoke("retrieve", "first", used, "--json") == \
+        invoke("retrieve", "first", fresh, "--json")

@@ -710,7 +710,7 @@ def test_repeated_prune_neither_walks_nor_fills_rows(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("a repeated prune spawned walk streams")
 
-    monkeypatch.setattr(np.random, "SeedSequence", no_walk)
+    monkeypatch.setattr(retrieval, "spawn", no_walk)
     assert random_walk_prune(counted, p, 1, 3) is first
     assert p.probs == rows
     again = target_probabilities(counted, target)
