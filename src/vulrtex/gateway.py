@@ -19,6 +19,7 @@ from pathlib import Path
 from .config import LlmSection
 from .errors import (
     BackendRejected,
+    ConfigError,
     GatewayExhausted,
     LogprobsUnavailable,
     MalformedReply,
@@ -84,14 +85,80 @@ def _parse_template(pattern: re.Pattern, template: str) -> tuple[str | int, ...]
     return tuple(int(p) if k % 2 else p for k, p in enumerate(pieces))
 
 
-@dataclass
+# escapes that stand for one literal character: an escaped character that is
+# not an ASCII letter or digit, or one of these; any other escape matches a
+# class, a position, a group or a code point
+_CHAR_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "f": "\f", "v": "\v", "a": "\a"}
+_CHAR_ESCAPE = re.compile(r"\\([^0-9A-Za-z]|[ntrfva])", re.DOTALL)
+# a quantifier, or a "{" that is a literal; both drop the character before
+_REPEAT = r"(?:[*+?]|\{(?:[0-9]*(?:,[0-9]*)?\})?)"
+# one token of a pattern's text: literal characters, a quantifier, "(",
+# "|", or one other item (")" among them) with the quantifiers after it,
+# which have no literal character to drop; an escape spans its own
+# characters, and a class (where a "]" first, after any "^", is a member)
+# and a comment span whole
+_PATTERN_TOKEN = re.compile("|".join([
+    r"(?P<literal>(?:[^\\\[(){*+?|.^$]+|" + _CHAR_ESCAPE.pattern + ")+)",
+    r"(?P<repeat>" + _REPEAT + ")",
+    r"(?:\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|N\{[^}]*\}|[0-9]{1,3}|.)"
+    r"|\[\^?\]?(?:[^\\\]]|\\.)*\]|\(\?#[^)]*\)|[.^$])" + _REPEAT + "*",
+    r"(?P<open>\()",
+    r"(?P<close>\))" + _REPEAT + "*",
+    r"(?P<branch>\|)",
+]), re.DOTALL)
+
+
+def _unescape(m: re.Match) -> str:
+    return _CHAR_ESCAPES.get(m[1], m[1])
+
+
+def _required_literals(compiled: re.Pattern) -> tuple[str, ...]:
+    """Literal runs that every match of `compiled` holds, read from its
+    pattern text at top level, in pattern order.
+
+    Plain characters, escaped punctuation and \\n, \\t, \\r, \\f, \\v and
+    \\a are literal. A run ends at any other escape of a letter or digit
+    (whose own characters, as in \\x41, \\N{...} or \\12, are skipped), at
+    a class, at ".", "^" or "$", and at a group, which is skipped whole. A
+    quantifier, or any "{", drops the character before it. A top-level "|",
+    IGNORECASE or VERBOSE yields no literals. The scan errs only by leaving
+    literals out, so a prompt that lacks one cannot match.
+    """
+    if compiled.flags & (re.IGNORECASE | re.VERBOSE):
+        return ()
+    runs = [""]  # the last entry is the run being read
+    depth = 0
+    for token in _PATTERN_TOKEN.finditer(compiled.pattern):
+        kind = token.lastgroup
+        if kind == "close":
+            depth -= 1
+        elif kind == "open":
+            depth += 1
+            runs.append("")
+        elif depth:
+            continue
+        elif kind == "literal":
+            text = token.group()
+            runs.append(_CHAR_ESCAPE.sub(_unescape, text) if "\\" in text else text)
+        elif kind == "repeat":
+            runs[-1:] = [runs[-1][:-1], ""]
+        elif kind == "branch":
+            return ()
+        else:
+            runs.append("")
+    return tuple(dict.fromkeys(r for r in runs if r))
+
+
+@dataclass(frozen=True)
 class StubRule:
     """One scripted reply: the first rule whose pattern matches the prompt
     answers with its response template expanded against the match.
 
-    The template is parsed once, here, so a malformed template (a bad
-    escape, or a group the pattern lacks) is rejected when the rule is made,
-    with the error `Match.expand` raises.
+    The pattern is compiled and the template parsed once, here, so a
+    malformed template (a bad escape, or a group the pattern lacks) is
+    rejected when the rule is made, with the error `Match.expand` raises.
+    The literals the pattern requires (_required_literals) are found here
+    too; the rule is frozen, so none of these can drift from its fields.
     """
 
     pattern: str
@@ -105,8 +172,10 @@ class StubRule:
                 and all(isinstance(t, str) and _finite(lp) for t, lp in logprobs.items())):
             raise ValueError("first_token_logprobs must be null or map tokens "
                              "to finite numbers")
-        self._compiled = re.compile(self.pattern, re.DOTALL)
-        self._template = _parse_template(self._compiled, self.response_text)
+        compiled = re.compile(self.pattern, re.DOTALL)
+        object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_template", _parse_template(compiled, self.response_text))
+        object.__setattr__(self, "_literals", _required_literals(compiled))
 
     def expand(self, m: re.Match) -> str:
         """`m.expand(self.response_text)`, from the parsed template."""
@@ -126,7 +195,10 @@ def _rule_row(d: dict) -> StubRule:
 class StubBackend:
     """Rule-table backend: first regex matching the prompt wins.
 
-    Responses may use backreferences (\\1 etc.) into the matched pattern.
+    A rule's regex is searched only when the prompt holds every literal its
+    pattern requires, so the rules skipped are ones that could not match and
+    the answering rule is the first match's. Responses may use
+    backreferences (\\1 etc.) into the matched pattern.
     With jitter > 0 the logprobs get a deterministic perturbation derived
     from (seed, prompt), which lets repeated-run averaging exercise distinct
     scores while staying reproducible.
@@ -140,11 +212,19 @@ class StubBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, jitter: float = 0.0) -> "StubBackend":
-        return cls(read_jsonl(path, _rule_row), jitter=jitter)
+        """The rules of a JSONL file, in file order; a file with no rule,
+        which could answer no prompt, raises ConfigError naming it."""
+        rules = read_jsonl(path, _rule_row)
+        if not rules:
+            raise ConfigError(f"{path}: the stub rules file holds no rule")
+        return cls(rules, jitter=jitter)
 
     def complete(self, req: LlmRequest) -> LlmResponse:
         prompt = req.system_prompt + "\n" + req.user_prompt
+        holds = prompt.__contains__
         for rule in self.rules:
+            if not all(map(holds, rule._literals)):
+                continue
             m = rule._compiled.search(prompt)
             if m is None:
                 continue

@@ -350,13 +350,6 @@ def _pick(u: float, weights: list[float]) -> int:
     return int(cdf.searchsorted(u, side="right"))
 
 
-def _choose(rng: Pcg64, weights: list[float]) -> int:
-    """numpy's Generator.choice(len(weights), p=normalized weights) without
-    its argument checks: the same search over the same single double, so
-    the index and the generator's next state are exactly choice's."""
-    return _pick(rng.random(), weights)
-
-
 @dataclass(eq=False)
 class _Choice:
     """One choice of a prune that reads the target, with all else it reads
@@ -384,12 +377,12 @@ class _Choice:
 
 def _step(rng: Pcg64, p: EdgeProbabilities, src: str,
           options: list[str], made: list[tuple[_Choice, int]]) -> str:
-    """One walk step from src, as options[_choose(rng, src's
+    """One walk step from src, as options[_pick(rng.random(), src's
     probabilities)]; a choice among several options is appended to `made`
     with its outcome.
 
-    With one option no row is read: _choose takes it whatever its positive
-    weight, after drawing one double, which is drawn here too.
+    With one option no row is read: _pick takes it whatever its positive
+    weight, but the double is drawn all the same.
     """
     u = rng.random()
     if len(options) == 1:

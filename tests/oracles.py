@@ -11,6 +11,11 @@ import math
 import re
 from collections import Counter
 
+try:
+    from re import _parser as sre_parser
+except ImportError:  # Python 3.10 names the parser sre_parse
+    import sre_parse as sre_parser
+
 TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
 
@@ -282,3 +287,22 @@ def oracle_maximal_paths(edges: list[tuple[str, str]],
 
     walk((root,))
     return sorted(out)
+
+
+def oracle_literal_runs(pattern: str) -> list[str]:
+    """The runs of consecutive LITERAL items at the top level of the tree
+    the stdlib parser makes of `pattern` (with DOTALL, as stub rules are
+    compiled), as strings; none when it ignores case. Every match of the
+    pattern holds each run."""
+    tree = sre_parser.parse(pattern, re.DOTALL)
+    if tree.state.flags & re.IGNORECASE:
+        return []
+    runs, run = [], []
+    for op, av in tree:
+        if op is sre_parser.LITERAL:
+            run.append(chr(av))
+        else:
+            runs.append("".join(run))
+            run = []
+    runs.append("".join(run))
+    return [r for r in runs if r]

@@ -174,6 +174,20 @@ class TestPrepareDb:
         assert f"rules.jsonl:2: bad stub rule: {reason}" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("body", ["", "\n  \n"])
+    def test_rules_file_with_no_rule_is_refused(self, env, body):
+        empty = env.root / "empty-rules.jsonl"
+        empty.write_text(body, encoding="utf-8")
+        config = env.root / "empty-rules.ini"
+        config.write_text(Path(env.config).read_text().replace(env.fx["rules"], str(empty)),
+                          encoding="utf-8")
+        db = env.root / "db"
+        result = env.runner.invoke(main, ["prepare-db", "-c", str(config), "--db", str(db)])
+        assert result.exit_code == 1
+        assert f"{empty}: the stub rules file holds no rule" in result.output
+        assert "Traceback" not in result.output
+        assert not db.exists()
+
     @pytest.mark.parametrize("content, rich, reason", [
         ("see [SCR1] and [CODE1]", [{"kind": "SCR", "tag": "[SCR1]", "payload": "a.png"}],
          "content tags ['[CODE1]', '[SCR1]'] != table tags ['[SCR1]']"),

@@ -3,7 +3,9 @@ import dataclasses
 import http.client
 import json
 import math
+import random
 import re
+import sys
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -11,10 +13,14 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e2e_fixture import e2e_rules, write_e2e_config, write_e2e_fixture
 from fixturelib import FakeHttpResponse, ScriptedBackend, answering
+from oracles import oracle_literal_runs
+from vulrtex import cli
 from vulrtex.errors import (
     BackendRejected,
     GatewayExhausted,
@@ -112,6 +118,220 @@ def test_parsed_template_expands_like_match_expand(case, template):
     rule = StubRule(pattern, template)
     assert rule.expand(m) == want
     assert StubBackend([rule]).complete(make_request(subject)).text == want
+
+
+def test_stub_rule_is_frozen():
+    rule = StubRule(r"ping (\w+)", r"pong \1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.pattern = "other"
+    assert StubBackend([rule]).complete(make_request("ping x")).text == "pong x"
+
+
+# Screening: a rule's regex is searched only when the prompt holds every
+# literal its pattern requires. The literals come from a scan of the pattern
+# text; the stdlib parser's tree is the reference for what is literal.
+
+_REASON = r"\A\s*Please think step by step"
+_LAST_SCR = r"ScrAnalyzer\(\[SCR{k}\]\): [^;()\n]*\)\Z"
+
+
+def _family_head(key: str) -> str:
+    return _REASON + r".{0,1500}?\nIR title: ([^\n]*)\nIR content: " + key + " report:"
+
+
+@pytest.mark.parametrize("pattern, want", [
+    (_family_head("xss") + ".*" + _LAST_SCR.format(k=r"\d"),
+     ("Please think step by step", "\nIR title: ", "\nIR content: xss report:",
+      "ScrAnalyzer([SCR", "]): ", ")")),
+    (r"\x41bc\N{DIGIT ONE}d\0e", ("bc", "d", "e")),
+    (r"(a)x\1y\123z", ("x", "y", "z")),
+    (r"ab*cd+?ef{2}gh{1,3}ij??kl{m", ("a", "c", "e", "g", "i", "k", "m")),
+    (r"a\.b\*\n\t\\c", ("a.b*\n\t\\c",)),
+    (r"a[]b]c[^]d]e[\]f]g", ("a", "c", "e", "g")),
+    (r"a(b|c)d(?=e)f(?#)g(?#(]x)h", ("a", "d", "f", "g", "h")),
+    (r"a.b^c$d\Ae\bf\sg", ("a", "b", "c", "d", "e", "f", "g")),
+    (r"{abc}", ("abc}",)),
+    (r"a(?P<n>b)c(?P=n)d", ("a", "c", "d")),
+    (r"ab|cd", ()),
+    (r"(?i)abc", ()),
+    (r"(?x)a b c", ()),
+    (r"abc(?i:d)e", ("abc", "e")),
+])
+def test_required_literals_known_answers(pattern, want):
+    assert gateway._required_literals(re.compile(pattern, re.DOTALL)) == want
+    assert StubRule(pattern, "x")._literals == want
+
+
+_POSSESSIVE = sys.version_info >= (3, 11)
+# (pattern, a text it matches) for one item
+_ATOMS = ([(c, c) for c in "abc]}{-"]
+          + [("\\" + c, c) for c in ".*+?()[]{}|^$\\-# "]
+          + [(r"\d", "7"), (r"\n", "\n"), (r"\t", "\t"), (r"\x41", "A"), (r"\x2a", "*"),
+             (r"\u0062", "b"), (r"\0", "\0"), (r"\101", "A"),
+             ("[ab]", "a"), ("[^a]", "b"), ("[]a]", "]"), ("[^]a]", "b"), ("[a-c]", "c"),
+             ("[.*]", "*"), (r"[\]b]", "]"), (".", "x")])
+# (quantifier, fewest and most repeats a match is built with)
+_QUANTIFIERS = [("*", 0, 2), ("+", 1, 2), ("?", 0, 1), ("{2}", 2, 2), ("{1,3}", 1, 3),
+                ("{,2}", 0, 2), ("{2,}", 2, 3)]
+_MODIFIERS = ["", "?"] + (["+"] if _POSSESSIVE else [])
+# group openers, and whether the group consumes what its content matches
+_GROUPS = ([("(", True), ("(?:", True), ("(?P<@>", True), ("(?i:", True)]
+           + ([("(?>", True)] if _POSSESSIVE else []))
+
+
+def _random_pattern(r: random.Random, depth: int = 0) -> tuple[str, str]:
+    """A pattern drawn from a small grammar, with a text it matches when
+    its lookarounds and possessive quantifiers allow: a sequence of items,
+    mostly atoms, or sometimes two or three sequences joined by "|"."""
+    alternatives = []
+    for _ in range(r.randint(2, 3) if r.random() < 0.2 else 1):
+        pattern, example = "", ""
+        for _ in range(r.randint(1, 3 if depth else 7)):
+            if depth < 2 and r.random() < 0.2:
+                p, e = _random_group(r, depth + 1)
+            else:
+                p, e = r.choice(_ATOMS)
+            if r.random() < 0.25 and not p.startswith(("(?=", "(?!", "(?<")):
+                q, fewest, most = r.choice(_QUANTIFIERS)
+                p, e = p + q + r.choice(_MODIFIERS), e * r.randint(fewest, most)
+            pattern, example = pattern + p, example + e
+        alternatives.append((pattern, example))
+    return "|".join(p for p, _ in alternatives), r.choice(alternatives)[1]
+
+
+def _random_group(r: random.Random, depth: int) -> tuple[str, str]:
+    """A group, or a lookaround, whose text is empty since it consumes
+    nothing; a lookbehind holds a fixed-width literal."""
+    if r.random() < 0.15:
+        return "(?<=" + "".join(r.choices("abc", k=r.randint(1, 3))) + ")", ""
+    opener, consumes = r.choice(_GROUPS + [("(?=", False), ("(?!", False)])
+    p, e = _random_pattern(r, depth)
+    return opener + p + ")", e if consumes else ""
+
+
+def _top_pattern(r: random.Random) -> tuple[str, str]:
+    pattern, example = _random_pattern(r)
+    names = iter(range(pattern.count("(?P<@>")))
+    pattern = re.sub(re.escape("(?P<@>"), lambda _: f"(?P<g{next(names)}>", pattern)
+    return r.choice(["", "", "", "", "", "", "(?i)", "(?x)"]) + pattern, example
+
+
+_PATTERNS = st.randoms(use_true_random=False).map(_top_pattern)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_PATTERNS, st.text("abA*]\n", max_size=3), st.text("abA*]\n", max_size=3))
+def test_required_literals_are_sound(case, before, after):
+    pattern, example = case
+    compiled = re.compile(pattern, re.DOTALL)
+    literals = gateway._required_literals(compiled)
+    runs = oracle_literal_runs(pattern)
+    for literal in literals:
+        assert any(literal in run for run in runs), (literal, runs)
+    # the swapped case matches too when the pattern ignores case
+    for prompt in (before + example + after, before + example.swapcase() + after):
+        if compiled.search(prompt):
+            assert all(literal in prompt for literal in literals)
+
+
+def first_match_reply(rules: list[StubRule], req: LlmRequest):
+    """(text, logprobs) of the first rule whose pattern matches, trying every
+    rule in order with no screening; None when no rule matches."""
+    prompt = req.system_prompt + "\n" + req.user_prompt
+    for rule in rules:
+        m = re.compile(rule.pattern, re.DOTALL).search(prompt)
+        if m is not None:
+            return m.expand(rule.response_text), rule.first_token_logprobs
+    return None
+
+
+def assert_replies_like_first_match(rules: list[StubRule], prompt: str):
+    want = first_match_reply(rules, LlmRequest("", prompt))
+    backend = StubBackend(rules)
+    if want is None:
+        with pytest.raises(BackendRejected):
+            backend.complete(LlmRequest("", prompt))
+        return
+    text, logprobs = want
+    got = backend.complete(LlmRequest("", prompt, want_logprobs=logprobs is not None))
+    assert got.text == text
+    assert got.top_token_logprobs == (None if logprobs is None else [logprobs])
+
+
+def _scripted_rules() -> list[StubRule]:
+    """Anchored family-style and SCR-style rules, first match wins: a rule
+    whose header matches may still fail deep in its pattern."""
+    rules = [StubRule(_REASON + rf".*?\n\[SCR{k + 2}\] SCR: .*" + _LAST_SCR.format(k=k),
+                      f"screenshot {k} points on") for k in (1, 2)]
+    last = _LAST_SCR.format(k=r"\d")
+    for key in ("xss", "sqli"):
+        head = _family_head(key)
+        rules.append(StubRule(head + r".*?\n(\[CODE1\]) CODE: .*" + last,
+                              key + r" in \1, see \2", {"Yes": -0.2, "No": -1.7}))
+        rules.append(StubRule(head + ".*" + last, key + r" in \1", {"Yes": -0.4, "No": -1.1}))
+    rules.append(StubRule(_REASON + r".*?\n\[SCR2\] SCR: ", "several screenshots"))
+    rules.append(StubRule(_REASON, "one screenshot"))
+    return rules
+
+
+_SCRIPTED_RULES = _scripted_rules()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["Please think step by step", " \nPlease think step by step",
+                        "Please think", "Think step by step"]),
+       st.sampled_from([0, 10, 1490, 1600]),
+       st.sampled_from(["xss", "sqli", "csrf"]),
+       st.text("ab (", max_size=4),
+       st.integers(0, 4), st.booleans(), st.integers(0, 4), st.booleans())
+def test_screened_stub_replies_like_first_match_on_scripted_rules(
+        header, filler, key, title, shots, code, last, closed):
+    lines = [header, "x" * filler, f"IR title: {title}", f"IR content: {key} report: body"]
+    lines += [f"[SCR{j}] SCR: shot {j}" for j in range(1, shots + 1)]
+    lines += ["[CODE1] CODE: x = 1"] if code else []
+    lines += [f"O2: ScrAnalyzer([SCR{last}]): seen" + (")" if closed else "")] if last else []
+    assert_replies_like_first_match(_SCRIPTED_RULES, "\n".join(lines))
+
+
+@pytest.fixture(scope="module")
+def e2e_prompts(tmp_path_factory):
+    """Every prompt a run-all on the e2e fixture sends, in order, answered
+    by first_match_reply rather than the screened stub."""
+    root = tmp_path_factory.mktemp("e2e")
+    fx = write_e2e_fixture(root / "fx")
+    config = write_e2e_config(root / "config.ini", fx)
+    prompts = []
+
+    def recording(self, req):
+        prompts.append(req.user_prompt)
+        text, logprobs = first_match_reply(self.rules, req)
+        return LlmResponse(text, [logprobs] if req.want_logprobs else None, "stub")
+
+    with mock.patch.object(StubBackend, "complete", recording):
+        result = CliRunner().invoke(cli.main, ["run-all", "-c", str(config),
+                                               "--out-dir", str(root / "run")])
+    assert result.exit_code == 0, result.output
+    return prompts
+
+
+_E2E_RULES = [StubRule(r["pattern"], r["response_text"], r.get("first_token_logprobs"))
+              for r in e2e_rules()]
+
+
+def test_screened_stub_replies_like_first_match_on_e2e_prompts(e2e_prompts):
+    assert len(e2e_prompts) > 50
+    for prompt in e2e_prompts:
+        assert_replies_like_first_match(_E2E_RULES, prompt)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_screened_stub_replies_like_first_match_on_cut_e2e_prompts(e2e_prompts, data):
+    """A cut can drop a literal some rule requires, or the whole match."""
+    prompt = data.draw(st.sampled_from(e2e_prompts))
+    start = data.draw(st.integers(0, len(prompt)))
+    end = data.draw(st.integers(start, min(len(prompt), start + 80)))
+    assert_replies_like_first_match(_E2E_RULES, prompt[:start] + prompt[end:])
 
 
 def test_yes_probability_equal_logprobs_is_half():

@@ -36,7 +36,6 @@ from vulrtex.retrieval import (
     AdjacencyMatrix,
     EdgeProbabilities,
     Target,
-    _choose,
     _pick,
     _step,
     build_adjacency,
@@ -294,7 +293,7 @@ def test_walk_draw_equals_generator_choice(weights, seed, entry):
     by_choice = np.random.default_rng(seed)
     by_search = np.random.default_rng(seed)
     want = int(by_choice.choice(len(w), p=w / w.sum()))
-    assert _choose(by_search, weights) == want
+    assert _pick(by_search.random(), weights) == want
     assert by_search.bit_generator.state == by_choice.bit_generator.state
     # a draw exactly on a cdf entry, where the search's side="right" decides;
     # the cdf is the one Generator.choice searches
@@ -751,7 +750,7 @@ def test_reserved_subgraph_is_a_tree_with_fan_in_at_terminals(make, seed, target
 def test_one_option_step_draws_like_choose(weight, seed):
     by_choose = np.random.default_rng(seed)
     by_step = np.random.default_rng(seed)
-    assert _choose(by_choose, [weight]) == 0
+    assert _pick(by_choose.random(), [weight]) == 0
     # no row exists to read, so a step that consulted one would raise
     assert _step(by_step, EdgeProbabilities({}), "O1", ["O2.1"], []) == "O2.1"
     assert by_step.bit_generator.state == by_choose.bit_generator.state
