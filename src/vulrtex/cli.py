@@ -20,7 +20,7 @@ import click
 
 from .config import (PipelineConfig, apply_overrides, check_artifact_hash,
                      config_hash, load_config)
-from .corpus import CanonicalIR, load_corpus, save_corpus, split_corpus
+from .corpus import CanonicalIR, checked_label, load_corpus, save_corpus, split_corpus
 from .errors import ConfigError, VulrtexError
 from .gateway import make_gateway
 from .graph import GraphStore
@@ -54,15 +54,6 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     else:
         for line in lines:
             click.echo(line)
-
-
-def _print_resolved(cfg: PipelineConfig, as_json: bool) -> None:
-    payload = {**cfg.resolved_dict(), "config_hash": config_hash(cfg)}
-    if as_json:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        click.echo("dry run; resolved configuration:")
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _cli_errors(fn):
@@ -265,7 +256,7 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
 
 def _truth_row(d: dict) -> tuple[str, bool | None, str | None]:
     if "ir_id" in d:
-        return d["ir_id"], d.get("label_vul"), d.get("cwe_id")
+        return (d["ir_id"], *checked_label(d))
     ir = CanonicalIR.from_dict(d)
     return ir.id, ir.label_vul, ir.cwe_id
 
@@ -279,7 +270,7 @@ def _load_truth(path: str | Path) -> dict[str, tuple[bool, str | None]]:
             raise ConfigError(f"truth record {ir_id} has no label")
         if ir_id in truth:
             raise ConfigError(f"truth file repeats {ir_id}")
-        truth[ir_id] = (bool(label), cwe if label else None)
+        truth[ir_id] = (label, cwe if label else None)
     if not truth:
         raise ConfigError(f"no truth records in {path}")
     return truth
@@ -361,7 +352,9 @@ def cmd_prepare_db(config_path, as_json, dry_run, **overrides):
     """Build the reasoning database from the historical corpus half."""
     cfg = _resolve_config(config_path, overrides)
     if dry_run:
-        _print_resolved(cfg, as_json)
+        resolved = {**cfg.resolved_dict(), "config_hash": config_hash(cfg)}
+        _emit(resolved, as_json, ["dry run; resolved configuration:",
+                                  json.dumps(resolved, sort_keys=True, indent=2)])
         return
     summary = stage_prepare(cfg)
     failures = [f"  {ir_id}: {status}" for ir_id, status in summary["status"].items()
@@ -456,7 +449,9 @@ def cmd_run_all(config_path, as_json, out_dir, dry_run, **overrides):
     out = Path(out_dir)
     cfg.db_path = str(out / "db")
     if dry_run:
-        _print_resolved(cfg, as_json)
+        resolved = {**cfg.resolved_dict(), "config_hash": config_hash(cfg)}
+        _emit(resolved, as_json, ["dry run; resolved configuration:",
+                                  json.dumps(resolved, sort_keys=True, indent=2)])
         return
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
@@ -498,7 +493,7 @@ def cmd_run_all(config_path, as_json, out_dir, dry_run, **overrides):
                 raise ConfigError(f"target {t.id} has no label; cannot evaluate")
             rows.append({
                 "ir_id": t.id,
-                "label_vul": bool(t.label_vul),
+                "label_vul": t.label_vul,
                 "cwe_id": t.cwe_id if t.label_vul else None,
             })
         write_jsonl(out / "truth.jsonl", rows)

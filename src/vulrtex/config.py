@@ -179,20 +179,17 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Flag values win over the file; dotted keys reach the sections."""
+    """Flag values win over the file; a None value is a flag not given.
+
+    The keys are the CLI's flags, which set top-level pipeline fields only;
+    a section's fields are set in the config file. An unknown key, or a
+    section's name, raises ConfigError."""
     for key, value in overrides.items():
         if value is None:
             continue
-        if "." in key:
-            section, name = key.split(".", 1)
-            target = getattr(cfg, section, None)
-            if target is None or not hasattr(target, name):
-                raise ConfigError(f"unknown config key {key}")
-            setattr(target, name, value)
-        else:
-            if not hasattr(cfg, key) or key in _SECTION_FIELDS:
-                raise ConfigError(f"unknown config key {key}")
-            setattr(cfg, key, value)
+        if not hasattr(cfg, key) or key in _SECTION_FIELDS:
+            raise ConfigError(f"unknown config key {key}")
+        setattr(cfg, key, value)
     return cfg
 
 

@@ -98,24 +98,35 @@ class CanonicalIR:
     def from_dict(cls, d: dict) -> "CanonicalIR":
         content = d.get("Content", d.get("content", ""))
         rich = d.get("Rich-Text", d.get("rich_text", []))
+        label_vul, cwe_id = checked_label(d)
         return cls(
             id=d["id"],
             title=d.get("title", ""),
             content=content,
             rich_text=[RichTextElement.from_dict(e) for e in rich],
             created_at=int(d.get("created_at", 0)),
-            label_vul=d.get("label_vul"),
-            cwe_id=d.get("cwe_id"),
+            label_vul=label_vul,
+            cwe_id=cwe_id,
             cve_id=d.get("cve_id"),
             flags=dict(d.get("flags", {})),
         )
+
+
+def checked_label(d: dict) -> tuple[bool | None, str | None]:
+    """A record's label_vul, a boolean or null, and cwe_id, a string or
+    null; any other value, such as the string "false", raises ValueError."""
+    label_vul, cwe_id = d.get("label_vul"), d.get("cwe_id")
+    if label_vul is not None and type(label_vul) is not bool:
+        raise ValueError(f"label_vul {label_vul!r} is not a boolean")
+    if cwe_id is not None and type(cwe_id) is not str:
+        raise ValueError(f"cwe_id {cwe_id!r} is not a string")
+    return label_vul, cwe_id
 
 
 @dataclass
 class CorpusSplit:
     historical: list[CanonicalIR]
     target: list[CanonicalIR]
-    proportion: float
 
 
 def split_corpus(irs: list[CanonicalIR], proportion: float) -> CorpusSplit:
@@ -126,8 +137,7 @@ def split_corpus(irs: list[CanonicalIR], proportion: float) -> CorpusSplit:
         raise ValueError("proportion must be in (0, 1)")
     ordered = sorted(irs, key=lambda ir: (ir.created_at, ir.id))
     n_hist = int(math.floor(proportion * len(ordered) + 0.5))
-    return CorpusSplit(historical=ordered[:n_hist], target=ordered[n_hist:],
-                       proportion=proportion)
+    return CorpusSplit(historical=ordered[:n_hist], target=ordered[n_hist:])
 
 
 def _checked_record(d: dict) -> CanonicalIR:

@@ -292,24 +292,15 @@ def _named_id(path: FsPath) -> str:
     return urllib.parse.unquote(path.name[:-len(".json")])
 
 
-def _write_graph(graphs_dir: FsPath, g: ReasoningGraph) -> FsPath:
-    path = graphs_dir / graph_filename(g.ir_id)
-    # compact, so that json's C encoder writes it
-    path.write_text(json.dumps(g.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
 class GraphStore:
-    """Reasoning-database directory: graphs/<ir_id>.json plus manifest.json."""
+    """Reasoning-database directory: graphs/<ir_id>.json plus manifest.json.
+
+    replace_graphs is the one writer of the graphs and load_all the one
+    reader: a database is written whole, by prepare-db, and read whole."""
 
     def __init__(self, db_dir: str | FsPath):
         self.db_dir = FsPath(db_dir)
         self.graphs_dir = self.db_dir / "graphs"
-
-    def save(self, g: ReasoningGraph) -> FsPath:
-        """Add one graph to graphs/, made if missing."""
-        self.graphs_dir.mkdir(parents=True, exist_ok=True)
-        return _write_graph(self.graphs_dir, g)
 
     def replace_graphs(self, graphs: Iterable[ReasoningGraph]) -> int:
         """Make graphs/ hold exactly these graphs; returns how many.
@@ -324,17 +315,14 @@ class GraphStore:
             fresh.mkdir()
             count = 0
             for g in graphs:
-                _write_graph(fresh, g)
+                # compact, so that json's C encoder writes it
+                (fresh / graph_filename(g.ir_id)).write_text(
+                    json.dumps(g.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
                 count += 1
             if self.graphs_dir.exists():
                 self.graphs_dir.rename(FsPath(work) / "replaced")
             fresh.rename(self.graphs_dir)
         return count
-
-    def load(self, ir_id: str) -> ReasoningGraph:
-        """The graph saved under ir_id; a file that is not a graph, or is
-        the graph of another id, raises a ValueError naming it."""
-        return self._read(self.graphs_dir / graph_filename(ir_id))
 
     def _read(self, path: FsPath) -> ReasoningGraph:
         """The graph in a graphs/ file, which must be named
@@ -353,18 +341,13 @@ class GraphStore:
                              f"{graph_filename(g.ir_id)}")
         return g
 
-    def _paths(self) -> list[FsPath]:
-        """The graph files, in the order of the ids their names encode."""
+    def load_all(self) -> list[ReasoningGraph]:
+        """Every graph file's graph, in the order of the ids the file names
+        encode."""
         if not self.graphs_dir.is_dir():
             return []
-        return sorted(self.graphs_dir.glob("*.json"), key=lambda p: (_named_id(p), p.name))
-
-    def ir_ids(self) -> list[str]:
-        return [_named_id(p) for p in self._paths()]
-
-    def load_all(self) -> list[ReasoningGraph]:
-        """Every graph file's graph, each file read as listed."""
-        return [self._read(path) for path in self._paths()]
+        paths = sorted(self.graphs_dir.glob("*.json"), key=lambda p: (_named_id(p), p.name))
+        return [self._read(path) for path in paths]
 
     def write_manifest(self, manifest: dict, count: int) -> None:
         """manifest.json: the manifest, with the schema version and `count`,

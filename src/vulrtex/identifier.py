@@ -3,6 +3,9 @@
 The retrieved graph descriptions are turned into numbered analysis steps,
 concatenated with the identification prompt, and the verdict comes from the
 probability of the "Yes" token at the first output position, thresholded.
+
+A predictions file has one writer, write_predictions, and one reader,
+read_scored, which checks each row by scored_row as evaluate needs it.
 """
 
 from __future__ import annotations
@@ -102,13 +105,6 @@ class Prediction:
             "run": self.run,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Prediction":
-        return cls(d["ir_id"], d["p_yes"], d["verdict"], d.get("cwe_id"),
-                   d["theta_out"], d.get("guidance_used", False),
-                   d.get("unscored", False), tuple(d.get("extra_cwes", [])),
-                   d.get("latency_seconds", 0.0), d.get("run", 0))
-
 
 def generate_guidance(graphs: list[ReservedGraph], target: CanonicalIR | Target,
                       llm: Gateway) -> GuidancePrompt:
@@ -163,35 +159,15 @@ def identify(target: CanonicalIR | Target, guide: GuidancePrompt, llm: Gateway,
                       extra_cwes=extra, latency_seconds=resp.latency_seconds)
 
 
-def write_predictions(preds: list[Prediction], path: str | Path,
-                      header: dict | None = None) -> None:
-    """Write one JSON record per line, optionally preceded by a header record.
+def write_predictions(preds: list[Prediction], path: str | Path, header: dict) -> None:
+    """Write the header record, then one JSON record per prediction.
 
-    The header must carry a "kind" key so readers can tell it apart from
+    The header must carry a "kind" key, which tells it apart from the
     prediction rows.
     """
-    if header is not None and "kind" not in header:
+    if "kind" not in header:
         raise ValueError("prediction-file header needs a 'kind' key")
-    head = [] if header is None else [header]
-    write_jsonl(path, chain(head, (pred.to_dict() for pred in preds)))
-
-
-def _is_header(d: dict) -> bool:
-    """Whether a prediction-file record is a header (one with a "kind"
-    key); anything but a JSON object is refused."""
-    if type(d) is not dict:
-        raise ValueError("a prediction row must be a JSON object")
-    return "kind" in d
-
-
-def _prediction_row(d: dict) -> Prediction | None:
-    return None if _is_header(d) else Prediction.from_dict(d)
-
-
-def read_predictions(path: str | Path) -> list[Prediction]:
-    """The prediction rows of a file, header records dropped; a bad line
-    raises ValueError naming its path and line number."""
-    return [p for p in iter_jsonl(path, _prediction_row) if p is not None]
+    write_jsonl(path, chain([header], (pred.to_dict() for pred in preds)))
 
 
 class Unscored(NamedTuple):
@@ -210,7 +186,9 @@ def read_scored(path: str | Path,
     read. A bad line raises ValueError naming its path and line number.
     """
     def row(d: dict) -> ScoredLabel | Unscored | None:
-        if _is_header(d):
+        if type(d) is not dict:
+            raise ValueError("a prediction row must be a JSON object")
+        if "kind" in d:
             header(d)
             return None
         get = d.get

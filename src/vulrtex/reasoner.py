@@ -189,21 +189,20 @@ class _PathTerms:
 
 
 def correct_path(path: Path, store: KnowledgeStore, llm: Gateway,
-                 theta_sim: float, cap: int = GOLDEN_PROMPT_CAP,
-                 warnings: list[str] | None = None,
+                 theta_sim: float, warnings: list[str] | None = None,
                  terms: _PathTerms | None = None) -> Path:
     """Rewrite observation texts against golden knowledge, structure untouched.
 
-    The correction prompt carries at most `cap` golden records. Responses may
-    only rewrite texts of observations already on the path; anything else in
-    the reply is ignored. On gateway failure the original path is kept.
+    The correction prompt carries at most GOLDEN_PROMPT_CAP golden records.
+    Responses may only rewrite texts of observations already on the path;
+    anything else in the reply is ignored. On gateway failure the original path is kept.
     `terms` tables the pieces of path descriptions across calls; the path is
     described in full only when a record is retrieved.
     """
     golden = retrieve_golden(store, (terms or _PathTerms()).counts(path), theta_sim)
     if not golden:
         return path
-    prompt = build_correction_prompt([g.text for g in golden[:cap]], describe_path(path))
+    prompt = build_correction_prompt([g.text for g in golden[:GOLDEN_PROMPT_CAP]], describe_path(path))
     try:
         resp = llm.complete(LlmRequest(system_prompt="", user_prompt=prompt))
     except VulrtexError as exc:

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +19,7 @@ from vulrtex.cli import main
 from vulrtex.config import config_hash, load_config
 from vulrtex.corpus import load_corpus
 from vulrtex.errors import MalformedReply, TransportError
-from vulrtex.identifier import read_predictions, write_predictions
+from vulrtex.jsonl import read_jsonl, write_jsonl
 from vulrtex.knowledge import load_store
 
 TARGET_VERDICTS = {
@@ -77,6 +76,11 @@ def prepared_db(env):
 def header_of(preds: Path) -> dict:
     """The header record, the first line identify writes."""
     return json.loads(preds.read_text(encoding="utf-8").splitlines()[0])
+
+
+def prediction_rows(preds: Path) -> list[dict]:
+    """The records identify writes after the header, as JSON objects."""
+    return read_jsonl(preds, dict)[1:]
 
 
 def tree_bytes(root: Path) -> dict:
@@ -210,6 +214,24 @@ class TestPrepareDb:
         assert "Traceback" not in result.output
         assert not db.exists()
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"label_vul": "no"}, "label_vul 'no' is not a boolean"),
+        ({"label_vul": 0}, "label_vul 0 is not a boolean"),
+        ({"cwe_id": 79}, "cwe_id 79 is not a string"),
+    ])
+    def test_record_with_mistyped_label_names_file_and_line(self, env, change, reason):
+        lines = Path(env.fx["corpus"]).read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **change})
+        bad = env.root / "corpus.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = env.root / "run"
+        result = env.runner.invoke(main, ["run-all", "-c", env.config,
+                                          "--corpus", str(bad), "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert f"corpus.jsonl:2: {reason}" in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "truth.jsonl").exists()
+
     def test_http_tool_backend_without_endpoint_is_refused_at_load(self, env):
         config = env.root / "http-scr.ini"
         config.write_text(Path(env.config).read_text().replace(
@@ -311,19 +333,19 @@ class TestIdentify:
         db = prepared_db(env)
         out = env.root / "preds.jsonl"
         run_ok(env, "identify", "-c", env.config, "--db", str(db), "--out", str(out))
-        preds = read_predictions(out)
+        preds = prediction_rows(out)
         assert len(preds) == E2E_TARGET_COUNT
         for pred in preds:
-            verdict, p = TARGET_VERDICTS[pred.ir_id]
-            assert pred.verdict is verdict
-            assert pred.p_yes == pytest.approx(p, abs=1e-12)
-            assert pred.guidance_used
-            assert pred.run == 0
-        by_id = {p.ir_id: p for p in preds}
-        assert by_id["e2e/shop#13"].cwe_id == "CWE-79"
-        assert by_id["e2e/shop#15"].cwe_id == "CWE-89"
-        assert by_id["e2e/shop#19"].cwe_id == "CWE-352"
-        assert by_id["e2e/shop#17"].cwe_id is None
+            verdict, p = TARGET_VERDICTS[pred["ir_id"]]
+            assert pred["verdict"] is verdict
+            assert pred["p_yes"] == pytest.approx(p, abs=1e-12)
+            assert pred["guidance_used"] is True
+            assert pred["run"] == 0
+        by_id = {p["ir_id"]: p for p in preds}
+        assert by_id["e2e/shop#13"]["cwe_id"] == "CWE-79"
+        assert by_id["e2e/shop#15"]["cwe_id"] == "CWE-89"
+        assert by_id["e2e/shop#19"]["cwe_id"] == "CWE-352"
+        assert by_id["e2e/shop#17"]["cwe_id"] is None
 
     def test_header_carries_config_hash(self, env):
         db = prepared_db(env)
@@ -393,11 +415,10 @@ class TestEvaluate:
 
     def test_unscored_predictions_are_excluded(self, env):
         preds, truth = self.finished_run(env)
-        rows = read_predictions(preds)
         header = header_of(preds)
-        rows = [replace(p, p_yes=None, verdict=False, cwe_id=None, unscored=True)
-                if p.ir_id == "e2e/shop#14" else p for p in rows]
-        write_predictions(rows, preds, header=header)
+        rows = [{**d, "p_yes": None, "verdict": False, "cwe_id": None, "unscored": True}
+                if d["ir_id"] == "e2e/shop#14" else d for d in prediction_rows(preds)]
+        write_jsonl(preds, [header, *rows])
         result = run_ok(env, "evaluate", "-c", env.config, "--preds", str(preds),
                         "--truth", str(truth),
                         "--report", str(env.root / "report.json"),
@@ -448,6 +469,32 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert "truth.jsonl:2: " in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"label_vul": "false"}, "label_vul 'false' is not a boolean"),
+        ({"label_vul": 1}, "label_vul 1 is not a boolean"),
+        ({"cwe_id": 79}, "cwe_id 79 is not a string"),
+    ])
+    def test_mistyped_truth_label_names_file_and_line(self, env, change, reason):
+        preds, truth = self.finished_run(env)
+        rows = truth.read_text().splitlines()
+        rows[1] = json.dumps({**json.loads(rows[1]), **change})
+        truth.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = env.runner.invoke(main, [
+            "evaluate", "-c", env.config, "--preds", str(preds), "--truth", str(truth),
+            "--report", str(env.root / "report.json"),
+            "--curve", str(env.root / "curve.csv")])
+        assert result.exit_code == 1
+        assert f"truth.jsonl:2: {reason}" in result.output
+        assert "Traceback" not in result.output
+        assert not (env.root / "report.json").exists()
+
+    def test_corpus_truth_record_with_string_label_is_refused(self, tmp_path):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(json.dumps({"id": "a#1", "label_vul": "no", "cwe_id": "CWE-79"})
+                         + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="truth.jsonl:1: label_vul 'no' is not a boolean"):
+            cli._load_truth(truth)
 
     def test_invalid_prediction_row_names_file_and_line(self, env):
         preds, truth = self.finished_run(env)
@@ -563,10 +610,10 @@ class TestRunAll:
         result = runner.invoke(main, ["run-all", "-c", str(config),
                                       "--out-dir", str(out), "--json"])
         assert result.exit_code == 0, result.output
-        preds = read_predictions(out / "preds.jsonl")
+        preds = prediction_rows(out / "preds.jsonl")
         assert len(preds) == 3 * E2E_TARGET_COUNT
-        assert {p.run for p in preds} == {0, 1, 2}
-        by_run = {run: {p.ir_id: p.p_yes for p in preds if p.run == run}
+        assert {p["run"] for p in preds} == {0, 1, 2}
+        by_run = {run: {p["ir_id"]: p["p_yes"] for p in preds if p["run"] == run}
                   for run in (0, 1, 2)}
         spread = {by_run[run]["e2e/shop#13"] for run in (0, 1, 2)}
         assert len(spread) == 3  # jitter shifts every seeded pass
@@ -582,12 +629,12 @@ class TestRunAll:
         out = env.root / "run"
         run_ok(env, "run-all", "-c", env.config, "--out-dir", str(out))
         assert "e2e/shop#14: run 0 failed, left unscored" in caplog.text
-        preds = read_predictions(out / "preds.jsonl")
+        preds = prediction_rows(out / "preds.jsonl")
         assert len(preds) == E2E_TARGET_COUNT
         for pred in preds:
-            assert pred.unscored is (pred.ir_id == "e2e/shop#14")
-        failed = next(p for p in preds if p.unscored)
-        assert (failed.p_yes, failed.verdict) == (None, False)
+            assert pred["unscored"] is (pred["ir_id"] == "e2e/shop#14")
+        failed = next(p for p in preds if p["unscored"])
+        assert (failed["p_yes"], failed["verdict"]) == (None, False)
         report = json.loads((out / "report.json").read_text())
         assert report["excluded_unscored"] == 1
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from vulrtex.corpus import (
@@ -78,3 +80,26 @@ def test_tag_bijection_check():
     bad = make_ir(content="mentions [SCR1] but table empty")
     with pytest.raises(ValueError):
         bad.check_tag_bijection()
+
+
+@pytest.mark.parametrize("label, cwe", [(True, "CWE-79"), (False, None), (None, None)])
+def test_from_dict_keeps_json_labels(label, cwe):
+    ir = CanonicalIR.from_dict({"id": "a#1", "label_vul": label, "cwe_id": cwe})
+    assert (ir.label_vul, ir.cwe_id) == (label, cwe)
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"label_vul": "no"}, "label_vul 'no' is not a boolean"),
+    ({"label_vul": "false"}, "label_vul 'false' is not a boolean"),
+    ({"label_vul": 1}, "label_vul 1 is not a boolean"),
+    ({"cwe_id": 79}, "cwe_id 79 is not a string"),
+    ({"cwe_id": ["CWE-79"]}, r"cwe_id \['CWE-79'\] is not a string"),
+])
+def test_from_dict_refuses_labels_json_does_not_type(tmp_path, change, reason):
+    record = {"id": "a#1", "label_vul": True, "cwe_id": "CWE-79", **change}
+    with pytest.raises(ValueError, match=reason):
+        CanonicalIR.from_dict(record)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"corpus.jsonl:1: {reason}"):
+        load_corpus(path)

@@ -119,8 +119,7 @@ def _branching(root) -> tuple[str, int]:
     cli.stage_prepare(cfg)
     store = GraphStore(root / "db")
     rng = random.Random(11)
-    for _ in range(6):
-        store.save(fixturelib.random_dag(rng))
+    store.replace_graphs(store.load_all() + [fixturelib.random_dag(rng) for _ in range(6)])
     graphs = store.load_all()
     targets = load_corpus(root / "db" / "targets.jsonl")
     toolkit = ToolKit(StubScrAnalyzer(fx["scr_dir"]), StubCodeAnalyzer())

@@ -417,6 +417,35 @@ def test_gateway_exhausts_after_retries():
     assert backend.calls == 3
 
 
+def test_backoff_doubles_up_to_a_quarter_of_the_deadline(monkeypatch):
+    """Sleeps double from backoff_base until they reach a quarter of the
+    deadline, and each attempt's timeout is the deadline left after the
+    sleeps before it."""
+    clock = SimpleNamespace(now=0.0)
+    sleeps: list[float] = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        clock.now += seconds
+
+    monkeypatch.setattr(gateway, "time", SimpleNamespace(
+        monotonic=lambda: clock.now, sleep=sleep))
+    timeouts: list[float] = []
+
+    class FailingBackend:
+        name = "failing"
+
+        def complete(self, req):
+            timeouts.append(req.timeout)
+            raise TransportError("down")
+
+    gw = Gateway(FailingBackend(), max_retries=4, deadline_seconds=8.0, backoff_base=1.0)
+    with pytest.raises(GatewayExhausted):
+        gw.complete(make_request("hi"))
+    assert sleeps == [1.0, 2.0, 2.0, 2.0]
+    assert timeouts == [8.0, 7.0, 5.0, 3.0, 1.0]
+
+
 # a value other than its default for every LlmRequest field
 NON_DEFAULT_REQUEST = {
     "system_prompt": "system", "user_prompt": "user", "temperature": 0.9,

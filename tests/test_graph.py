@@ -141,7 +141,7 @@ def test_path_extraction_and_save_leave_no_reference_cycle(tmp_path):
     gc.disable()
     try:
         paths = extract_terminated_paths(g)
-        store.save(g)
+        store.replace_graphs([g])
         assert len(paths) == 4
         del g, paths
         assert alive() is None
@@ -210,9 +210,14 @@ def test_round_trip_preserves_everything():
 def test_store_round_trip(tmp_path):
     store = GraphStore(tmp_path / "db")
     g = build_fig_graph()
-    store.save(g)
-    assert store.ir_ids() == ["fixture/fig#1"]
-    assert store.load("fixture/fig#1") == g
+    assert store.replace_graphs([g]) == 1
+    saved = store.graphs_dir / "fixture%2Ffig%231.json"
+    assert list(store.graphs_dir.iterdir()) == [saved]
+    written = saved.read_bytes()
+    assert store.load_all() == [g]
+    # what is read back writes the same bytes again
+    assert store.replace_graphs(store.load_all()) == 1
+    assert saved.read_bytes() == written
     store.write_manifest({"config_hash": "abc"}, count=1)
     manifest = store.read_manifest()
     assert manifest["count"] == 1
@@ -222,10 +227,10 @@ def test_store_round_trip(tmp_path):
 def test_load_all_names_a_file_saved_under_another_quoting(tmp_path):
     store = GraphStore(tmp_path / "db")
     g = build_fig_graph()
-    saved = store.save(g)
+    store.replace_graphs([g])
+    saved = store.graphs_dir / graph_filename(g.ir_id)
     assert saved.name == "fixture%2Ffig%231.json"
     renamed = saved.rename(saved.with_name("fixture%2ffig%231.json"))
-    assert store.ir_ids() == ["fixture/fig#1"]
     with pytest.raises(ValueError) as info:
         store.load_all()
     assert str(info.value) == (f"{renamed}: the graph of 'fixture/fig#1' must be saved "

@@ -15,11 +15,13 @@ from vulrtex.identifier import (
     DEFAULT_THETA_OUT,
     GuidancePrompt,
     Prediction,
+    Unscored,
     generate_guidance,
     identify,
-    read_predictions,
+    read_scored,
     write_predictions,
 )
+from vulrtex.metrics import ScoredLabel
 from vulrtex.retrieval import ReservedGraph
 from vulrtex.textindex import TermIds, term_counts
 
@@ -212,17 +214,29 @@ def test_prediction_invariants(tmp_path):
                                     "cwe_id": cwe_id, "theta_out": 0.55}) + "\n",
                         encoding="utf-8")
         with pytest.raises(ValueError):
-            read_predictions(path)
+            read_scored(path, lambda header: None)
 
 
 def test_predictions_roundtrip(tmp_path):
-    preds = [
-        identify(target(), GuidancePrompt(), stub_gateway(identify_rules(LOGPROBS_YES_09))),
-        identify(target(), GuidancePrompt(), stub_gateway(identify_rules(LOGPROBS_HALF))),
-    ]
+    positive = identify(target(), GuidancePrompt(), stub_gateway(identify_rules(LOGPROBS_YES_09)))
+    negative = identify(target(), GuidancePrompt(), stub_gateway(identify_rules(LOGPROBS_HALF)))
+    positive.latency_seconds, negative.run = 0.25, 2
+    unscored = Prediction("acme/app#6", None, False, None, 0.55, False, unscored=True, run=1)
     path = tmp_path / "preds.jsonl"
-    write_predictions(preds, path)
-    assert read_predictions(path) == preds
+    header = {"kind": "predictions", "config_hash": "x"}
+    write_predictions([positive, unscored, negative], path, header=header)
+    headers = []
+    assert read_scored(path, headers.append) == [
+        ScoredLabel("acme/app#5", positive.p_yes, False, None, "CWE-79", 0.25, 0),
+        Unscored("acme/app#6", 1),
+        ScoredLabel("acme/app#5", negative.p_yes, False, None, None, 0.0, 2),
+    ]
+    assert headers == [header]
+
+
+def test_predictions_file_needs_a_kind_header(tmp_path):
+    with pytest.raises(ValueError, match="needs a 'kind' key"):
+        write_predictions([], tmp_path / "preds.jsonl", header={"config_hash": "x"})
 
 
 def test_seed_jitter_changes_p_yes_not_structure():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vulrtex.identifier import Prediction, read_predictions, read_scored, write_predictions
+from vulrtex.identifier import Prediction, read_scored, write_predictions
+from vulrtex.metrics import ScoredLabel
 from vulrtex.jsonl import read_jsonl
 
 
@@ -104,7 +105,8 @@ def test_read_predictions_skips_the_header(tmp_path):
              Prediction("a#2", 0.1, False, None, 0.55, False, run=0)]
     path = tmp_path / "preds.jsonl"
     write_predictions(preds, path, header={"kind": "predictions", "config_hash": "x"})
-    assert read_predictions(path) == preds
+    assert read_scored(path, lambda header: None) == [
+        ScoredLabel("a#1", 0.9, False, None, "CWE-79"), ScoredLabel("a#2", 0.1, False)]
 
 
 @pytest.mark.parametrize("line", ['"kind of row"', '["kind"]', "5", "null"])
@@ -113,7 +115,7 @@ def test_read_predictions_refuses_a_row_that_is_not_an_object(tmp_path, line):
     path.write_text('{"kind": "predictions"}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(ValueError,
                        match=r"preds.jsonl:2: a prediction row must be a JSON object"):
-        read_predictions(path)
+        read_scored(path, lambda header: None)
 
 
 def test_read_scored_holds_one_line_at_a_time(tmp_path):

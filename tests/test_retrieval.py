@@ -403,6 +403,25 @@ def test_sorted_descending_by_similarity():
     assert all(s > 0.0 for s in sims)
 
 
+def tied_graph(ir_id):
+    """A root, one ScrAnalyzer hop and a decided terminal; graphs of this
+    shape that differ only in id prune, describe and score alike."""
+    g = ReasoningGraph(ir_id)
+    g.add_observation(Observation("O1", "ticket report mentioning a stored xss payload"))
+    g.add_observation(Observation("O2.1", "stored xss confirmed on the ticket page",
+                                  verdict=VUL, cwe_id="CWE-79"))
+    g.add_action(Action("A1.1", "O1", "O2.1", SCR_ANALYZER, "[SCR1]"))
+    g.validate()
+    return g
+
+
+@pytest.mark.parametrize("ids", [("b#1", "a#1"), ("a#1", "b#1")])
+def test_similarity_ties_keep_ascending_ids(ids):
+    got = retrieve_relevant([tied_graph(i) for i in ids], target_ir(), theta_sim=0.0, seed=5)
+    assert got[0].similarity.hex() == got[1].similarity.hex()
+    assert [r.origin_ir for r in got] == ["a#1", "b#1"]
+
+
 def test_result_independent_of_database_order():
     graphs = retrieval_db()
     target = target_ir()
@@ -437,8 +456,7 @@ def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
     # the fixture's own graphs never branch, so no walk would read a row
     store = GraphStore(tmp_path / "db")
     rng = random.Random(11)
-    for _ in range(6):
-        store.save(fx.random_dag(rng))
+    store.replace_graphs(store.load_all() + [fx.random_dag(rng) for _ in range(6)])
     computed = Counter()
     fill = retrieval.EdgeProbabilities._fill
 
@@ -480,7 +498,7 @@ def test_stage_wide_work_done_once_per_stage(tmp_path, monkeypatch):
         tmp_path / "config.ini", paths,
         pipeline={"runs": 3, "db_path": tmp_path / "db"})))
     cli.stage_prepare(cfg)
-    n_graphs = len(GraphStore(tmp_path / "db").ir_ids())
+    n_graphs = len(GraphStore(tmp_path / "db").load_all())
     seeds = Counter()
     walk_seed = retrieval.graph_walk_seed
 
