@@ -26,7 +26,7 @@ from .gateway import make_gateway
 from .graph import GraphStore
 from .identifier import (Prediction, Unscored, generate_guidance, identify,
                          read_scored, write_predictions)
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, typed, write_jsonl
 from .knowledge import KnowledgeStore, load_store, save_store
 from .metrics import ScoredLabel, build_report, pr_curve, repeated_mean
 from .reasoner import ReasonerConfig, generate_reasoning_graph
@@ -54,6 +54,17 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     else:
         for line in lines:
             click.echo(line)
+
+
+def _emit_dry_run(cfg: PipelineConfig, as_json: bool) -> None:
+    """The resolved configuration and its hash, for --dry-run."""
+    resolved = {**cfg.resolved_dict(), "config_hash": config_hash(cfg)}
+    _emit(resolved, as_json, ["dry run; resolved configuration:",
+                              json.dumps(resolved, sort_keys=True, indent=2)])
+
+
+_METRICS_LINE = ("precision={precision:.4f} recall={recall:.4f} f1={f1:.4f} "
+                 "auroc={auroc:.4f} auprc={auprc:.4f}")
 
 
 def _cli_errors(fn):
@@ -256,7 +267,7 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
 
 def _truth_row(d: dict) -> tuple[str, bool | None, str | None]:
     if "ir_id" in d:
-        return (d["ir_id"], *checked_label(d))
+        return (typed(d["ir_id"], str, "ir_id"), *checked_label(d))
     ir = CanonicalIR.from_dict(d)
     return ir.id, ir.label_vul, ir.cwe_id
 
@@ -352,9 +363,7 @@ def cmd_prepare_db(config_path, as_json, dry_run, **overrides):
     """Build the reasoning database from the historical corpus half."""
     cfg = _resolve_config(config_path, overrides)
     if dry_run:
-        resolved = {**cfg.resolved_dict(), "config_hash": config_hash(cfg)}
-        _emit(resolved, as_json, ["dry run; resolved configuration:",
-                                  json.dumps(resolved, sort_keys=True, indent=2)])
+        _emit_dry_run(cfg, as_json)
         return
     summary = stage_prepare(cfg)
     failures = [f"  {ir_id}: {status}" for ir_id, status in summary["status"].items()
@@ -426,8 +435,7 @@ def cmd_evaluate(config_path, as_json, preds_path, truth_path, report_path,
         click.echo(f"warning: {summary['excluded_unscored']} unscored predictions "
                    "excluded from metrics", err=True)
     m = summary["metrics"]
-    lines = [("precision={precision:.4f} recall={recall:.4f} f1={f1:.4f} "
-              "auroc={auroc:.4f} auprc={auprc:.4f}").format(**m),
+    lines = [_METRICS_LINE.format(**m),
              ("macro_p={macro_p:.4f} macro_r={macro_r:.4f} "
               "macro_f1={macro_f1:.4f} over {n} runs").format(
                   n=summary["n_runs"], **m),
@@ -449,9 +457,7 @@ def cmd_run_all(config_path, as_json, out_dir, dry_run, **overrides):
     out = Path(out_dir)
     cfg.db_path = str(out / "db")
     if dry_run:
-        resolved = {**cfg.resolved_dict(), "config_hash": config_hash(cfg)}
-        _emit(resolved, as_json, ["dry run; resolved configuration:",
-                                  json.dumps(resolved, sort_keys=True, indent=2)])
+        _emit_dry_run(cfg, as_json)
         return
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
@@ -515,11 +521,9 @@ def cmd_run_all(config_path, as_json, out_dir, dry_run, **overrides):
         "metrics": evaluation["metrics"],
         "stages": manifest["stages"],
     }
-    m = evaluation["metrics"]
     lines = [f"{s['name']}: {'ok' if s['ok'] else 'failed'} "
              f"({s['seconds']:.3f}s)" for s in manifest["stages"]]
-    lines.append(("precision={precision:.4f} recall={recall:.4f} f1={f1:.4f} "
-                  "auroc={auroc:.4f} auprc={auprc:.4f}").format(**m))
+    lines.append(_METRICS_LINE.format(**evaluation["metrics"]))
     lines.append(f"artifacts -> {out}")
     _emit(summary, as_json, lines)
 

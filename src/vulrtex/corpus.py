@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyCorpus
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, typed, write_jsonl
 
 KIND_SCR = "SCR"
 KIND_CODE = "CODE"
@@ -45,7 +45,7 @@ class RichTextElement:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RichTextElement":
-        return cls(d["kind"], d["tag"], d["payload"])
+        return cls(*(typed(d[key], str, key) for key in ("kind", "tag", "payload")))
 
 
 @dataclass
@@ -96,31 +96,32 @@ class CanonicalIR:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CanonicalIR":
+        """A record from its JSON. A field of another JSON type than its
+        own raises ValueError: id, title, Content and the rich-text
+        elements' fields are strings, Rich-Text a list, created_at an
+        integer, cve_id a string or null, flags an object (and see
+        checked_label)."""
         content = d.get("Content", d.get("content", ""))
-        rich = d.get("Rich-Text", d.get("rich_text", []))
+        rich = typed(d.get("Rich-Text", d.get("rich_text", [])), list, "Rich-Text")
         label_vul, cwe_id = checked_label(d)
         return cls(
-            id=d["id"],
-            title=d.get("title", ""),
-            content=content,
+            id=typed(d["id"], str, "id"),
+            title=typed(d.get("title", ""), str, "title"),
+            content=typed(content, str, "Content"),
             rich_text=[RichTextElement.from_dict(e) for e in rich],
-            created_at=int(d.get("created_at", 0)),
+            created_at=typed(d.get("created_at", 0), int, "created_at"),
             label_vul=label_vul,
             cwe_id=cwe_id,
-            cve_id=d.get("cve_id"),
-            flags=dict(d.get("flags", {})),
+            cve_id=typed(d.get("cve_id"), str, "cve_id", nullable=True),
+            flags=dict(typed(d.get("flags", {}), dict, "flags")),
         )
 
 
 def checked_label(d: dict) -> tuple[bool | None, str | None]:
     """A record's label_vul, a boolean or null, and cwe_id, a string or
     null; any other value, such as the string "false", raises ValueError."""
-    label_vul, cwe_id = d.get("label_vul"), d.get("cwe_id")
-    if label_vul is not None and type(label_vul) is not bool:
-        raise ValueError(f"label_vul {label_vul!r} is not a boolean")
-    if cwe_id is not None and type(cwe_id) is not str:
-        raise ValueError(f"cwe_id {cwe_id!r} is not a string")
-    return label_vul, cwe_id
+    return (typed(d.get("label_vul"), bool, "label_vul", nullable=True),
+            typed(d.get("cwe_id"), str, "cwe_id", nullable=True))
 
 
 @dataclass

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from .errors import CycleIntroduced, DanglingEndpoint, DuplicateId
+from .jsonl import typed
 
 ROOT_ID = "O1"
 
@@ -64,8 +65,15 @@ class Observation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Observation":
-        return cls(d["id"], d["text"], list(d.get("focus_tags", [])),
-                   d.get("verdict", UNDECIDED), d.get("cwe_id"))
+        """An observation from its JSON; a field of another JSON type than
+        its own, or a verdict outside VERDICTS, raises ValueError."""
+        focus_tags = [typed(tag, str, "focus tag")
+                      for tag in typed(d.get("focus_tags", []), list, "focus_tags")]
+        verdict = d.get("verdict", UNDECIDED)
+        if verdict not in VERDICTS:
+            raise ValueError(f"verdict {verdict!r} is not one of {', '.join(VERDICTS)}")
+        return cls(typed(d["id"], str, "id"), typed(d["text"], str, "text"), focus_tags,
+                   verdict, typed(d.get("cwe_id"), str, "cwe_id", nullable=True))
 
 
 @dataclass
@@ -85,7 +93,10 @@ class Action:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Action":
-        return cls(d["id"], d["src"], d["dst"], d["tool"], d.get("argument", ""))
+        """An action from its JSON; a field that is not a string raises
+        ValueError."""
+        return cls(*(typed(d[key], str, key) for key in ("id", "src", "dst", "tool")),
+                   typed(d.get("argument", ""), str, "argument"))
 
 
 @dataclass
@@ -204,7 +215,7 @@ class ReasoningGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReasoningGraph":
-        g = cls(d["ir_id"])
+        g = cls(typed(d["ir_id"], str, "ir_id"))
         for nd in d["nodes"]:
             g.add_observation(Observation.from_dict(nd))
         for ed in d["edges"]:
@@ -325,11 +336,12 @@ class GraphStore:
         return count
 
     def _read(self, path: FsPath) -> ReasoningGraph:
-        """The graph in a graphs/ file, which must be named
-        graph_filename(ir_id) of the graph it holds; any other file raises
-        a ValueError naming it."""
+        """The graph in a graphs/ file, which must pass validate and be
+        named graph_filename(ir_id) of the graph it holds; any other file
+        raises a ValueError naming it."""
         try:
             g = ReasoningGraph.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            g.validate()
         except (ValueError, KeyError, TypeError,
                 DuplicateId, DanglingEndpoint, CycleIntroduced) as exc:
             raise ValueError(f"{path}: not a reasoning graph: {type(exc).__name__}: {exc}") from exc

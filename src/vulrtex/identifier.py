@@ -22,7 +22,7 @@ from .config import DEFAULT_THETA_OUT
 from .corpus import CanonicalIR
 from .errors import NoLabelToken
 from .gateway import Gateway, LlmRequest, yes_probability
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, typed, write_jsonl
 from .metrics import NUMBER_TYPES, ScoredLabel
 from .prompts import build_guidance_prompt, build_identify_prompt
 from .retrieval import ReservedGraph, Target
@@ -55,10 +55,8 @@ def scored_row(ir_id: str, p_yes: float | None, verdict: bool, cwe_id: str | Non
     ScoredLabel checks that p_yes is a number in [0, 1] and latency_seconds
     one >= 0. Types are exact, as JSON decodes them: a bool is no number.
     """
-    if type(ir_id) is not str:
-        raise ValueError(f"ir_id {ir_id!r} is not a string")
-    if type(run) is not int:
-        raise ValueError(f"run {run!r} is not an integer")
+    typed(ir_id, str, "ir_id")
+    typed(run, int, "run")
     if type(verdict) is not bool or type(unscored) is not bool:
         raise ValueError("verdict and unscored must be booleans")
     if type(theta_out) not in NUMBER_TYPES:

@@ -5,7 +5,8 @@ JSON Lines output.
 Each non-blank line holds one JSON value and is decoded on its own, so a bad
 line is reported as `<path>:<line>: <reason>` and cannot be masked by its
 neighbours. A file is read one line at a time, so reading holds one line of
-it beside the rows made so far.
+it beside the rows made so far. `typed` is the check of one decoded field's
+JSON type that the row parsers, and the graph files' reader, share.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def iter_jsonl(path: str | Path, row: Callable[[Any], T]) -> Iterator[T]:
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             yield value
+
+
+_KINDS = {str: "a string", int: "an integer", bool: "a boolean", list: "a list",
+          dict: "an object"}
+
+
+def typed(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
+    """`value` when its type is exactly `kind`, as JSON decodes it (a bool is
+    no integer), or when it is None and `nullable`; otherwise ValueError
+    naming the field `name`."""
+    if type(value) is kind or (nullable and value is None):
+        return value
+    raise ValueError(f"{name} {value!r} is not {_KINDS[kind]}")
 
 
 def read_jsonl(path: str | Path, row: Callable[[Any], T]) -> list[T]:

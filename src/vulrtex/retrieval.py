@@ -15,10 +15,8 @@ A prune costs only the work that can change its result:
   a choice reads it. A walk step with one unvisited option and a closure
   with one terminator candidate read none, so most rows are never computed.
 - What no target changes is computed once per stage, on the CountedGraph:
-  - node term counts, the idf tables of the node texts and degrees;
-  - the walk's structure: each node's sorted successors, each (src, dst)
-    hop's action ids and whether it holds a terminator, and each node's
-    terminator out-actions, so no walk step or closure calls a graph method;
+  - node term counts, the idf tables of the node texts, degrees and each
+    node's sorted successors;
   - the term table of each node text and of each joined pair text a row
     reads (CorpusIdf.table), so a pair weight for a target is two
     CorpusQuery cosines over tabled floats, with no index, Counter sum or
@@ -26,8 +24,6 @@ A prune costs only the work that can change its result:
   - the dense ids of the pruned descriptions' terms, in one TermIds that
     the graphs of one count_graphs call share, which also keeps the idf
     array query_cosines scores them under, per document count.
-- What only the run seed changes is computed once per (graph, run seed):
-  each graph's walk seed (CountedGraph.walk_seed).
 - For a fixed (graph, seed, walks), a prune is a pure function of the
   outcomes of the choices that read the target: a walk step among several
   unvisited options, and a closure among several terminator candidates.
@@ -112,25 +108,21 @@ class CountedGraph:
 
     `node_counts` and `idf` (over the node texts) feed the edge weights;
     `degree` and `succ` (each node's distinct successors, sorted) shape the
-    walk probabilities. The walk reads its structure from `succ` and two
-    more tables: `hops` (each connected (src, dst) pair's action ids, and
-    whether one of them is an AgentTerminator) and `terminators` (each
-    node's AgentTerminator out-actions, in out_actions order). `term_ids`
-    numbers the terms of the pruned descriptions
+    walk probabilities, and the walk reads its steps' options from `succ`.
+    `term_ids` numbers the terms of the pruned descriptions
     (ReservedGraph.description_terms); the graphs of one count_graphs call
     share it, so their descriptions score under one numbering, and it goes
     away with them.
 
-    Four memos fill as the stage walks and go away with it: `prunes`
+    Three memos fill as the stage walks and go away with it: `prunes`
     holds, per (seed, walks) asked for, random_walk_prune's trie of choices
     (the root _Choice, or the ReservedGraph when the prune makes no
     choice), so it holds at most one leaf per prune that had to walk;
     `subgraphs` the ReservedGraph of each distinct set of reserved action
     ids those walks reached, which leaves under other seeds or choices
-    share; `term_tables` the term table (CorpusIdf.table) of each node
+    share; and `term_tables` the term table (CorpusIdf.table) of each node
     text, keyed by node id, and of each joined pair text, keyed (src, dst),
-    that a walk-probability row has read; and `walk_seeds` this graph's
-    walk seed (graph_walk_seed) per run seed asked for.
+    that a walk-probability row has read.
     """
 
     graph: ReasoningGraph
@@ -138,8 +130,6 @@ class CountedGraph:
     idf: CorpusIdf
     degree: dict[str, int]
     succ: dict[str, tuple[str, ...]]
-    hops: dict[tuple[str, str], tuple[tuple[str, ...], bool]]
-    terminators: dict[str, tuple[Action, ...]]
     term_ids: TermIds = field(repr=False, compare=False)
     prunes: dict[tuple[int, int], _Choice | ReservedGraph] = field(
         default_factory=dict, repr=False, compare=False)
@@ -147,7 +137,6 @@ class CountedGraph:
         default_factory=dict, repr=False, compare=False)
     term_tables: dict[str | tuple[str, str], TermTable] = field(
         default_factory=dict, repr=False, compare=False)
-    walk_seeds: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def terms(self, src: str, dst: str | None = None) -> TermTable:
         """The term table of src's text, or of "src dst" joined."""
@@ -160,13 +149,6 @@ class CountedGraph:
             table = self.term_tables[key] = self.idf.table(counts)
         return table
 
-    def walk_seed(self, seed: int) -> int:
-        """graph_walk_seed(seed, this graph's id)."""
-        walk_seed = self.walk_seeds.get(seed)
-        if walk_seed is None:
-            walk_seed = self.walk_seeds[seed] = graph_walk_seed(seed, self.graph.ir_id)
-        return walk_seed
-
 
 def node_counts(g: ReasoningGraph) -> dict[str, Counter[str]]:
     return {nid: term_counts(g.node_text(nid)) for nid in g.nodes}
@@ -178,26 +160,8 @@ def _degrees(g: ReasoningGraph) -> dict[str, int]:
     return {nid: len(g.out_actions(nid)) + len(g.in_actions(nid)) for nid in g.nodes}
 
 
-def _walk_tables(g: ReasoningGraph) -> tuple[
-        dict[str, tuple[str, ...]],
-        dict[tuple[str, str], tuple[tuple[str, ...], bool]],
-        dict[str, tuple[Action, ...]]]:
-    """The succ, hops and terminators tables of CountedGraph."""
-    succ = {nid: tuple(g.successors(nid)) for nid in g.nodes}
-    pairs: dict[tuple[str, str], list[Action]] = {}
-    for act in g.edges:
-        pairs.setdefault((act.src, act.dst), []).append(act)
-    hops = {pair: (tuple(a.id for a in acts),
-                   any(a.tool == AGENT_TERMINATOR for a in acts))
-            for pair, acts in pairs.items()}
-    terminators = {nid: tuple(a for a in g.out_actions(nid) if a.tool == AGENT_TERMINATOR)
-                   for nid in g.nodes}
-    return succ, hops, terminators
-
-
 def count_graphs(graphs) -> list[CountedGraph]:
-    """Pair every graph with its target-independent statistics and walk
-    tables.
+    """Pair every graph with its target-independent statistics.
 
     A list whose graphs one earlier call counted (CountedGraphs sharing one
     TermIds) comes back as it is, memos and all. Any other list is counted
@@ -213,8 +177,9 @@ def count_graphs(graphs) -> list[CountedGraph]:
         if isinstance(g, CountedGraph):
             g = g.graph
         counts = node_counts(g)
+        succ = {nid: tuple(g.successors(nid)) for nid in g.nodes}
         out.append(CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
-                                _degrees(g), *_walk_tables(g), term_ids))
+                                _degrees(g), succ, term_ids))
     return out
 
 
@@ -399,7 +364,7 @@ def _walk(counted: CountedGraph, p: EdgeProbabilities, walks: int,
     walkrng.spawn(rng_seed, walks): the choices made, each with its
     outcome, in order, and the reserved subgraph (_reserve)."""
     g = counted.graph
-    succ, hops = counted.succ, counted.hops
+    succ = counted.succ
     made: list[tuple[_Choice, int]] = []
     reserved_nodes: dict[str, None] = {ROOT_ID: None}
     reserved_actions: dict[str, None] = {}
@@ -420,28 +385,24 @@ def _walk(counted: CountedGraph, p: EdgeProbabilities, walks: int,
             if not options:
                 break
             nxt = _step(rng, p, current, options, made)
-            hop, terminates = hops[(current, nxt)]
-            for act_id in hop:
-                reserved_actions[act_id] = None
+            hop = [a for a in g.out_actions(current) if a.dst == nxt]
+            for act in hop:
+                reserved_actions[act.id] = None
             reserved_nodes[nxt] = None
-            if terminates:
+            if any(a.tool == AGENT_TERMINATOR for a in hop):
                 break
             current = nxt
 
     # closure: terminate every open reserved path when the origin graph can.
-    # Every reserved hop is reserved whole (a walk hop or a root hop), so a
-    # hop holding a terminator holds a reserved one.
+    # In a graph that passes validate, a node that offers a terminator is
+    # neither decided nor a terminator's target, so the path it ends is open.
     out_map: dict[str, set[str]] = {}
     for act in g.edges:
         if act.id in reserved_actions:
             out_map.setdefault(act.src, set()).add(act.dst)
     for seq in maximal_paths({src: sorted(dsts) for src, dsts in out_map.items()}):
         last = seq[-1]
-        if g.nodes[last].decided():
-            continue
-        if len(seq) > 1 and hops[(seq[-2], last)][1]:
-            continue
-        candidates = counted.terminators[last]
+        candidates = [a for a in g.out_actions(last) if a.tool == AGENT_TERMINATOR]
         if not candidates:
             continue
         best = candidates[0]
@@ -615,8 +576,8 @@ def retrieve_relevant(graphs, target: CanonicalIR | Target, theta_sim: float,
     Similarities are those of an index over all pruned descriptions plus
     the flattened target, computed from the tabled terms
     (textindex.query_cosines). Per-graph walk seeds derive from (seed,
-    graph id), so results do not depend on iteration or scheduling order;
-    each graph keeps its seed per run seed (CountedGraph.walk_seed).
+    graph id) by graph_walk_seed, so results do not depend on iteration or
+    scheduling order.
 
     `target` is a Target or a CanonicalIR, which is wrapped as a Target
     without a toolkit; a caller repeating a target under other seeds
@@ -633,7 +594,7 @@ def retrieve_relevant(graphs, target: CanonicalIR | Target, theta_sim: float,
         raise ValueError("theta_sim must be in [0, 1]")
     target = Target.of(target)
     pruned = [random_walk_prune(counted, target.probabilities(counted), walks,
-                                counted.walk_seed(seed))
+                                graph_walk_seed(seed, counted.graph.ir_id))
               for counted in graphs]
     scores = query_cosines(target.counts, [r.description_terms for r in pruned])
     kept = [ReservedGraph(r.graph, r.origin_ir, r.description, r.description_terms, score)

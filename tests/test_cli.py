@@ -232,6 +232,28 @@ class TestPrepareDb:
         assert "Traceback" not in result.output
         assert not (out / "truth.jsonl").exists()
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"Content": "see [SCR1]",
+          "Rich-Text": [{"kind": "SCR", "tag": "[SCR1]", "payload": 5}]},
+         "payload 5 is not a string"),
+        ({"id": 2}, "id 2 is not a string"),
+        ({"created_at": "5"}, "created_at '5' is not an integer"),
+        ({"created_at": 1.9}, "created_at 1.9 is not an integer"),
+        ({"title": ["a"]}, "title ['a'] is not a string"),
+    ])
+    def test_record_with_mistyped_field_names_file_and_line(self, env, change, reason):
+        lines = Path(env.fx["corpus"]).read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **change})
+        bad = env.root / "corpus.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = env.root / "run"
+        result = env.runner.invoke(main, ["run-all", "-c", env.config,
+                                          "--corpus", str(bad), "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"corpus.jsonl:2: {reason}" in result.output
+        assert not (out / "db").exists()
+
     def test_http_tool_backend_without_endpoint_is_refused_at_load(self, env):
         config = env.root / "http-scr.ini"
         config.write_text(Path(env.config).read_text().replace(
@@ -326,6 +348,19 @@ class TestRetrieve:
         assert f"{renamed.name}: the graph of " in result.output
         assert f"must be saved as {saved.name}" in result.output
         assert "Traceback" not in result.output
+
+    def test_graph_file_with_a_number_for_node_text_is_named(self, env):
+        db = prepared_db(env)
+        saved = sorted((db / "graphs").glob("*.json"))[0]
+        graph = json.loads(saved.read_text(encoding="utf-8"))
+        graph["nodes"][-1]["text"] = 5
+        saved.write_text(json.dumps(graph), encoding="utf-8")
+        result = env.runner.invoke(main, ["identify", "-c", env.config, "--db", str(db),
+                                          "--out", str(env.root / "preds.jsonl")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"{saved.name}: not a reasoning graph: ValueError: text 5 is not a string"
+                in result.output)
 
 
 class TestIdentify:
@@ -488,6 +523,18 @@ class TestEvaluate:
         assert f"truth.jsonl:2: {reason}" in result.output
         assert "Traceback" not in result.output
         assert not (env.root / "report.json").exists()
+
+    def test_truth_row_with_a_number_for_ir_id_names_file_and_line(self, env):
+        preds, truth = self.finished_run(env)
+        rows = truth.read_text().splitlines()
+        rows[1] = json.dumps({**json.loads(rows[1]), "ir_id": 14})
+        truth.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = env.runner.invoke(main, [
+            "evaluate", "-c", env.config, "--preds", str(preds), "--truth", str(truth),
+            "--report", str(env.root / "report.json"),
+            "--curve", str(env.root / "curve.csv")])
+        assert result.exit_code == 1
+        assert "truth.jsonl:2: ir_id 14 is not a string" in result.output
 
     def test_corpus_truth_record_with_string_label_is_refused(self, tmp_path):
         truth = tmp_path / "truth.jsonl"

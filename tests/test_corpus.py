@@ -103,3 +103,36 @@ def test_from_dict_refuses_labels_json_does_not_type(tmp_path, change, reason):
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"corpus.jsonl:1: {reason}"):
         load_corpus(path)
+
+
+SCR_ELEMENT = {"kind": "SCR", "tag": "[SCR1]", "payload": "a.png"}
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"id": 7}, "id 7 is not a string"),
+    ({"title": ["a"]}, r"title \['a'\] is not a string"),
+    ({"Content": 5}, "Content 5 is not a string"),
+    ({"Rich-Text": "[SCR1]"}, r"Rich-Text '\[SCR1\]' is not a list"),
+    ({"Rich-Text": [{**SCR_ELEMENT, "payload": 5}]}, "payload 5 is not a string"),
+    ({"Rich-Text": [{**SCR_ELEMENT, "kind": None}]}, "kind None is not a string"),
+    ({"Rich-Text": [{**SCR_ELEMENT, "tag": 1}]}, "tag 1 is not a string"),
+    ({"created_at": "5"}, "created_at '5' is not an integer"),
+    ({"created_at": 1.9}, "created_at 1.9 is not an integer"),
+    ({"created_at": True}, "created_at True is not an integer"),
+    ({"cve_id": 2021}, "cve_id 2021 is not a string"),
+    ({"flags": ["x"]}, r"flags \['x'\] is not an object"),
+])
+def test_from_dict_refuses_fields_of_another_json_type(tmp_path, change, reason):
+    record = {"id": "a#1", "title": "t", "Content": "see [SCR1]",
+              "Rich-Text": [SCR_ELEMENT], "created_at": 5, **change}
+    with pytest.raises(ValueError, match=reason):
+        CanonicalIR.from_dict(record)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"corpus.jsonl:1: {reason}"):
+        load_corpus(path)
+
+
+def test_from_dict_defaults_missing_fields():
+    ir = CanonicalIR.from_dict({"id": "a#1", "cve_id": None})
+    assert ir == CanonicalIR("a#1", "", "", [], 0, None, None, None, {})

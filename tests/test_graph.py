@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 
@@ -241,3 +242,51 @@ def test_graph_filename_is_path_safe():
     name = graph_filename("owner/repo#12")
     assert "/" not in name and "#" not in name
     assert name.endswith(".json")
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"text": 5}, "text 5 is not a string"),
+    ({"id": 1}, "id 1 is not a string"),
+    ({"focus_tags": "[SCR1]"}, r"focus_tags '\[SCR1\]' is not a list"),
+    ({"focus_tags": [1]}, "focus tag 1 is not a string"),
+    ({"verdict": "maybe"}, "verdict 'maybe' is not one of undecided, vul, not_vul"),
+    ({"verdict": None}, "verdict None is not one of"),
+    ({"cwe_id": 79}, "cwe_id 79 is not a string"),
+])
+def test_observation_from_dict_refuses_mistyped_fields(change, reason):
+    d = {**Observation("O2", "leaf text", verdict=VUL, cwe_id="CWE-79").to_dict(), **change}
+    with pytest.raises(ValueError, match=reason):
+        Observation.from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["id", "src", "dst", "tool", "argument"])
+def test_action_from_dict_refuses_a_field_that_is_no_string(key):
+    d = {**Action("A1", "O1", "O2", SCR_ANALYZER, "[SCR1]").to_dict(), key: 3}
+    with pytest.raises(ValueError, match=f"{key} 3 is not a string"):
+        Action.from_dict(d)
+
+
+@pytest.mark.parametrize("change, reason", [
+    (lambda d: d["nodes"][2].update(text=5), "text 5 is not a string"),
+    (lambda d: d["nodes"][1].update(verdict=VUL),
+     "graph fixture/two-hops#1: non-terminal O2 has a decided verdict"),
+    (lambda d: d["edges"][0].update(tool=AGENT_TERMINATOR),
+     "graph fixture/two-hops#1: terminator A1 targets non-terminal O2"),
+])
+def test_load_all_names_a_file_that_is_no_valid_graph(tmp_path, change, reason):
+    g = ReasoningGraph("fixture/two-hops#1")
+    g.add_observation(Observation("O1", "root text"))
+    g.add_observation(Observation("O2", "middle text"))
+    g.add_observation(Observation("O3", "leaf text", verdict=VUL))
+    g.add_action(Action("A1", "O1", "O2", SCR_ANALYZER, "[SCR1]"))
+    g.add_action(Action("A2", "O2", "O3", AGENT_TERMINATOR))
+    store = GraphStore(tmp_path / "db")
+    store.replace_graphs([g])
+    assert store.load_all() == [g]
+    saved = store.graphs_dir / graph_filename(g.ir_id)
+    d = g.to_dict()
+    change(d)
+    saved.write_text(json.dumps(d), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        store.load_all()
+    assert str(info.value) == f"{saved}: not a reasoning graph: ValueError: {reason}"

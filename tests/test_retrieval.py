@@ -23,6 +23,7 @@ from vulrtex.corpus import CanonicalIR, load_corpus
 from vulrtex.errors import EmptyDatabase, IsolatedNonTerminal
 from vulrtex.graph import (
     AGENT_TERMINATOR,
+    CODE_ANALYZER,
     SCR_ANALYZER,
     VUL,
     NOT_VUL,
@@ -193,6 +194,22 @@ def test_chain_fully_reserved_with_one_walk():
     reserved = random_walk_prune(g, probs, walks=1, rng_seed=7)
     assert set(reserved.graph.nodes) == set(g.nodes)
     assert {a.id for a in reserved.graph.edges} == {a.id for a in g.edges}
+
+
+@pytest.mark.parametrize("parallel_first", [False, True])
+def test_walk_hop_reserves_every_parallel_action(parallel_first):
+    # O2.1 reaches its verdict by a terminator and, in parallel, by code
+    # evidence; the one walk steps into O3.1 and so takes both actions
+    g = ReasoningGraph("fixture/parallel#1")
+    for obs in chain_graph().nodes.values():
+        g.add_observation(obs)
+    hop = [Action("A2.1", "O2.1", "O3.1", AGENT_TERMINATOR),
+           Action("A2.2", "O2.1", "O3.1", CODE_ANALYZER, "[CODE1]")]
+    for act in [Action("A1.1", "O1", "O2.1", SCR_ANALYZER, "[SCR1]"),
+                *(hop[::-1] if parallel_first else hop)]:
+        g.add_action(act)
+    reserved = prune_for_target(g, TARGET_TEXT, walks=1, rng_seed=7).graph
+    assert [a.id for a in reserved.edges] == [a.id for a in g.edges]
 
 
 def test_subset_invariant_many_seeds():
@@ -490,22 +507,15 @@ def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
 
 
 def test_stage_wide_work_done_once_per_stage(tmp_path, monkeypatch):
-    """Over three runs, stage_identify takes each graph's walk seed once per
-    run, numbers every pruned description under one TermIds, and that table
-    takes query_cosines' idf once per document count."""
+    """Over three runs, stage_identify numbers every pruned description
+    under one TermIds, and that table takes query_cosines' idf once per
+    document count."""
     paths = write_e2e_fixture(tmp_path / "fx")
     cfg = load_config(str(write_e2e_config(
         tmp_path / "config.ini", paths,
         pipeline={"runs": 3, "db_path": tmp_path / "db"})))
     cli.stage_prepare(cfg)
     n_graphs = len(GraphStore(tmp_path / "db").load_all())
-    seeds = Counter()
-    walk_seed = retrieval.graph_walk_seed
-
-    def counting_walk_seed(seed, ir_id):
-        seeds[(seed, ir_id)] += 1
-        return walk_seed(seed, ir_id)
-
     tables = []
 
     class CountingTermIds(TermIds):
@@ -513,11 +523,8 @@ def test_stage_wide_work_done_once_per_stage(tmp_path, monkeypatch):
             super().__init__()
             tables.append(self)
 
-    monkeypatch.setattr(retrieval, "graph_walk_seed", counting_walk_seed)
     monkeypatch.setattr(retrieval, "TermIds", CountingTermIds)
     cli.stage_identify(cfg, tmp_path / "preds.jsonl")
-    assert len(seeds) == n_graphs * cfg.runs
-    assert set(seeds.values()) == {1}
     [table] = tables
     assert list(table.idf_tables) == [n_graphs + 1]
 
