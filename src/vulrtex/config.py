@@ -90,12 +90,15 @@ class PipelineConfig:
     va: VaSection = field(default_factory=VaSection)
 
     def validate(self) -> None:
-        for name in ("theta_sim", "theta_out", "historical_proportion"):
+        for name in ("theta_sim", "theta_out"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 < self.pr_interval < 1.0:
-            raise ConfigError(f"pr_interval must be in (0, 1), got {self.pr_interval}")
+        # historical_proportion: split_corpus needs a historical and a target share
+        for name in ("historical_proportion", "pr_interval"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must be in (0, 1), got {value}")
         if self.walks < 1:
             raise ConfigError("walks must be at least 1")
         if self.runs < 1:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .config import (DEFAULT_BRANCH_LIMIT, DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES,
                      DEFAULT_THETA_SIM)
 from .corpus import KIND_SCR, CanonicalIR, report_text
-from .errors import GatewayExhausted, ToolBackendUnavailable, VulrtexError
+from .errors import CycleIntroduced, GatewayExhausted, ToolBackendUnavailable, VulrtexError
 from .gateway import Gateway, LlmRequest
 from .graph import (
     AGENT_TERMINATOR,
@@ -130,19 +130,16 @@ def parse_step(resp_text: str) -> StepParse:
     return StepParse(observation_text, verdict, cwe_id, actions, warnings)
 
 
-def enforce_inclusion_order(parse: StepParse, unexplored_scr: frozenset[str]) -> StepParse:
+def enforce_inclusion_order(actions: list[tuple[str, str]], unexplored_scr: frozenset[str]
+                            ) -> tuple[list[tuple[str, str]], list[str]]:
     """Defer code analysis while screenshots (the tags in unexplored_scr)
-    remain unexplored on this path."""
+    remain unexplored on this path: the actions kept, and a warning for each
+    one deferred."""
     if not unexplored_scr:
-        return parse
-    kept: list[tuple[str, str]] = []
-    warnings = list(parse.warnings)
-    for tool, tag in parse.actions:
-        if tag.startswith("[CODE"):
-            warnings.append(f"deferred {tag} until screenshots are explored")
-        else:
-            kept.append((tool, tag))
-    return replace(parse, actions=kept, warnings=warnings)
+        return actions, []
+    kept = [(tool, tag) for tool, tag in actions if not tag.startswith("[CODE")]
+    return kept, [f"deferred {tag} until screenshots are explored"
+                  for _, tag in actions if tag.startswith("[CODE")]
 
 
 _CORRECTION_LINE_RE = re.compile(r"^\s*(O[0-9][0-9.]*):\s*(.+?)\s*$", re.MULTILINE)
@@ -189,28 +186,21 @@ class _PathTerms:
 
 
 def correct_path(path: Path, store: KnowledgeStore, llm: Gateway,
-                 theta_sim: float, warnings: list[str] | None = None,
-                 terms: _PathTerms | None = None) -> Path:
+                 theta_sim: float, terms: _PathTerms | None = None) -> Path:
     """Rewrite observation texts against golden knowledge, structure untouched.
 
     The correction prompt carries at most GOLDEN_PROMPT_CAP golden records.
     Responses may only rewrite texts of observations already on the path;
-    anything else in the reply is ignored. On gateway failure the original path is kept.
-    `terms` tables the pieces of path descriptions across calls; the path is
-    described in full only when a record is retrieved.
+    anything else in the reply is ignored. A failing gateway call raises
+    before any text changes. `terms` tables the pieces of path descriptions
+    across calls; the path is described in full only when a record is
+    retrieved.
     """
     golden = retrieve_golden(store, (terms or _PathTerms()).counts(path), theta_sim)
     if not golden:
         return path
     prompt = build_correction_prompt([g.text for g in golden[:GOLDEN_PROMPT_CAP]], describe_path(path))
-    try:
-        resp = llm.complete(LlmRequest(system_prompt="", user_prompt=prompt))
-    except VulrtexError as exc:
-        message = f"correction failed, keeping original path: {exc}"
-        log.warning("%s", message)
-        if warnings is not None:
-            warnings.append(message)
-        return path
+    resp = llm.complete(LlmRequest(system_prompt="", user_prompt=prompt))
     by_id = {obs.id: obs for obs in path.nodes}
     for m in _CORRECTION_LINE_RE.finditer(resp.text):
         node_id, new_text = m.group(1), m.group(2)
@@ -228,9 +218,12 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
     (verdict, cwe) so equal conclusions from sibling branches converge on
     one node, and a graph-wide map of (tool, element) results lets later
     branches link to an existing analysis instead of re-running it ("no
-    repeated exploration"). Open frontiers left by budget limits are closed
-    with a terminator to a shared undecided terminal when the node budget
-    still allows one.
+    repeated exploration"), unless that analysis leads back to the branch,
+    whose link is then skipped. Open frontiers left by budget limits are
+    closed with a terminator to a shared undecided terminal when the node
+    budget still allows one. What is skipped goes into meta["warnings"]; a
+    gateway that gives up on a reasoning call ends generation and marks the
+    graph meta["partial"].
     """
     if cfg.llm is None or cfg.tools is None:
         raise ValueError("reasoner needs llm and tools configured")
@@ -256,15 +249,11 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
 
     frontier: list[str] = [ROOT_ID]
     level = 1
-    aborted = False
     path_terms = _PathTerms()
 
-    while frontier and not aborted:
-        if level >= cfg.max_depth or len(g.nodes) >= cfg.max_nodes:
-            break
-
-        # (node, step, elements to act on, terminal key of a deciding step)
-        plans: list[tuple[str, StepParse, list[tuple[str, str]],
+    while frontier and level < cfg.max_depth and len(g.nodes) < cfg.max_nodes:
+        # (node, observation text, elements to act on, deciding step's terminal key)
+        plans: list[tuple[str, str, list[tuple[str, str]],
                           tuple[str, str | None] | None]] = []
         for node_id in frontier:
             path = paths[node_id]
@@ -274,55 +263,43 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
             except GatewayExhausted as exc:
                 g.meta["partial"] = True
                 meta_warn(f"generation aborted at {node_id}: {exc}")
-                aborted = True
-                break
+                g.validate()
+                return g
             parse = parse_step(resp.text)
-
+            deciding = parse.deciding()
             explored = {act.argument for act in path.actions}
-            filtered: list[tuple[str, str]] = []
-            seen: set[str] = set()
+            warnings = [w for w in parse.warnings if "skipped" in w]
+            elements: list[tuple[str, str]] = []
             for tool, tag in parse.actions:
                 if tool == AGENT_TERMINATOR:
-                    filtered.append((tool, ""))
                     continue
                 element = ir.element_for(tag)
                 if element is None:
-                    parse.warnings.append(f"unknown element {tag} skipped")
-                    continue
-                if tool != ANALYZER_FOR_KIND[element.kind]:
-                    parse.warnings.append(f"{tool} cannot analyze {tag}; skipped")
-                    continue
-                if tag in explored:
-                    parse.warnings.append(f"{tag} already explored on this path; skipped")
-                    continue
-                if tag in seen:
-                    continue
-                seen.add(tag)
-                filtered.append((tool, tag))
-            parse = replace(parse, actions=filtered)
+                    warnings.append(f"unknown element {tag} skipped")
+                elif tool != ANALYZER_FOR_KIND[element.kind]:
+                    warnings.append(f"{tool} cannot analyze {tag}; skipped")
+                elif tag in explored:
+                    warnings.append(f"{tag} already explored on this path; skipped")
+                elif (tool, tag) not in elements:
+                    elements.append((tool, tag))
             # ordering constrains exploration only; a deciding step may still
             # cite code elements as evidence for its verdict
-            if cfg.inclusion_order and not parse.deciding():
-                parse = enforce_inclusion_order(parse, scr_tags - explored)
-            limit = cfg.branch_limit - (1 if parse.deciding() else 0)
-            elements = [(t, tag) for t, tag in parse.actions
-                        if t != AGENT_TERMINATOR][:max(limit, 0)]
-            for w in parse.warnings:
-                if "skipped" in w or "deferred" in w:
-                    meta_warn(f"{node_id}: {w}")
-            key = ((parse.verdict, parse.cwe_id if parse.verdict == VUL else None)
-                   if parse.deciding() else None)
-            plans.append((node_id, parse, elements, key))
-
-        if aborted:
-            break
+            if cfg.inclusion_order and not deciding:
+                elements, deferred = enforce_inclusion_order(elements, scr_tags - explored)
+                warnings += deferred
+            for w in warnings:
+                meta_warn(f"{node_id}: {w}")
+            # a deciding step spends one branch on its terminator
+            elements = elements[:cfg.branch_limit - deciding]
+            key = (parse.verdict, parse.cwe_id) if deciding else None
+            plans.append((node_id, parse.observation_text, elements, key))
 
         next_level = level + 1
         new_frontier: list[str] = []
         new_terminator_ids: set[str] = set()
 
         # terminator edges first so their ids precede tool edges of this level
-        for node_id, parse, elements, key in plans:
+        for node_id, text, elements, key in plans:
             if key is None:
                 continue
             terminal_id = terminal_for.get(key)
@@ -330,62 +307,59 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
                 if len(g.nodes) >= cfg.max_nodes:
                     meta_warn(f"{node_id}: node budget blocks its terminal; left open")
                     continue
-                terminal_id = new_id("O", next_level)
+                terminal_id = terminal_for[key] = new_id("O", next_level)
                 g.add_observation(Observation(
-                    terminal_id, parse.observation_text,
-                    focus_tags=[tag for _, tag in elements],
+                    terminal_id, text, focus_tags=[tag for _, tag in elements],
                     verdict=key[0], cwe_id=key[1]))
-                terminal_for[key] = terminal_id
             aid = new_id("A", level)
             g.add_action(Action(aid, node_id, terminal_id, AGENT_TERMINATOR))
             new_terminator_ids.add(aid)
 
-        for node_id, parse, elements, key in plans:
-            if key is not None:
-                terminal_id = terminal_for.get(key)
-                if terminal_id is not None:
-                    for tool, tag in elements:
-                        g.add_action(Action(new_id("A", level), node_id, terminal_id,
-                                            tool, tag))
-                continue
+        # a deciding step links its cited elements to its terminal; any other
+        # links each element to the graph's one analysis of it, made on first use
+        for node_id, _, elements, key in plans:
+            if key is not None and key not in terminal_for:
+                continue  # its terminal was left out for the node budget
             path = paths[node_id]
             for tool, tag in elements:
-                existing = dedup.get((tool, tag))
-                if existing is not None:
-                    g.add_action(Action(new_id("A", level), node_id, existing, tool, tag))
-                    continue
-                if len(g.nodes) >= cfg.max_nodes:
-                    meta_warn(f"{node_id}: node budget reached; {tag} not explored")
-                    continue
+                dst = terminal_for[key] if key else dedup.get((tool, tag))
+                fresh = dst is None
+                if fresh:
+                    if len(g.nodes) >= cfg.max_nodes:
+                        meta_warn(f"{node_id}: node budget reached; {tag} not explored")
+                        continue
+                    try:
+                        output = cfg.tools.run_tool(ir.element_for(tag))
+                    except ToolBackendUnavailable as exc:
+                        output = ""
+                        meta_warn(f"{node_id}: {tool}({tag}) unavailable: {exc}")
+                    dst = dedup[(tool, tag)] = new_id("O", next_level)
+                    g.add_observation(Observation(dst, f"{tool}({tag}): {output}",
+                                                  focus_tags=[tag]))
+                act = Action(new_id("A", level), node_id, dst, tool, tag)
                 try:
-                    output = cfg.tools.run_tool(ir.element_for(tag))
-                except ToolBackendUnavailable as exc:
-                    output = ""
-                    meta_warn(f"{node_id}: {tool}({tag}) unavailable: {exc}")
-                child = Observation(new_id("O", next_level), f"{tool}({tag}): {output}",
-                                    focus_tags=[tag])
-                g.add_observation(child)
-                act = Action(new_id("A", level), node_id, child.id, tool, tag)
-                g.add_action(act)
-                dedup[(tool, tag)] = child.id
-                paths[child.id] = Path(path.nodes + (child,), path.actions + (act,))
-                new_frontier.append(child.id)
+                    g.add_action(act)
+                except CycleIntroduced:
+                    issued["A", level] -= 1  # the id goes to the next action
+                    meta_warn(f"{node_id}: {tool}({tag}) links back to ancestor {dst}; skipped")
+                    continue
+                if fresh:
+                    paths[dst] = Path(path.nodes + (g.nodes[dst],), path.actions + (act,))
+                    new_frontier.append(dst)
 
         if cfg.store is not None and new_terminator_ids:
-            meta_warnings: list[str] = g.meta.setdefault("warnings", [])
             for p in extract_terminated_paths(g):
                 if p.actions and p.actions[-1].id in new_terminator_ids:
-                    correct_path(p, cfg.store, cfg.llm, cfg.theta_sim,
-                                 warnings=meta_warnings, terms=path_terms)
-            if not g.meta["warnings"]:
-                del g.meta["warnings"]
+                    try:
+                        correct_path(p, cfg.store, cfg.llm, cfg.theta_sim, terms=path_terms)
+                    except VulrtexError as exc:
+                        meta_warn(f"correction failed, keeping original path: {exc}")
 
         frontier = new_frontier
         level = next_level
 
-    # close whatever explored node never reached a decision; an aborted
-    # graph stays as-is
-    open_nodes = [] if aborted else [nid for nid in paths if g.is_terminal(nid)]
+    # close whatever explored node never reached a decision
+    open_nodes = [nid for nid in paths if g.is_terminal(nid)]
     if open_nodes:
         if len(g.nodes) < cfg.max_nodes:
             terminal_id = terminal_for.get((UNDECIDED, None))

@@ -67,8 +67,6 @@ from .errors import EmptyDatabase, IsolatedNonTerminal
 from .graph import (
     AGENT_TERMINATOR,
     ROOT_ID,
-    Action,
-    Observation,
     ReasoningGraph,
     describe_graph,
     maximal_paths,
@@ -203,15 +201,12 @@ class _PairWeights:
         return max(0.0, gain) + ADJ_EPSILON
 
 
-def build_adjacency(g: ReasoningGraph, target: str | Counter[str], index: TfIdfIndex,
-                    counts: dict[str, Counter[str]] | None = None) -> AdjacencyMatrix:
+def build_adjacency(g: ReasoningGraph, target: str | Counter[str],
+                    index: TfIdfIndex) -> AdjacencyMatrix:
     """Weight every connected node pair at once (see _PairWeights) with
     the index's vectors; "src dst" joined is counted as the sum of the two
-    nodes' counts, since no token spans the joining space.
-
-    `counts` are the node texts' term counts (node_counts(g) when omitted).
-    """
-    counts = node_counts(g) if counts is None else counts
+    nodes' counts, since no token spans the joining space."""
+    counts = node_counts(g)
     target_vec = index.vectorize(target)
 
     def vector_cosine(src: str, dst: str | None) -> float:
@@ -421,7 +416,9 @@ def _walk(counted: CountedGraph, p: EdgeProbabilities, walks: int,
 def _reserve(counted: CountedGraph, nodes: dict[str, None],
              actions: dict[str, None]) -> ReservedGraph:
     """The subgraph of the reserved nodes and actions, described; built
-    once per distinct set of action ids, which fixes the nodes too."""
+    once per distinct set of action ids, which fixes the nodes too. It
+    shares the stored graph's observations and actions, which nothing
+    downstream mutates."""
     key = frozenset(actions)
     reserved = counted.subgraphs.get(key)
     if reserved is None:
@@ -429,10 +426,10 @@ def _reserve(counted: CountedGraph, nodes: dict[str, None],
         pruned = ReasoningGraph(g.ir_id)
         for nid, obs in g.nodes.items():
             if nid in nodes:
-                pruned.add_observation(Observation.from_dict(obs.to_dict()))
+                pruned.add_observation(obs)
         for act in g.edges:
             if act.id in actions:
-                pruned.add_action(Action(act.id, act.src, act.dst, act.tool, act.argument))
+                pruned.add_action(act)
         pruned.validate()
         description = describe_graph(pruned)
         reserved = counted.subgraphs[key] = ReservedGraph(

@@ -272,9 +272,9 @@ def terminated_dag(rng: random.Random, max_nodes: int = 15) -> ReasoningGraph:
     return g
 
 
-def _scr_case(scr_dir: str | Path, ir_id: str, title: str, content: str,
-              host: str, shots: dict[str, str],
-              code: dict[str, str] | None = None) -> CanonicalIR:
+def scr_case(scr_dir: str | Path, ir_id: str, title: str, content: str,
+             host: str, shots: dict[str, str],
+             code: dict[str, str] | None = None) -> CanonicalIR:
     """An IR with one screenshot per `shots` tag (its sidecar text written
     under scr_dir) and one snippet per `code` tag."""
     d = Path(scr_dir)
@@ -292,10 +292,10 @@ def shared_snippet_case(scr_dir: str | Path) -> tuple[CanonicalIR, list[StubRule
     """Both screenshot branches ask for the same snippet: without inclusion
     order the second links to the first one's analysis (a dedup edge); with
     it the snippet is deferred while the other screenshot is unexplored."""
-    ir = _scr_case(scr_dir, "fixture/share#1", "shared snippet",
-                   "two screenshots [SCR1] [SCR2] and one snippet [CODE1]", "share.test",
-                   {"[SCR1]": "shot a", "[SCR2]": "shot b"},
-                   {"[CODE1]": "<?php echo $_GET['x']; ?>"})
+    ir = scr_case(scr_dir, "fixture/share#1", "shared snippet",
+                  "two screenshots [SCR1] [SCR2] and one snippet [CODE1]", "share.test",
+                  {"[SCR1]": "shot a", "[SCR2]": "shot b"},
+                  {"[CODE1]": "<?php echo $_GET['x']; ?>"})
     rules = [
         StubRule(r"the next operation is O2\.[12] \(",
                  "Observation: the snippet matters here\n"
@@ -315,9 +315,9 @@ def shared_terminal_case(scr_dir: str | Path) -> tuple[CanonicalIR, list[StubRul
     both paths end in the shared terminal O3.1. The correction rule rewrites
     O3.1 only on the level-2 path, so the level-3 path is checked against
     the rewritten text."""
-    ir = _scr_case(scr_dir, "fixture/shared-terminal#1", "shared terminal",
-                   "screenshots [SCR1] [SCR2] [SCR3]", "term.test",
-                   {f"[SCR{k}]": f"shot {k}" for k in (1, 2, 3)})
+    ir = scr_case(scr_dir, "fixture/shared-terminal#1", "shared terminal",
+                  "screenshots [SCR1] [SCR2] [SCR3]", "term.test",
+                  {f"[SCR{k}]": f"shot {k}" for k in (1, 2, 3)})
     rules = [
         StubRule(r"may contain factual errors.*the next operation is O3\.1 \(O1",
                  "O3.1: rewritten verdict wording"),
@@ -338,9 +338,9 @@ def open_branches_case(scr_dir: str | Path) -> tuple[CanonicalIR, list[StubRule]
     """Two branches that never decide: O2.1 stops at level 2 and O3.1 at
     level 3, each by re-proposing a screenshot its path already explored,
     so the closing step links both to one undecided terminal at level 4."""
-    ir = _scr_case(scr_dir, "fixture/open#1", "open branches",
-                   "screenshots [SCR1] [SCR2] [SCR3]", "open.test",
-                   {f"[SCR{k}]": f"open shot {k}" for k in (1, 2, 3)})
+    ir = scr_case(scr_dir, "fixture/open#1", "open branches",
+                  "screenshots [SCR1] [SCR2] [SCR3]", "open.test",
+                  {f"[SCR{k}]": f"open shot {k}" for k in (1, 2, 3)})
     rules = [
         StubRule(r"the next operation is O2\.1 \(",
                  "Observation: inspect it again\nAction: ScrAnalyzer([SCR1])"),

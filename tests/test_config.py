@@ -146,6 +146,13 @@ class TestValidate:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    # split_corpus refuses both ends, so the check must name the key first
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_historical_proportion_at_either_end_is_refused(self, value):
+        cfg = PipelineConfig(historical_proportion=value)
+        with pytest.raises(ConfigError, match=r"historical_proportion must be in \(0, 1\)"):
+            cfg.validate()
+
     # each of these made every LLM call fail, or every prediction unscored,
     # or put NaN (not JSON) into an HTTP body; -0.5 jitter acted as 0
     @pytest.mark.parametrize("key, value", [

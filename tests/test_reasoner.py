@@ -1,5 +1,7 @@
 """Step parsing, exploration ordering, path correction, graph generation."""
 
+import itertools
+import json
 import random
 
 import pytest
@@ -10,8 +12,8 @@ import fixturelib as fx
 from vulrtex import reasoner
 from vulrtex.config import PipelineConfig
 from vulrtex.corpus import CanonicalIR, RichTextElement
-from vulrtex.errors import TransportError
-from vulrtex.gateway import Gateway, LlmRequest, StubBackend, StubRule
+from vulrtex.errors import GatewayExhausted, TransportError
+from vulrtex.gateway import Gateway, LlmResponse, StubBackend, StubRule
 from vulrtex.graph import (
     AGENT_TERMINATOR,
     CODE_ANALYZER,
@@ -30,14 +32,13 @@ from vulrtex.graph import (
 from vulrtex.knowledge import KnowledgeRecord, ingest
 from vulrtex.reasoner import (
     ReasonerConfig,
-    StepParse,
     correct_path,
     enforce_inclusion_order,
     generate_reasoning_graph,
     parse_step,
 )
 from vulrtex.textindex import term_counts
-from vulrtex.tools import StubCodeAnalyzer, StubScrAnalyzer, ToolKit
+from vulrtex.tools import StubCodeAnalyzer, StubScrAnalyzer, ToolKit, sidecar_filename
 
 
 def make_env(rules, scr_dir):
@@ -125,16 +126,17 @@ def test_parse_step_is_total(text):
 # ------------------------------------------------- enforce_inclusion_order
 
 def test_ordering_defers_code_while_scr_unexplored():
-    parsed = StepParse("t", UNDECIDED, None,
-                       [(SCR_ANALYZER, "[SCR2]"), (CODE_ANALYZER, "[CODE1]")])
-    out = enforce_inclusion_order(parsed, frozenset({"[SCR2]"}))
-    assert out.actions == [(SCR_ANALYZER, "[SCR2]")]
-    assert any("deferred [CODE1]" in w for w in out.warnings)
+    kept, warnings = enforce_inclusion_order(
+        [(SCR_ANALYZER, "[SCR2]"), (CODE_ANALYZER, "[CODE1]")], frozenset({"[SCR2]"}))
+    assert kept == [(SCR_ANALYZER, "[SCR2]")]
+    assert warnings == ["deferred [CODE1] until screenshots are explored"]
 
 
 def test_ordering_allows_code_once_scr_done():
-    parsed = StepParse("t", UNDECIDED, None, [(CODE_ANALYZER, "[CODE1]")])
-    assert enforce_inclusion_order(parsed, frozenset()) is parsed
+    actions = [(CODE_ANALYZER, "[CODE1]")]
+    kept, warnings = enforce_inclusion_order(actions, frozenset())
+    assert kept is actions
+    assert warnings == []
 
 
 def test_ordering_noop_without_screenshots(tmp_path):
@@ -213,11 +215,10 @@ def test_correct_path_keeps_original_on_gateway_failure():
             raise TransportError("socket closed")
 
     gw = Gateway(Down(), max_retries=0, backoff_base=0.0)
-    warnings = []
-    out = correct_path(path, golden_store(), gw, theta_sim=0.05, warnings=warnings)
-    assert out is path
+    with pytest.raises(GatewayExhausted, match="socket closed"):
+        correct_path(path, golden_store(), gw, theta_sim=0.05)
     assert g.nodes["O2.1"].text == "the login form passes raw input into the query"
-    assert warnings and "correction failed" in warnings[0]
+    assert g.nodes["O1"].text == "sql injection reported in the login form"
 
 
 def branching_path():
@@ -410,7 +411,6 @@ def test_duplicate_tags_in_step_collapse(tmp_path):
         content="screenshot [SCR1] repeated",
         rich_text=[RichTextElement("SCR", "[SCR1]", "https://dup.test/a.png")])
     (tmp_path / "scr").mkdir()
-    from vulrtex.tools import sidecar_filename
     (tmp_path / "scr" / sidecar_filename("https://dup.test/a.png")).write_text("shot")
     gateway, toolkit = make_env([
         StubRule(r"the next operation is O2\.1 \(",
@@ -430,7 +430,6 @@ def test_reexploring_own_path_tag_leads_to_closure(tmp_path):
         id="fixture/loop#1", title="loop bait",
         content="screenshot [SCR1]",
         rich_text=[RichTextElement("SCR", "[SCR1]", "https://loop.test/a.png")])
-    from vulrtex.tools import sidecar_filename
     scr = tmp_path / "scr"
     scr.mkdir()
     (scr / sidecar_filename("https://loop.test/a.png")).write_text("shot")
@@ -447,6 +446,33 @@ def test_reexploring_own_path_tag_leads_to_closure(tmp_path):
     assert g.nodes["O3.1"].verdict == UNDECIDED
     assert g.edges[-1].tool == AGENT_TERMINATOR
     assert any("already explored" in w for w in g.meta.get("warnings", []))
+
+
+def test_dedup_link_back_to_an_ancestor_is_skipped(tmp_path):
+    # each screenshot branch asks for the other's screenshot: O2.1 links to
+    # O2.2's analysis, so O2.2 linking to O2.1's would close a cycle
+    ir = fx.scr_case(tmp_path / "scr", "fixture/crossed#1", "crossed shots",
+                     "two screenshots [SCR1] [SCR2]", "crossed.test",
+                     {"[SCR1]": "shot a", "[SCR2]": "shot b"})
+    gateway, toolkit = make_env([
+        StubRule(r"the next operation is O2\.1 \(",
+                 "Observation: compare with the other shot\nAction: ScrAnalyzer([SCR2])"),
+        StubRule(r"the next operation is O2\.2 \(",
+                 "Observation: compare with the other shot\nAction: ScrAnalyzer([SCR1])"),
+        StubRule(r"IR title: crossed shots",
+                 "Observation: check both screenshots\n"
+                 "Action: ScrAnalyzer([SCR1])\nAction: ScrAnalyzer([SCR2])"),
+    ], tmp_path / "scr")
+    g = generate_reasoning_graph(ir, ReasonerConfig(llm=gateway, tools=toolkit))
+    assert [(a.id, a.src, a.dst, a.tool, a.argument) for a in g.edges] == [
+        ("A1.1", "O1", "O2.1", SCR_ANALYZER, "[SCR1]"),
+        ("A1.2", "O1", "O2.2", SCR_ANALYZER, "[SCR2]"),
+        ("A2.1", "O2.1", "O2.2", SCR_ANALYZER, "[SCR2]"),
+        ("A2.2", "O2.2", "O3.1", AGENT_TERMINATOR, ""),
+    ]
+    assert g.nodes["O3.1"].verdict == UNDECIDED
+    assert g.meta == {"warnings": [
+        "O2.2: ScrAnalyzer([SCR1]) links back to ancestor O2.1; skipped"]}
 
 
 def test_wrong_tool_for_the_element_kind_is_skipped(tmp_path):
@@ -495,6 +521,36 @@ def test_correction_rewrites_terminated_path_nodes(tmp_path):
     assert len(g.nodes) == 7 and len(g.edges) == 10
 
 
+def test_failing_correction_keeps_texts_and_is_recorded(tmp_path):
+    scr_dir = tmp_path / "scr"
+    fx.write_fig_sidecars(scr_dir)
+    rules = fx.fig_reason_rules()
+    toolkit = ToolKit(StubScrAnalyzer(scr_dir), StubCodeAnalyzer())
+    store = ingest([KnowledgeRecord(
+        "kb-fix", "ADV-9",
+        "stored cross-site scripting when the ticket page renders the stored payload",
+        "CWE-79")])
+
+    class CorrectionDown:
+        def complete(self, req):
+            if "may contain factual errors" in req.user_prompt:
+                raise TransportError("correction backend down")
+            return StubBackend(rules).complete(req)
+
+    gateway = Gateway(CorrectionDown(), max_retries=0, backoff_base=0.0)
+    cfg = ReasonerConfig(llm=gateway, tools=toolkit, store=store, theta_sim=0.05)
+    g = generate_reasoning_graph(fx.fig_ir(), cfg)
+    uncorrected = generate_reasoning_graph(fx.fig_ir(), ReasonerConfig(
+        llm=Gateway(StubBackend(rules)), tools=toolkit))
+    assert [o.to_dict() for o in g.nodes.values()] == [
+        o.to_dict() for o in uncorrected.nodes.values()]
+    assert g.edges == uncorrected.edges
+    assert g.meta["warnings"]
+    assert all(w == "correction failed, keeping original path: "
+               "gave up after retries: correction backend down" for w in g.meta["warnings"])
+    assert "partial" not in g.meta
+
+
 def test_correction_disabled_leaves_texts(fig_setup):
     ir, cfg = fig_setup
     g = generate_reasoning_graph(ir, cfg)
@@ -538,3 +594,56 @@ def test_reasoner_defaults_are_the_pipeline_defaults():
     r, p = ReasonerConfig(), PipelineConfig()
     assert ((r.max_depth, r.max_nodes, r.branch_limit, r.theta_sim)
             == (p.max_depth, p.max_nodes, p.branch_limit, p.theta_sim))
+
+
+# Replies drawn from pieces built on the report's own tags: both analyzers
+# over every element (so half name the wrong one), unknown elements and
+# tools, terminators, verdict lines and junk.
+_PROP_TAGS = ("[SCR1]", "[SCR2]", "[SCR3]", "[CODE1]", "[CODE2]")
+_reply_lines = st.one_of(
+    st.sampled_from([f"Action: {tool}({tag})" for tool in (SCR_ANALYZER, CODE_ANALYZER)
+                     for tag in _PROP_TAGS]),
+    st.sampled_from(["Action: AgentTerminator()", "Observation: a finding",
+                     "vulnerability identified: Yes CWE-79", "vulnerability identified: Yes",
+                     "vulnerability identified: No", "vulnerability identified: undecided",
+                     "Action: ScrAnalyzer([SCR9])", "Action: WebSearcher([SCR1])",
+                     "Action: ScrAnalyzer()", "Action: CodeAnalyzer [CODE1]"]),
+    st.text(max_size=12))
+_scripts = st.lists(st.lists(_reply_lines, max_size=6).map("\n".join), min_size=1, max_size=8)
+
+
+class _CyclingBackend:
+    """Answers the reasoning requests with the script's replies in turn."""
+
+    name = "cycling"
+
+    def __init__(self, replies):
+        self.replies = itertools.cycle(replies)
+
+    def complete(self, req):
+        return LlmResponse(next(self.replies), None, self.name)
+
+
+@pytest.fixture(scope="module")
+def prop_ir(tmp_path_factory):
+    # [SCR3] has no sidecar, so its analysis is unavailable
+    scr = tmp_path_factory.mktemp("scr")
+    ir = fx.scr_case(scr, "fixture/prop#1", "drawn replies",
+                     "shots [SCR1] [SCR2] [SCR3] and snippets [CODE1] [CODE2]", "prop.test",
+                     {"[SCR1]": "shot a", "[SCR2]": "shot b", "[SCR3]": "shot c"},
+                     {"[CODE1]": "<?php echo $_GET['x']; ?>", "[CODE2]": "SELECT * FROM t"})
+    (scr / sidecar_filename(ir.element_for("[SCR3]").payload)).unlink()
+    return ir, scr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scripts, st.sampled_from([{}, {"branch_limit": 1, "max_nodes": 3}]), st.booleans())
+def test_generation_never_raises_on_model_replies(prop_ir, replies, budgets, ordered):
+    ir, scr = prop_ir
+    cfg = ReasonerConfig(llm=Gateway(_CyclingBackend(replies)),
+                         tools=ToolKit(StubScrAnalyzer(scr), StubCodeAnalyzer()),
+                         inclusion_order=ordered, **budgets)
+    g = generate_reasoning_graph(ir, cfg)
+    g.validate()
+    assert len(g.nodes) <= cfg.max_nodes
+    assert ReasoningGraph.from_dict(json.loads(json.dumps(g.to_dict()))) == g

@@ -43,7 +43,6 @@ from vulrtex.retrieval import (
     count_graphs,
     edge_probabilities,
     graph_walk_seed,
-    node_counts,
     prune_for_target,
     random_walk_prune,
     retrieve_relevant,
@@ -553,7 +552,7 @@ def test_adjacency_weights_equal_joined_string_formula(seed, target):
     g = fx.random_dag(random.Random(seed))
     index = make_index(g, target)
     from_text = build_adjacency(g, target, index)
-    from_counts = build_adjacency(g, term_counts(target), index, node_counts(g))
+    from_counts = build_adjacency(g, term_counts(target), index)
     for src, dst in sorted({(a.src, a.dst) for a in g.edges}):
         joined = g.node_text(src) + " " + g.node_text(dst)
         gain = (similarity(index, target, joined)
