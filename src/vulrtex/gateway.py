@@ -58,15 +58,39 @@ def _finite(value) -> bool:
         return False
 
 
-def _probe(pattern: re.Pattern, capture) -> re.Match:
-    """A match with the group numbers and names of `pattern` in which group
-    i, the whole match (group 0) included, captured capture(i)."""
+def _probe_template(pattern: re.Pattern, template: str) -> tuple[str | int, ...]:
+    """_parse_template's result, with `re` itself parsing the template: it
+    is expanded once against a probe match with the group numbers and names
+    of `pattern`, in which group i, the whole match (group 0) included,
+    captures a mark, i, a mark (which raises what `Match.expand` would for
+    a bad escape or group reference). The mark is a private-use character
+    the template lacks, so no literal holds it: a template escape only
+    yields characters up to U+00FF."""
+    mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in template)
     names = {i: name for name, i in pattern.groupindex.items()}
-    texts = [capture(i) for i in range(pattern.groups + 1)]
+    texts = [f"{mark}{i}{mark}" for i in range(pattern.groups + 1)]
     # groups 1.. capture inside a lookahead, so group 0 spans only texts[0]
     groups = "".join((f"(?P<{names[i]}>" if i in names else "(") + re.escape(texts[i]) + ")"
                      for i in range(1, len(texts)))
-    return re.compile(f"{re.escape(texts[0])}(?={groups})").match("".join(texts))
+    probe = re.compile(f"{re.escape(texts[0])}(?={groups})").match("".join(texts))
+    pieces = probe.expand(template).split(mark)
+    return tuple(int(p) if k % 2 else p for k, p in enumerate(pieces))
+
+
+# the template forms that mean the same to Match.expand on every Python
+# version from 3.10: literal text, a group number that is not an octal
+# escape, \g<ASCII digits> or \g<ASCII identifier>, a character escape,
+# and an escaped ASCII character other than a letter or digit, which stays
+# as written, backslash and all
+_TEMPLATE_ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r",
+                     "t": "\t", "v": "\v", "\\": "\\"}
+_TEMPLATE_TOKEN = re.compile("|".join([
+    r"(?P<text>[^\\]+)",
+    r"\\(?![1-7][0-7]{2})(?P<number>[1-9][0-9]?)",
+    r"\\g<(?:(?P<digits>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*))>",
+    r"\\(?P<escape>[abfnrtv\\])",
+    r"(?P<kept>\\[\x00-/:-@\[\]-`{-\x7f])",
+]))
 
 
 def _parse_template(pattern: re.Pattern, template: str) -> tuple[str | int, ...]:
@@ -74,22 +98,40 @@ def _parse_template(pattern: re.Pattern, template: str) -> tuple[str | int, ...]
 
     Joining the literals with each group's text ("" for a group that did not
     match) is exactly `m.expand(template)` for any match m of `pattern`.
-    `re` itself parses the template, by expanding it once against a probe
-    match in which each group i captures a mark, i, a mark (which raises
-    what `Match.expand` would for a bad escape or group reference). The
-    mark is a private-use character the template lacks, so no literal
-    holds it: a template escape only yields characters up to U+00FF.
+    A scan reads the forms every supported Python version reads alike
+    (_TEMPLATE_TOKEN) that name a group of `pattern`; a template with any
+    other form (an octal escape, a non-ASCII group name, an error) is
+    parsed by `re` itself (_probe_template), which raises what
+    `Match.expand` raises.
     """
-    mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in template)
-    pieces = _probe(pattern, lambda i: f"{mark}{i}{mark}").expand(template).split(mark)
-    return tuple(int(p) if k % 2 else p for k, p in enumerate(pieces))
+    pieces: list[str | int] = [""]
+    pos, end = 0, len(template)
+    match = _TEMPLATE_TOKEN.match
+    while pos < end:
+        token = match(template, pos)
+        if token is None:
+            return _probe_template(pattern, template)
+        pos = token.end()
+        kind = token.lastgroup
+        if kind == "text" or kind == "kept":
+            pieces[-1] += token.group()
+        elif kind == "escape":
+            pieces[-1] += _TEMPLATE_ESCAPES[token.group(kind)]
+        else:
+            group = (pattern.groupindex.get(token.group(kind)) if kind == "name"
+                     else int(token.group(kind)))
+            if group is None or group > pattern.groups:
+                return _probe_template(pattern, template)
+            pieces += [group, ""]
+    return tuple(pieces)
 
 
 # escapes that stand for one literal character: an escaped character that is
 # not an ASCII letter or digit, or one of these; any other escape matches a
 # class, a position, a group or a code point
 _CHAR_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "f": "\f", "v": "\v", "a": "\a"}
-_CHAR_ESCAPE = re.compile(r"\\([^0-9A-Za-z]|[ntrfva])", re.DOTALL)
+_CHAR_ESCAPED = r"(?:[^0-9A-Za-z]|[ntrfva])"
+_CHAR_ESCAPE = re.compile(r"\\(" + _CHAR_ESCAPED + ")", re.DOTALL)
 # a quantifier, or a "{" that is a literal; both drop the character before
 _REPEAT = r"(?:[*+?]|\{(?:[0-9]*(?:,[0-9]*)?\})?)"
 # one token of a pattern's text: literal characters, a quantifier, "(",
@@ -98,7 +140,7 @@ _REPEAT = r"(?:[*+?]|\{(?:[0-9]*(?:,[0-9]*)?\})?)"
 # characters, and a class (where a "]" first, after any "^", is a member)
 # and a comment span whole
 _PATTERN_TOKEN = re.compile("|".join([
-    r"(?P<literal>(?:[^\\\[(){*+?|.^$]+|" + _CHAR_ESCAPE.pattern + ")+)",
+    r"(?P<literal>(?:[^\\\[(){*+?|.^$]+|\\" + _CHAR_ESCAPED + ")+)",
     r"(?P<repeat>" + _REPEAT + ")",
     r"(?:\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|N\{[^}]*\}|[0-9]{1,3}|.)"
     r"|\[\^?\]?(?:[^\\\]]|\\.)*\]|\(\?#[^)]*\)|[.^$])" + _REPEAT + "*",
@@ -112,9 +154,15 @@ def _unescape(m: re.Match) -> str:
     return _CHAR_ESCAPES.get(m[1], m[1])
 
 
-def _required_literals(compiled: re.Pattern) -> tuple[str, ...]:
-    """Literal runs that every match of `compiled` holds, read from its
-    pattern text at top level, in pattern order.
+# the leading whitespace an anchored head (_screen) is read after
+_LEADING_SPACE = re.compile(r"\s*")
+# a plain int, as Pattern.flags is, so no RegexFlag is made per rule
+_CASE_OR_VERBOSE = int(re.IGNORECASE | re.VERBOSE)
+
+
+def _screen(compiled: re.Pattern) -> tuple[str, tuple[str, ...]]:
+    """(head, literals): the literal runs that every match of `compiled`
+    holds, read from its pattern text at top level, in pattern order.
 
     Plain characters, escaped punctuation and \\n, \\t, \\r, \\f, \\v and
     \\a are literal. A run ends at any other escape of a letter or digit
@@ -123,12 +171,22 @@ def _required_literals(compiled: re.Pattern) -> tuple[str, ...]:
     quantifier, or any "{", drops the character before it. A top-level "|",
     IGNORECASE or VERBOSE yields no literals. The scan errs only by leaving
     literals out, so a prompt that lacks one cannot match.
+
+    When the pattern text begins \\A\\s* and then at once a run that does
+    not begin with whitespace, every match starts that run right after the
+    prompt's leading whitespace (ASCII, which only narrows \\s, moves no
+    such start): it is the head, and `literals` holds the other runs.
+    Otherwise the head is "".
     """
-    if compiled.flags & (re.IGNORECASE | re.VERBOSE):
-        return ()
-    runs = [""]  # the last entry is the run being read
+    if compiled.flags & _CASE_OR_VERBOSE:
+        return "", ()
+    runs = [""]  # the last entry is the run being read; runs[0] stays ""
     depth = 0
-    for token in _PATTERN_TOKEN.finditer(compiled.pattern):
+    anchored = True  # while \A and \s* begin the text
+    head_at = 0  # the index of the head in runs, 0 for none
+    for k, token in enumerate(_PATTERN_TOKEN.finditer(compiled.pattern)):
+        if k < 2:
+            anchored = anchored and token.group() == (r"\A", r"\s*")[k]
         kind = token.lastgroup
         if kind == "close":
             depth -= 1
@@ -140,13 +198,20 @@ def _required_literals(compiled: re.Pattern) -> tuple[str, ...]:
         elif kind == "literal":
             text = token.group()
             runs.append(_CHAR_ESCAPE.sub(_unescape, text) if "\\" in text else text)
+            if k == 2 and anchored:
+                head_at = len(runs) - 1
         elif kind == "repeat":
             runs[-1:] = [runs[-1][:-1], ""]
         elif kind == "branch":
-            return ()
+            return "", ()
         else:
             runs.append("")
-    return tuple(dict.fromkeys(r for r in runs if r))
+    head = runs[head_at]
+    if _LEADING_SPACE.match(head).end():
+        head = ""
+    literals = dict.fromkeys(r for r in runs if r)
+    literals.pop(head, None)
+    return head, tuple(literals)
 
 
 @dataclass(frozen=True)
@@ -157,7 +222,7 @@ class StubRule:
     The pattern is compiled and the template parsed once, here, so a
     malformed template (a bad escape, or a group the pattern lacks) is
     rejected when the rule is made, with the error `Match.expand` raises.
-    The literals the pattern requires (_required_literals) are found here
+    The head and literals the pattern requires (_screen) are found here
     too; the rule is frozen, so none of these can drift from its fields.
     """
 
@@ -175,7 +240,9 @@ class StubRule:
         compiled = re.compile(self.pattern, re.DOTALL)
         object.__setattr__(self, "_compiled", compiled)
         object.__setattr__(self, "_template", _parse_template(compiled, self.response_text))
-        object.__setattr__(self, "_literals", _required_literals(compiled))
+        head, literals = _screen(compiled)
+        object.__setattr__(self, "_head", head)
+        object.__setattr__(self, "_literals", literals)
 
     def expand(self, m: re.Match) -> str:
         """`m.expand(self.response_text)`, from the parsed template."""
@@ -196,8 +263,9 @@ class StubBackend:
     """Rule-table backend: first regex matching the prompt wins.
 
     A rule's regex is searched only when the prompt holds every literal its
-    pattern requires, so the rules skipped are ones that could not match and
-    the answering rule is the first match's. Responses may use
+    pattern requires, and its anchored head right after the prompt's leading
+    whitespace, so the rules skipped are ones that could not match and the
+    answering rule is the first match's. Responses may use
     backreferences (\\1 etc.) into the matched pattern.
     With jitter > 0 the logprobs get a deterministic perturbation derived
     from (seed, prompt), which lets repeated-run averaging exercise distinct
@@ -221,8 +289,11 @@ class StubBackend:
 
     def complete(self, req: LlmRequest) -> LlmResponse:
         prompt = req.system_prompt + "\n" + req.user_prompt
+        lead = _LEADING_SPACE.match(prompt).end()
         holds = prompt.__contains__
         for rule in self.rules:
+            if rule._head and not prompt.startswith(rule._head, lead):
+                continue
             if not all(map(holds, rule._literals)):
                 continue
             m = rule._compiled.search(prompt)

@@ -55,11 +55,10 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import add
 from typing import Callable
-
-import numpy as np
 
 from .config import DEFAULT_WALKS
 from .corpus import CanonicalIR, report_text
@@ -289,25 +288,38 @@ def target_probabilities(counted: CountedGraph,
     return EdgeProbabilities({}, counted, target)
 
 
-def _pick(u: float, weights: list[float]) -> int:
-    """The index a draw of u selects from normalized weights, by the
-    cumulative-sum search Generator.choice makes.
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """The float sum numpy takes of values as one array, np.array(values).sum().
 
-    numpy sums fewer than 8 values one by one, left to right, so below 8
-    the same floats come from sequential `+` (not `sum`, which 3.12
-    compensates); from 8 up it sums pairwise, and only numpy gives its
-    floats."""
-    if len(weights) < 8:
-        total = weights[0]
-        for w in weights[1:]:
-            total += w
-        cdf = list(accumulate([w / total for w in weights]))
-        last = cdf[-1]
-        return bisect_right([c / last for c in cdf], u)
-    w = np.array(weights)
-    cdf = np.cumsum(w / w.sum())
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
+    numpy adds fewer than 8 values one by one, left to right, from 0.0. Up
+    to 128 it adds into 8 accumulators, lane j taking values j, j + 8, ...
+    of the longest prefix whose length is a multiple of 8, joins them
+    pairwise and adds the rest one by one. Past 128 it splits at half the
+    length, rounded down to a multiple of 8, and adds the halves' sums.
+    Each `reduce(add, ...)` is that left-to-right `+` (not `sum`, which
+    3.12 compensates)."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(8)]
+        return reduce(add, values[end:], ((r[0] + r[1]) + (r[2] + r[3]))
+                      + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _pick(u: float, weights: list[float]) -> int:
+    """The index a draw of u selects from weights normalized by numpy's sum
+    (_pairwise_sum), by the cumulative-sum search Generator.choice makes:
+    a left-to-right running sum, scaled by its last entry, searched with
+    side="right"."""
+    total = _pairwise_sum(weights)
+    cdf = list(accumulate([w / total for w in weights]))
+    last = cdf[-1]
+    return bisect_right([c / last for c in cdf], u)
 
 
 @dataclass(eq=False)

@@ -45,10 +45,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyCorpus
+
+if TYPE_CHECKING:  # numpy is imported where descriptions are scored
+    import numpy as np
 
 # Fifty common English function words, kept in-repo so that index builds are
 # reproducible across environments. Order is alphabetical.
@@ -168,11 +170,15 @@ class TermIds:
         frequency 0 .. n_docs."""
         table = self.idf_tables.get(n_docs)
         if table is None:
+            import numpy as np
+
             table = self.idf_tables[n_docs] = np.array(_smoothed_idfs(n_docs))
         return table
 
     def doc_terms(self, counts: Counter[str]) -> DocTerms:
         """One document's term counts, numbered under this table."""
+        import numpy as np
+
         table, number = self.ids, self.ids.setdefault
         ids = np.array([number(t, len(table)) for t in counts], dtype=np.intp)
         return DocTerms(self, ids, np.array(list(counts.values()), dtype=np.float64))
@@ -204,6 +210,8 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     """
     if not docs:
         return []
+    import numpy as np
+
     table = docs[0].table
     if any(d.table is not table for d in docs):
         raise ValueError("query_cosines needs docs numbered under one TermIds")

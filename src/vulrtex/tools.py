@@ -12,11 +12,12 @@ import hashlib
 import json
 import logging
 import os
+import re
 import tempfile
 from pathlib import Path
 
 from .config import ToolSection
-from .corpus import KIND_CODE, KIND_SCR, CanonicalIR, RichTextElement, report_text
+from .corpus import KIND_CODE, KIND_SCR, TAG_RE, CanonicalIR, RichTextElement, report_text
 from .errors import BackendRejected, ToolBackendUnavailable, TransportError
 from .gateway import post_json
 from .graph import CODE_ANALYZER, SCR_ANALYZER
@@ -145,12 +146,15 @@ class ToolKit:
         return cached
 
     def flatten_ir(self, ir: CanonicalIR) -> str:
-        """The report's text with every tag expanded to "tag (tool output)".
+        """The report's text with every tag of its content expanded to
+        "tag (tool output)", in one pass over the content, so a tag inside
+        a tool output stays as the tool wrote it.
 
-        Elements whose backend is unavailable expand with an empty output and
-        leave a warning record behind.
+        The tools run in rich-text order. Elements whose backend is
+        unavailable expand with an empty output and leave a warning record
+        behind.
         """
-        content = ir.content
+        outputs: dict[str, str] = {}
         for el in ir.rich_text:
             try:
                 out = self.run_tool(el)
@@ -159,8 +163,13 @@ class ToolKit:
                 message = f"{ir.id}: {el.tag} output unavailable ({exc})"
                 self.warnings.append(message)
                 log.warning("%s", message)
-            content = content.replace(el.tag, f"{el.tag} ({out})")
-        return report_text(ir.title, content)
+            outputs.setdefault(el.tag, out)
+
+        def expand(m: re.Match) -> str:
+            tag = m.group()
+            return f"{tag} ({outputs[tag]})" if tag in outputs else tag
+
+        return report_text(ir.title, TAG_RE.sub(expand, ir.content))
 
 
 def make_toolkit(cfg: ToolSection) -> ToolKit:

@@ -306,3 +306,24 @@ def oracle_literal_runs(pattern: str) -> list[str]:
             run = []
     runs.append("".join(run))
     return [r for r in runs if r]
+
+
+def oracle_template_pieces(pattern: re.Pattern, template: str) -> tuple[str | int, ...]:
+    """`template` as alternating literal text and group numbers, as
+    Match.expand itself reads it: the template is expanded against a
+    stand-in match with the groups of `pattern`, in which group i captures
+    a mark, i, a mark, and the result is split at the marks. The mark is a
+    character the template lacks, past U+00FF, which is as far as a
+    template escape reaches. Raises what Match.expand raises."""
+    mark = next(chr(c) for c in range(0x100, 0x110000) if chr(c) not in template)
+    names = {i: name for name, i in pattern.groupindex.items()}
+    captured = [f"{mark}{i}{mark}" for i in range(pattern.groups + 1)]
+    groups = ""
+    for i in range(1, pattern.groups + 1):
+        opener = f"(?P<{names[i]}>" if i in names else "("
+        groups += opener + re.escape(captured[i]) + ")"
+    # the groups match inside a lookahead, so group 0 spans captured[0] alone
+    stand_in = re.compile(re.escape(captured[0]) + "(?=" + groups + ")")
+    expanded = stand_in.match("".join(captured)).expand(template)
+    pieces = expanded.split(mark)
+    return tuple(int(p) if k % 2 else p for k, p in enumerate(pieces))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from e2e_fixture import e2e_rules, write_e2e_config, write_e2e_fixture
 from fixturelib import FakeHttpResponse, ScriptedBackend, answering
-from oracles import oracle_literal_runs
+from oracles import oracle_literal_runs, oracle_template_pieces
 from vulrtex import cli
 from vulrtex.errors import (
     BackendRejected,
@@ -120,6 +120,40 @@ def test_parsed_template_expands_like_match_expand(case, template):
     assert StubBackend([rule]).complete(make_request(subject)).text == want
 
 
+# The scan reads the template forms every supported Python version reads
+# alike; any other template goes to the probe, so the two agree on every
+# template, errors included. A non-ASCII digit or name in \g<...> is one
+# the scan leaves to the probe.
+_SCAN_PIECES = _TEMPLATE_PIECES + ["\\g<\u0663>", "\\g<a\u0663>", r"\g<01>", r"\g<_x>",
+                                   r"\g<>", r"\18", r"\8", r"\b", r"\a", r"\v", r"\-",
+                                   "\\\n", "\\\u00e9", r"\x"]
+# 21 groups, so \12 and \17 name groups and \123 and \177 are octal
+_SCAN_CASES = _TEMPLATE_CASES + [("(?P<a\u0663>a)(b)?", "ab"), (r"(?P<_x>a)", "a"),
+                                 ("(.)" * 21, "abcdefghijklmnopqrstu")]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(_SCAN_CASES),
+       st.lists(st.sampled_from(_SCAN_PIECES), max_size=8).map("".join))
+def test_template_scan_equals_probe(case, template):
+    compiled = re.compile(case[0], re.DOTALL)
+    try:
+        want = oracle_template_pieces(compiled, template)
+    except (re.error, IndexError, DeprecationWarning) as e:
+        with pytest.raises(type(e)) as got:
+            gateway._parse_template(compiled, template)
+        assert str(got.value) == str(e)
+        return
+    assert gateway._parse_template(compiled, template) == want
+
+
+def test_e2e_templates_parse_without_the_probe():
+    with mock.patch.object(gateway, "_probe_template", side_effect=AssertionError):
+        rules = [StubRule(r["pattern"], r["response_text"]) for r in e2e_rules()]
+    assert [r._template for r in rules] == [
+        oracle_template_pieces(r._compiled, r.response_text) for r in rules]
+
+
 def test_stub_rule_is_frozen():
     rule = StubRule(r"ping (\w+)", r"pong \1")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -158,8 +192,34 @@ def _family_head(key: str) -> str:
     (r"abc(?i:d)e", ("abc", "e")),
 ])
 def test_required_literals_known_answers(pattern, want):
-    assert gateway._required_literals(re.compile(pattern, re.DOTALL)) == want
-    assert StubRule(pattern, "x")._literals == want
+    head, literals = gateway._screen(re.compile(pattern, re.DOTALL))
+    assert (head,) * bool(head) + literals == want
+    rule = StubRule(pattern, "x")
+    assert (rule._head, rule._literals) == (head, literals)
+
+
+# the head: the run right after a leading \A\s*, when it cannot start
+# inside the prompt's leading whitespace
+@pytest.mark.parametrize("pattern, head", [
+    (_REASON + ".*x", "Please think step by step"),
+    (r"\A\s*ab*c", "a"),
+    (r"\A\s*a*bc", ""),
+    (r"\A\s*\.x\n", ".x\n"),
+    (r"\A\s* ab", ""),
+    (r"\A\s*\nab", ""),
+    (r"\A\s*\x41b", ""),
+    (r"\A\s+ab", ""),
+    (r"\A\s*?ab", ""),
+    (r"\A\s*{ab", ""),
+    (r"\A\s*(ab)c", ""),
+    (r"(?a)\A\s*ab", ""),
+    (r"\Aab", ""),
+    (r"\s*ab", ""),
+    (r"\A\s*ab|cd", ""),
+    (r"(?i)\A\s*ab", ""),
+])
+def test_anchored_head_known_answers(pattern, head):
+    assert gateway._screen(re.compile(pattern, re.DOTALL))[0] == head
 
 
 _POSSESSIVE = sys.version_info >= (3, 11)
@@ -209,10 +269,15 @@ def _random_group(r: random.Random, depth: int) -> tuple[str, str]:
     return opener + p + ")", e if consumes else ""
 
 
-def _top_pattern(r: random.Random) -> tuple[str, str]:
+def _named_pattern(r: random.Random) -> tuple[str, str]:
+    """_random_pattern's pattern with its named groups given distinct names."""
     pattern, example = _random_pattern(r)
     names = iter(range(pattern.count("(?P<@>")))
-    pattern = re.sub(re.escape("(?P<@>"), lambda _: f"(?P<g{next(names)}>", pattern)
+    return re.sub(re.escape("(?P<@>"), lambda _: f"(?P<g{next(names)}>", pattern), example
+
+
+def _top_pattern(r: random.Random) -> tuple[str, str]:
+    pattern, example = _named_pattern(r)
     return r.choice(["", "", "", "", "", "", "(?i)", "(?x)"]) + pattern, example
 
 
@@ -224,7 +289,8 @@ _PATTERNS = st.randoms(use_true_random=False).map(_top_pattern)
 def test_required_literals_are_sound(case, before, after):
     pattern, example = case
     compiled = re.compile(pattern, re.DOTALL)
-    literals = gateway._required_literals(compiled)
+    head, literals = gateway._screen(compiled)
+    literals = (head,) * bool(head) + literals
     runs = oracle_literal_runs(pattern)
     for literal in literals:
         assert any(literal in run for run in runs), (literal, runs)
@@ -232,6 +298,26 @@ def test_required_literals_are_sound(case, before, after):
     for prompt in (before + example + after, before + example.swapcase() + after):
         if compiled.search(prompt):
             assert all(literal in prompt for literal in literals)
+
+
+# characters \s matches, ASCII and not, to lead a prompt with
+_LEAD_SPACE = " \t\n\r\f\v\x1c\x1f\x85\xa0\u2028\u3000"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from([r"\A\s*"] * 4 + [r"\A\s+", r"(?a)\A\s*", r"\A\s*?"]),
+       st.randoms(use_true_random=False).map(_named_pattern),
+       st.text(_LEAD_SPACE, max_size=3), st.text("ab \n", max_size=3))
+def test_anchored_head_screen_is_sound(opener, case, lead, after):
+    """A prompt the rule's search matches is never screened out, whatever
+    whitespace leads it; the stub sees "\n" before the user prompt."""
+    pattern, example = case
+    rule = StubRule(opener + pattern, "x")
+    prompt = "\n" + lead + example + after
+    if rule._compiled.search(prompt):
+        assert prompt.startswith(rule._head, gateway._LEADING_SPACE.match(prompt).end())
+        assert all(literal in prompt for literal in rule._literals)
+    assert_replies_like_first_match([rule], lead + example + after)
 
 
 def first_match_reply(rules: list[StubRule], req: LlmRequest):

@@ -319,6 +319,20 @@ def test_walk_draw_equals_generator_choice(weights, seed, entry):
     assert _pick(u, weights) == int(cdf.searchsorted(u, side="right"))
 
 
+# _pick sums without numpy; its sum must be numpy's pairwise one, whose
+# 128-value blocks split past 128 values
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.randoms(use_true_random=False), st.floats(0.0, 1.0))
+def test_pick_equals_the_numpy_sum_path(n, r, u):
+    weights = [r.uniform(0.1, 1.0) * 10.0 ** r.randint(-8, 8) for _ in range(n)]
+    w = np.array(weights)
+    assert retrieval._pairwise_sum(weights) == w.sum()
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    for draw in (u, float(cdf[r.randrange(n)])):
+        assert _pick(draw, weights) == int(cdf.searchsorted(draw, side="right"))
+
+
 def test_walks_must_be_positive():
     g = chain_graph()
     probs = edge_probabilities(build_adjacency(g, TARGET_TEXT, make_index(g)), g)

@@ -106,6 +106,22 @@ def test_flatten_motivation_shape_expands_all_five(tmp_path):
     assert "[SCR1] (main page before injection)" in flat
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)])
+def test_flatten_leaves_tags_inside_tool_outputs_in_any_element_order(tmp_path, order):
+    fixtures = tmp_path / "shots"
+    write_sidecar(fixtures, "https://img.test/a.png", "the page quotes [SCR2] and [CODE1]")
+    write_sidecar(fixtures, "https://img.test/b.png", "second shot")
+    kit = ToolKit(StubScrAnalyzer(fixtures), StubCodeAnalyzer())
+    elements = [RichTextElement("SCR", "[SCR1]", "https://img.test/a.png"),
+                RichTextElement("SCR", "[SCR2]", "https://img.test/b.png"),
+                RichTextElement("CODE", "[CODE1]", "echo 1")]
+    ir = CanonicalIR("x#5", "t", "see [SCR1] then [SCR2] and [CODE1]",
+                     rich_text=[elements[k] for k in order])
+    assert kit.flatten_ir(ir) == (
+        "t\nsee [SCR1] (the page quotes [SCR2] and [CODE1]) then [SCR2] (second shot) "
+        "and [CODE1] (code snippet in php: echo 1)")
+
+
 def test_flatten_unavailable_element_warns(kit):
     ir = CanonicalIR("x#4", "t", "see [SCR1]",
                      rich_text=[RichTextElement("SCR", "[SCR1]", "https://img.test/gone.png")])
