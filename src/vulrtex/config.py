@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .jsonl import dumps_sorted
 
 DEFAULT_THETA_SIM = 0.7
 DEFAULT_THETA_OUT = 0.55
@@ -200,7 +200,7 @@ def config_hash(cfg: PipelineConfig) -> str:
     """Short stable digest of the run-identity subset of the config."""
     full = cfg.resolved_dict()
     core = {k: full[k] for k in _HASH_KEYS}
-    payload = json.dumps(core, sort_keys=True)
+    payload = dumps_sorted(core)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

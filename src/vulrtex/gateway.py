@@ -129,18 +129,24 @@ def _parse_template(pattern: re.Pattern, template: str) -> tuple[str | int, ...]
 # escapes that stand for one literal character: an escaped character that is
 # not an ASCII letter or digit, or one of these; any other escape matches a
 # class, a position, a group or a code point
-_CHAR_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "f": "\f", "v": "\v", "a": "\a"}
+_CHAR_ESCAPES = {"\\n": "\n", "\\t": "\t", "\\r": "\r", "\\f": "\f", "\\v": "\v",
+                 "\\a": "\a"}
 _CHAR_ESCAPED = r"(?:[^0-9A-Za-z]|[ntrfva])"
-_CHAR_ESCAPE = re.compile(r"\\(" + _CHAR_ESCAPED + ")", re.DOTALL)
 # a quantifier, or a "{" that is a literal; both drop the character before
 _REPEAT = r"(?:[*+?]|\{(?:[0-9]*(?:,[0-9]*)?\})?)"
+# a literal character outside an escape, and a run of them that may hold
+# escapes, written unrolled (a character or escape, then plain characters
+# between escapes) so the matcher does not backtrack into the run
+_PLAIN = r"[^\\\[(){*+?|.^$]"
+_LITERAL_RUN = (r"(?:" + _PLAIN + r"|\\" + _CHAR_ESCAPED + ")" + _PLAIN + "*"
+                r"(?:\\" + _CHAR_ESCAPED + _PLAIN + "*)*")
 # one token of a pattern's text: literal characters, a quantifier, "(",
 # "|", or one other item (")" among them) with the quantifiers after it,
 # which have no literal character to drop; an escape spans its own
 # characters, and a class (where a "]" first, after any "^", is a member)
 # and a comment span whole
 _PATTERN_TOKEN = re.compile("|".join([
-    r"(?P<literal>(?:[^\\\[(){*+?|.^$]+|\\" + _CHAR_ESCAPED + ")+)",
+    r"(?P<literal>" + _LITERAL_RUN + ")",
     r"(?P<repeat>" + _REPEAT + ")",
     r"(?:\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|N\{[^}]*\}|[0-9]{1,3}|.)"
     r"|\[\^?\]?(?:[^\\\]]|\\.)*\]|\(\?#[^)]*\)|[.^$])" + _REPEAT + "*",
@@ -150,8 +156,17 @@ _PATTERN_TOKEN = re.compile("|".join([
 ]), re.DOTALL)
 
 
-def _unescape(m: re.Match) -> str:
-    return _CHAR_ESCAPES.get(m[1], m[1])
+def _unescape(text: str) -> str:
+    """The characters a literal run stands for, with no call per escape.
+    Apart from its escaped backslashes, at which it is split first, every
+    backslash in the run starts an escape of the one character after it,
+    so the escapes in _CHAR_ESCAPES are replaced and the other backslashes
+    dropped."""
+    if "\\\\" in text:
+        return "\\".join(map(_unescape, text.split("\\\\")))
+    for escape, char in _CHAR_ESCAPES.items():
+        text = text.replace(escape, char)
+    return text.replace("\\", "")
 
 
 # the leading whitespace an anchored head (_screen) is read after
@@ -197,7 +212,7 @@ def _screen(compiled: re.Pattern) -> tuple[str, tuple[str, ...]]:
             continue
         elif kind == "literal":
             text = token.group()
-            runs.append(_CHAR_ESCAPE.sub(_unescape, text) if "\\" in text else text)
+            runs.append(_unescape(text) if "\\" in text else text)
             if k == 2 and anchored:
                 head_at = len(runs) - 1
         elif kind == "repeat":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from .errors import CycleIntroduced, DanglingEndpoint, DuplicateId
-from .jsonl import typed
+from .jsonl import dumps_sorted, typed
 
 ROOT_ID = "O1"
 
@@ -328,7 +328,7 @@ class GraphStore:
             for g in graphs:
                 # compact, so that json's C encoder writes it
                 (fresh / graph_filename(g.ir_id)).write_text(
-                    json.dumps(g.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+                    dumps_sorted(g.to_dict()) + "\n", encoding="utf-8")
                 count += 1
             if self.graphs_dir.exists():
                 self.graphs_dir.rename(FsPath(work) / "replaced")

@@ -7,6 +7,8 @@ line is reported as `<path>:<line>: <reason>` and cannot be masked by its
 neighbours. A file is read one line at a time, so reading holds one line of
 it beside the rows made so far. `typed` is the check of one decoded field's
 JSON type that the row parsers, and the graph files' reader, share.
+`dumps_sorted` is the one compact, key-sorted encoder behind every
+JSON Lines row, graph file, serialized report and config hash.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ _KINDS = {str: "a string", int: "an integer", bool: "a boolean", list: "a list",
           dict: "an object"}
 
 
+# json.dumps(value, sort_keys=True), with one encoder for every call rather
+# than a new one per call
+dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def typed(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
     """`value` when its type is exactly `kind`, as JSON decodes it (a bool is
     no integer), or when it is None and `nullable`; otherwise ValueError
@@ -76,8 +83,8 @@ def read_jsonl(path: str | Path, row: Callable[[Any], T]) -> list[T]:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
-    """One `json.dumps(row, sort_keys=True)` line per row, each ending in a
-    newline; no rows write an empty file."""
+    """One `dumps_sorted(row)` line per row, each ending in a newline; no
+    rows write an empty file."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(dumps_sorted(row) + "\n")

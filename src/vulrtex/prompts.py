@@ -5,10 +5,9 @@ contract; render functions only assemble inputs around them.
 
 from __future__ import annotations
 
-import json
-
 from .corpus import CanonicalIR
 from .graph import Path, describe_path
+from .jsonl import dumps_sorted
 
 P_REASON = (
     "Please think step by step. For each step, you need to select multiple "
@@ -69,7 +68,7 @@ CORRECTION_REQUEST = (
 
 
 def ir_json(ir: CanonicalIR) -> str:
-    return json.dumps(ir.to_dict(), sort_keys=True)
+    return dumps_sorted(ir.to_dict())
 
 
 def rich_text_table(ir: CanonicalIR) -> str:

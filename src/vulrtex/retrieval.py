@@ -14,6 +14,10 @@ A prune costs only the work that can change its result:
 - Walk probabilities are computed one source row at a time, the first time
   a choice reads it. A walk step with one unvisited option and a closure
   with one terminator candidate read none, so most rows are never computed.
+  A draw among several options searches a pick table (_cdf) of the row
+  over those options, built the first time a draw reads it and kept beside
+  the row (EdgeProbabilities.cdf), so a later draw over the same options
+  is one lookup and one search.
 - What no target changes is computed once per stage, on the CountedGraph:
   - node term counts, the idf tables of the node texts, degrees and each
     node's sorted successors;
@@ -37,8 +41,9 @@ A prune costs only the work that can change its result:
 
 What no walk seed changes of a target is computed once per Target: its
 flattened text, term counts and JSON, on first use, and, when the Target
-keeps rows, each graph's walk probabilities, so a stage repeating its
-targets under new seeds reuses the rows earlier runs filled.
+keeps rows, each graph's walk probabilities and their pick tables, so a
+stage repeating its targets under new seeds reuses the rows and tables
+earlier runs filled; only the drawn doubles are new.
 
 build_adjacency and edge_probabilities compute every weight and row at once,
 with the same pair gain (_PairWeights) and per-row code, but each cosine
@@ -239,6 +244,11 @@ class EdgeProbabilities:
     edge_probabilities fills every row at once. target_probabilities fills
     none: `row(src)` weighs and normalizes src's out-edges the first time a
     draw needs them, so `probs` holds the rows asked for so far.
+
+    `cdf(src, dsts)` keeps the pick table (_cdf) of src's probabilities
+    over each option tuple a draw has read, so a later draw over the same
+    options, on a trie descent or a walk step, is one lookup and one
+    search. The tables derive from the rows and go away with them.
     """
 
     probs: dict[tuple[str, str], float]
@@ -246,6 +256,8 @@ class EdgeProbabilities:
     target: Counter[str] | None = None
     _weigh: _PairWeights | None = field(default=None, repr=False)
     _rows: set[str] = field(default_factory=set, repr=False)
+    _cdfs: dict[tuple[str, tuple[str, ...]], list[float]] = field(
+        default_factory=dict, repr=False)
 
     def row(self, src: str) -> None:
         """Make sure src's row is in `probs`."""
@@ -259,6 +271,15 @@ class EdgeProbabilities:
             self._weigh = _PairWeights(lambda src, dst: query.cosine(terms(src, dst)))
         _fill_row(self.probs, src, c.succ[src], c.degree, self._weigh)
         self._rows.add(src)
+
+    def cdf(self, src: str, dsts: tuple[str, ...]) -> list[float]:
+        """The pick table of src's probabilities over dsts, in their order."""
+        key = (src, dsts)
+        table = self._cdfs.get(key)
+        if table is None:
+            self.row(src)
+            table = self._cdfs[key] = _cdf([self.probs[(src, dst)] for dst in dsts])
+        return table
 
     def outgoing(self, src: str) -> list[tuple[str, float]]:
         self.row(src)
@@ -311,15 +332,15 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def _pick(u: float, weights: list[float]) -> int:
-    """The index a draw of u selects from weights normalized by numpy's sum
-    (_pairwise_sum), by the cumulative-sum search Generator.choice makes:
-    a left-to-right running sum, scaled by its last entry, searched with
-    side="right"."""
+def _cdf(weights: list[float]) -> list[float]:
+    """The table Generator.choice searches to pick from weights normalized
+    by numpy's sum (_pairwise_sum): a left-to-right running sum, scaled by
+    its last entry. A draw of u picks bisect_right(_cdf(weights), u), the
+    search's side="right"."""
     total = _pairwise_sum(weights)
     cdf = list(accumulate([w / total for w in weights]))
     last = cdf[-1]
-    return bisect_right([c / last for c in cdf], u)
+    return [c / last for c in cdf]
 
 
 @dataclass(eq=False)
@@ -339,22 +360,22 @@ class _Choice:
 
     def pick(self, p: EdgeProbabilities) -> int:
         """The index into dsts that p selects."""
+        if self.u is not None:
+            return bisect_right(p.cdf(self.src, self.dsts), self.u)
         p.row(self.src)
         weights = [p.probs[(self.src, dst)] for dst in self.dsts]
-        if self.u is not None:
-            return _pick(self.u, weights)
         return min(range(len(weights)), key=lambda i: (
             self.ranks[i][0], -weights[i], self.ranks[i][1]))
 
 
 def _step(rng: Pcg64, p: EdgeProbabilities, src: str,
           options: list[str], made: list[tuple[_Choice, int]]) -> str:
-    """One walk step from src, as options[_pick(rng.random(), src's
-    probabilities)]; a choice among several options is appended to `made`
-    with its outcome.
+    """One walk step from src, as options[bisect_right(_cdf(src's
+    probabilities), rng.random())]; a choice among several options is
+    appended to `made` with its outcome.
 
-    With one option no row is read: _pick takes it whatever its positive
-    weight, but the double is drawn all the same.
+    With one option no row is read: the search takes it whatever its
+    positive weight, but the double is drawn all the same.
     """
     u = rng.random()
     if len(options) == 1:
@@ -524,9 +545,9 @@ class Target:
     report once.
 
     `rows`, when not None, keeps this target's walk probabilities per graph
-    id (EdgeProbabilities), so a run under another seed reuses the rows
-    earlier runs filled. A Target made with `rows=None` keeps none past
-    each retrieval call.
+    id (EdgeProbabilities), with their pick tables, so a run under another
+    seed reuses the rows and tables earlier runs filled. A Target made with
+    `rows=None` keeps none past each prune.
     """
 
     ir: CanonicalIR
@@ -593,8 +614,8 @@ def retrieve_relevant(graphs, target: CanonicalIR | Target, theta_sim: float,
     passes the same Target each time, so it is flattened and counted
     once. Walk probabilities fill only the source rows that a draw among
     several options, or a closure among several terminators, reads; a
-    Target that keeps rows (Target.rows) hands the rows filled so far to
-    the next call.
+    Target that keeps rows (Target.rows) hands the rows and pick tables
+    filled so far to the next call.
     """
     graphs = count_graphs(graphs)
     if not graphs:

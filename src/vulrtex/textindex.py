@@ -19,7 +19,9 @@ give its floats bit for bit:
 - a query scored against a small, changing set of documents
   (`query_cosines`) reads each document's counts as arrays over dense term
   ids (`DocTerms`), takes one logarithm per document frequency, not per
-  term, and weighs every document at once with numpy.
+  term, and weighs every document at once with numpy. Its dot products
+  are formed only where the query holds the term: every other one is
+  +0.0, which changes no correctly rounded sum.
 
 There is no process-wide cache: counts live with the object that owns the
 text (a knowledge store's records, the graphs one stage retrieves from and
@@ -44,7 +46,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
+from itertools import accumulate, filterfalse, repeat
 from typing import TYPE_CHECKING
 
 from .errors import EmptyCorpus
@@ -207,6 +209,11 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     on that table per document count (TermIds.idf); every weight of every
     doc comes from one gather and one multiply over the docs' concatenated
     arrays. A query term no doc holds has frequency 1.
+
+    A product is formed only at the positions whose term the query holds,
+    and one search of those positions over the doc ends cuts them per doc.
+    The products left out are +0.0, so the fsum of each doc's dot is
+    unchanged, and a doc with no query term scores 0.0.
     """
     if not docs:
         return []
@@ -217,8 +224,8 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
         raise ValueError("query_cosines needs docs numbered under one TermIds")
     n_terms = len(table.ids)
     # slot n_terms stands for every query term no doc holds
-    q_ids = np.array([table.ids.get(t, n_terms) for t in query], dtype=np.intp)
-    q_counts = np.array(list(query.values()), dtype=np.float64)
+    q_ids = np.fromiter(map(table.ids.get, query, repeat(n_terms)), np.intp, len(query))
+    q_counts = np.fromiter(query.values(), np.float64, len(query))
     ids = np.concatenate([d.ids for d in docs])
     doc_freq = np.bincount(ids, minlength=n_terms + 1)
     doc_freq[q_ids] += 1  # once per slot, however often q_ids repeats it
@@ -229,20 +236,27 @@ def query_cosines(query: Counter[str], docs: Sequence[DocTerms]) -> list[float]:
     if norm == 0.0:
         return [0.0] * len(docs)
     weights = np.concatenate([d.counts for d in docs]) * idf[doc_freq[ids]]
-    squares = (weights * weights).tolist()
     # the query's weight per term id, 0.0 where it lacks the term
     by_id = np.zeros(n_terms + 1)
     by_id[q_ids] = q_weights
-    products = (by_id[ids] * weights).tolist()
+    at_ids = by_id[ids]
+    hits = at_ids.nonzero()[0]
+    products = (at_ids[hits] * weights[hits]).tolist()
+    # doc k's terms are squares[ends[k - 1]:ends[k]], its products
+    # products[cuts[k - 1]:cuts[k]]
+    ends = list(accumulate(len(d.ids) for d in docs))
+    cuts = hits.searchsorted(ends).tolist()
+    weights *= weights
+    squares = weights.tolist()
     scores = []
-    end = 0
-    for d in docs:
-        start, end = end, end + len(d.ids)
+    start = cut = 0
+    for end, next_cut in zip(ends, cuts):
         doc_norm = math.sqrt(math.fsum(squares[start:end]))
         if doc_norm == 0.0:
             scores.append(0.0)
-            continue
-        scores.append(min(1.0, math.fsum(products[start:end]) / (norm * doc_norm)))
+        else:
+            scores.append(min(1.0, math.fsum(products[cut:next_cut]) / (norm * doc_norm)))
+        start, cut = end, next_cut
     return scores
 
 
@@ -314,13 +328,23 @@ class CorpusQuery:
 
     def cosine(self, table: TermTable) -> float:
         """similarity(build_index(corpus + [query]), query, text) of the
-        text `table` weighs, bit for bit."""
-        norm = self.doc_norm(table)
-        if self.norm == 0.0 or norm == 0.0:
+        text `table` weighs, bit for bit: doc_norm's squares and the dot's
+        products are gathered in one pass over the table."""
+        if self.norm == 0.0:
             return 0.0
-        weights = self.weights
-        dot = math.fsum([weights[t] * ws for t, _, _, ws in table if t in weights])
-        return min(1.0, dot / (self.norm * norm))
+        get = self.weights.get
+        squares, products = [], []
+        for t, wa2, ws2, ws in table:
+            w = get(t)
+            if w is None:
+                squares.append(wa2)
+            else:
+                squares.append(ws2)
+                products.append(w * ws)
+        norm = math.sqrt(math.fsum(squares))
+        if norm == 0.0:
+            return 0.0
+        return min(1.0, math.fsum(products) / (self.norm * norm))
 
 
 def similarity(index: TfIdfIndex, a: str | Counter[str], b: str | Counter[str]) -> float:

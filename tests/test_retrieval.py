@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -37,7 +38,7 @@ from vulrtex.retrieval import (
     AdjacencyMatrix,
     EdgeProbabilities,
     Target,
-    _pick,
+    _cdf,
     _step,
     build_adjacency,
     count_graphs,
@@ -300,6 +301,11 @@ def test_fig_description_contains_both_quoted_paths():
         assert second in description
 
 
+def _pick(u, weights):
+    """The index a walk draw of u selects from weights (_Choice.pick)."""
+    return bisect_right(_cdf(weights), u)
+
+
 # numpy's sum adds 8 or more values pairwise, fewer one by one
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=16),
@@ -319,7 +325,7 @@ def test_walk_draw_equals_generator_choice(weights, seed, entry):
     assert _pick(u, weights) == int(cdf.searchsorted(u, side="right"))
 
 
-# _pick sums without numpy; its sum must be numpy's pairwise one, whose
+# _cdf sums without numpy; its sum must be numpy's pairwise one, whose
 # 128-value blocks split past 128 values
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(1, 300), st.randoms(use_true_random=False), st.floats(0.0, 1.0))
@@ -473,20 +479,35 @@ def test_target_rows_serve_only_the_graphs_that_filled_them():
     assert rows and all(target.rows[ir_id] is not probs for ir_id, probs in rows.items())
 
 
-def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
-    """Over three runs, stage_identify flattens each target once and
-    computes each (graph, target, source) row of walk probabilities at most
-    once, and its predictions equal those of a stage that hands every run a
-    fresh Target, which fills its rows again."""
+def _branching_identify_config(tmp_path):
+    """A three-run identify config over the e2e fixture's database plus six
+    branching graphs; the fixture's own graphs never branch, so no walk
+    over them alone would read a row."""
     paths = write_e2e_fixture(tmp_path / "fx")
     cfg = load_config(str(write_e2e_config(
         tmp_path / "config.ini", paths, jitter=0.3,
         pipeline={"runs": 3, "db_path": tmp_path / "db"})))
     cli.stage_prepare(cfg)
-    # the fixture's own graphs never branch, so no walk would read a row
     store = GraphStore(tmp_path / "db")
     rng = random.Random(11)
     store.replace_graphs(store.load_all() + [fx.random_dag(rng) for _ in range(6)])
+    return cfg
+
+
+def _fresh_target_per_run(monkeypatch):
+    """Make stage_identify hand every retrieval a fresh Target that keeps
+    rows, so nothing an earlier run filled is reused."""
+    retrieve = cli.retrieve_relevant
+    monkeypatch.setattr(cli, "retrieve_relevant", lambda db, target, *args, **kwargs: retrieve(
+        db, Target(target.ir, target.toolkit, {}), *args, **kwargs))
+
+
+def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
+    """Over three runs, stage_identify flattens each target once and
+    computes each (graph, target, source) row of walk probabilities at most
+    once, and its predictions equal those of a stage that hands every run a
+    fresh Target, which fills its rows again."""
+    cfg = _branching_identify_config(tmp_path)
     computed = Counter()
     fill = retrieval.EdgeProbabilities._fill
 
@@ -509,12 +530,48 @@ def test_target_rows_reused_across_runs(tmp_path, monkeypatch):
     targets = load_corpus(tmp_path / "db" / "targets.jsonl")
     assert flattened == Counter({t.id: 1 for t in targets})
 
-    retrieve = cli.retrieve_relevant
-    monkeypatch.setattr(cli, "retrieve_relevant", lambda db, target, *args, **kwargs: retrieve(
-        db, Target(target.ir, target.toolkit, {}), *args, **kwargs))
+    _fresh_target_per_run(monkeypatch)
     computed.clear()
     cli.stage_identify(cfg, tmp_path / "fresh.jsonl")
     assert max(computed.values()) > 1
+    assert (tmp_path / "kept.jsonl").read_bytes() == \
+        (tmp_path / "fresh.jsonl").read_bytes()
+
+
+def test_pick_tables_built_once_across_runs(tmp_path, monkeypatch):
+    """Over three runs, stage_identify builds each (graph, target, source,
+    options) pick table at most once, though draws read some of them again,
+    and its predictions equal those of a stage that hands every run a fresh
+    Target, which builds its tables again."""
+    cfg = _branching_identify_config(tmp_path)
+    reading = []  # the table the draw being answered reads
+    reads, built = Counter(), Counter()
+    cdf, build = retrieval.EdgeProbabilities.cdf, retrieval._cdf
+
+    def counting_cdf(self, src, dsts):
+        key = (self.counted.graph.ir_id, tuple(self.target.items()), src, dsts)
+        reads[key] += 1
+        reading.append(key)
+        try:
+            return cdf(self, src, dsts)
+        finally:
+            reading.pop()
+
+    def counting_build(weights):
+        built[reading[-1]] += 1
+        return build(weights)
+
+    monkeypatch.setattr(retrieval.EdgeProbabilities, "cdf", counting_cdf)
+    monkeypatch.setattr(retrieval, "_cdf", counting_build)
+    cli.stage_identify(cfg, tmp_path / "kept.jsonl")
+    assert built.keys() == reads.keys()
+    assert set(built.values()) == {1}
+    assert sum(reads.values()) > len(reads)
+
+    _fresh_target_per_run(monkeypatch)
+    built.clear()
+    cli.stage_identify(cfg, tmp_path / "fresh.jsonl")
+    assert max(built.values()) > 1
     assert (tmp_path / "kept.jsonl").read_bytes() == \
         (tmp_path / "fresh.jsonl").read_bytes()
 

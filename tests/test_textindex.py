@@ -257,6 +257,16 @@ def test_corpus_query_cosine_equals_index_path(docs, query):
 @example([("token page", True), ("xss token", False)], [1], "token xss")  # refused
 # a dot whose last bit, summed left to right, depends on term order
 @example([("a-b", False), ("42 payload tag page", False)], [], "page page 42 tag 42")
+# products are cut per doc at the doc ends: a doc with no query term first,
+# in the middle and last, every doc without one, and docs of query terms only
+@example([("csrf form", False), ("xss payload", False), ("sql token", False)], [],
+         "xss sql")
+@example([("xss payload", False), ("csrf form", False), ("sql token", False)], [],
+         "xss sql")
+@example([("payload xss", False), ("token sql", False), ("csrf form", False)], [],
+         "xss sql")
+@example([("csrf form", False), ("page tag", False)], [2], "xss sql")
+@example([("csrf form", False), ("xss sql", False), ("sql", False)], [1], "sql xss page")
 def test_query_cosines_equal_index_path(docs, repeats, query):
     # every float must be the index path's, bit for bit, with every doc
     # numbered under one table; docs numbered under two, whose ids name
