@@ -132,7 +132,8 @@ def _open_db(cfg: PipelineConfig) -> tuple[GraphStore, dict]:
     except FileNotFoundError as exc:
         raise ConfigError(
             f"no reasoning database at {cfg.db_path}; run prepare-db first") from exc
-    check_artifact_hash(manifest.get("config_hash"), cfg, "reasoning database")
+    check_artifact_hash(manifest.get("config_hash"), cfg,
+                        f"reasoning database manifest {store.db_dir / 'manifest.json'}")
     return store, manifest
 
 
@@ -226,15 +227,16 @@ def stage_identify(cfg: PipelineConfig, out_path: str | Path) -> dict:
     llm = make_gateway(cfg.llm)
     toolkit = make_toolkit(cfg.tool)
     graphs = count_graphs(graph_store.load_all())
-    # every run walks each (graph, target) pair again under its own seed;
-    # each target is flattened, counted and serialized once for all runs,
-    # and only a repeated run can reuse the pairs' walk probabilities
-    prepared = [Target(t, toolkit, {} if cfg.runs > 1 else None) for t in targets]
+    # every run walks each (graph, target) pair again under its own seed; a
+    # target is flattened, counted and serialized once, and keeps its rows
+    prepared: list[Target | None] = [Target(t, toolkit) for t in targets]
     preds: list[Prediction] = []
     failed = 0
     for run in range(cfg.runs):
         run_seed = cfg.seed + run
-        for target in prepared:
+        for i, target in enumerate(prepared):
+            if run == cfg.runs - 1:
+                prepared[i] = None  # no later run needs it: free what it keeps
             kept = retrieve_relevant(graphs, target, cfg.theta_sim,
                                      walks=cfg.walks, seed=run_seed)
             # a failing LLM call costs this (target, run) alone: it becomes
@@ -293,7 +295,7 @@ def stage_evaluate(cfg: PipelineConfig, preds_path: str | Path,
     """Join predictions with ground truth, compute per-run metrics, average
     them, and write report.json plus the precision/recall curve CSV."""
     rows = read_scored(preds_path, lambda header: check_artifact_hash(
-        header.get("config_hash"), cfg, "predictions file"))
+        header.get("config_hash"), cfg, f"predictions file {preds_path}"))
     if not rows:
         raise ConfigError(f"no predictions in {preds_path}")
     truth = _load_truth(truth_path)

@@ -206,11 +206,10 @@ def config_hash(cfg: PipelineConfig) -> str:
 
 def check_artifact_hash(artifact_hash: str | None, cfg: PipelineConfig,
                         artifact_name: str) -> None:
-    """An artifact built under a different core config cannot be reused."""
-    if artifact_hash is None:
-        return
+    """An artifact built under a different core config cannot be reused, nor
+    one without a hash: every writer stamps its artifact's."""
     current = config_hash(cfg)
     if artifact_hash != current:
-        raise ConfigError(
-            f"{artifact_name} was built with config {artifact_hash}, "
-            f"current config is {current}; refusing to mix runs")
+        built = "no config hash" if artifact_hash is None else f"config {artifact_hash}"
+        raise ConfigError(f"{artifact_name} was built with {built}, "
+                          f"current config is {current}; refusing to mix runs")

@@ -5,7 +5,8 @@ It is a rooted DAG built once by the reasoner and immutable afterwards; every
 read operation here is pure. Terminal observations (no outgoing actions) are
 the only ones allowed to carry a decided verdict. maximal_paths is the one
 enumerator of root paths: extract_terminated_paths and the closure of the
-retrieval walk both list paths through it.
+retrieval walk both list paths through it. describe_path writes a path's
+description and DescriptionTerms counts its terms.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from __future__ import annotations
 import json
 import tempfile
 import urllib.parse
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from .errors import CycleIntroduced, DanglingEndpoint, DuplicateId
 from .jsonl import dumps_sorted, typed
+from .textindex import tokenize
 
 ROOT_ID = "O1"
 
@@ -277,14 +280,15 @@ def extract_terminated_paths(g: ReasoningGraph) -> list[Path]:
     return paths
 
 
+def _hop(src: str, action: str, dst: str) -> str:
+    return HOP_TEMPLATE.format(src=src, action=action, dst=dst)
+
+
 def describe_path(p: Path) -> str:
     """Fixed-template prose for one path (see HOP_TEMPLATE)."""
     if not p.actions:
         return p.nodes[0].text
-    hops = [
-        HOP_TEMPLATE.format(src=p.nodes[i].id, action=p.actions[i].id, dst=p.nodes[i + 1].id)
-        for i in range(len(p.actions))
-    ]
+    hops = [_hop(src.id, act.id, dst.id) for src, act, dst in zip(p.nodes, p.actions, p.nodes[1:])]
     notes = "; ".join(f"{o.id}: {o.text}" for o in p.nodes)
     return "; ".join(hops) + f" ({notes})"
 
@@ -292,6 +296,39 @@ def describe_path(p: Path) -> str:
 def describe_graph(g: ReasoningGraph) -> str:
     """One line per terminated path, in extract_terminated_paths order."""
     return "\n".join(describe_path(p) for p in extract_terminated_paths(g))
+
+
+class DescriptionTerms(dict[str | tuple[str, str, str], list[str]]):
+    """Term counts of descriptions and node texts from token lists tabled by
+    piece (a hop by its ids, else the text, so a corrected text is a new
+    key), each tokenized once. The joins of describe_path ("; ", ": ", " (",
+    ")") and describe_graph ("\\n") hold no token character, so a
+    description's counts are its pieces' tokens in order, key order too."""
+
+    def __missing__(self, piece: str | tuple[str, str, str]) -> list[str]:
+        tokens = self[piece] = tokenize(piece if isinstance(piece, str) else _hop(*piece))
+        return tokens
+
+    def _path_tokens(self, p: Path) -> list[str]:
+        if not p.actions:
+            return self[p.nodes[0].text]
+        pieces = [(s.id, a.id, d.id) for s, a, d in zip(p.nodes, p.actions, p.nodes[1:])]
+        pieces += [piece for o in p.nodes for piece in (o.id, o.text)]
+        return [token for piece in pieces for token in self[piece]]
+
+    def node_counts(self, g: ReasoningGraph) -> dict[str, Counter[str]]:
+        """Each node's term_counts(text), by node id."""
+        return {nid: Counter(self[obs.text]) for nid, obs in g.nodes.items()}
+
+    def counts(self, p: Path) -> Counter[str]:
+        """term_counts(describe_path(p))."""
+        return Counter(self._path_tokens(p))
+
+    def describe(self, g: ReasoningGraph) -> tuple[str, Counter[str]]:
+        """describe_graph(g) and its term_counts, listing its paths once."""
+        paths = extract_terminated_paths(g)
+        return ("\n".join(map(describe_path, paths)),
+                Counter(token for p in paths for token in self._path_tokens(p)))
 
 
 def graph_filename(ir_id: str) -> str:

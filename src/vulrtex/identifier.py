@@ -181,13 +181,17 @@ def read_scored(path: str | Path,
 
     `header` is called on each header record (one with a "kind" key) where
     the reader meets it, so it can refuse the file before a later line is
-    read. A bad line raises ValueError naming its path and line number.
+    read. A bad line, or a file with no header record, raises ValueError
+    naming its path.
     """
+    headers = []
+
     def row(d: dict) -> ScoredLabel | Unscored | None:
         if type(d) is not dict:
             raise ValueError("a prediction row must be a JSON object")
         if "kind" in d:
             header(d)
+            headers.append(d)
             return None
         get = d.get
         ir_id, run = d["ir_id"], get("run", 0)
@@ -195,4 +199,7 @@ def read_scored(path: str | Path,
                             get("unscored", False), get("latency_seconds", 0.0), run)
         return Unscored(ir_id, run) if scored is None else scored
 
-    return [r for r in iter_jsonl(path, row) if r is not None]
+    rows = [r for r in iter_jsonl(path, row) if r is not None]
+    if not headers:
+        raise ValueError(f"{path}: no header record")
+    return rows

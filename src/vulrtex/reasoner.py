@@ -22,13 +22,13 @@ from .errors import CycleIntroduced, GatewayExhausted, ToolBackendUnavailable, V
 from .gateway import Gateway, LlmRequest
 from .graph import (
     AGENT_TERMINATOR,
-    HOP_TEMPLATE,
     ROOT_ID,
     TOOLS,
     UNDECIDED,
     VUL,
     NOT_VUL,
     Action,
+    DescriptionTerms,
     Observation,
     Path,
     ReasoningGraph,
@@ -37,7 +37,6 @@ from .graph import (
 )
 from .knowledge import KnowledgeStore, retrieve_golden
 from .prompts import build_correction_prompt, build_reason_prompt
-from .textindex import tokenize
 from .tools import ANALYZER_FOR_KIND, ToolKit
 
 log = logging.getLogger(__name__)
@@ -145,58 +144,18 @@ def enforce_inclusion_order(actions: list[tuple[str, str]], unexplored_scr: froz
 _CORRECTION_LINE_RE = re.compile(r"^\s*(O[0-9][0-9.]*):\s*(.+?)\s*$", re.MULTILINE)
 
 
-class _PathTerms:
-    """Term counts of path descriptions, from token lists tabled by text.
-
-    describe_path joins hop sentences, node ids and node texts with "; ",
-    ": ", " (" and ")", none of which holds a token character, so no token
-    spans a join: the counts of a description are its pieces' tokens counted
-    in description order, keys in first-occurrence order included. Each
-    piece is tabled by its text (a hop by the three ids that fill
-    HOP_TEMPLATE), so a node text rewritten by a correction is a new key
-    and is tokenized afresh.
-    """
-
-    def __init__(self):
-        self._tokens: dict[object, list[str]] = {}
-
-    def _of(self, key: object, text: str) -> list[str]:
-        tokens = self._tokens.get(key)
-        if tokens is None:
-            tokens = self._tokens[key] = tokenize(text)
-        return tokens
-
-    def counts(self, p: Path) -> Counter[str]:
-        """term_counts(describe_path(p))."""
-        if not p.actions:
-            text = p.nodes[0].text
-            return Counter(self._of(text, text))
-        tokens: list[str] = []
-        for src, act, dst in zip(p.nodes, p.actions, p.nodes[1:]):
-            hop = (src.id, act.id, dst.id)
-            hop_tokens = self._tokens.get(hop)
-            if hop_tokens is None:
-                hop_tokens = self._tokens[hop] = tokenize(HOP_TEMPLATE.format(
-                    src=src.id, action=act.id, dst=dst.id))
-            tokens += hop_tokens
-        for o in p.nodes:
-            tokens += self._of(o.id, o.id)
-            tokens += self._of(o.text, o.text)
-        return Counter(tokens)
-
-
 def correct_path(path: Path, store: KnowledgeStore, llm: Gateway,
-                 theta_sim: float, terms: _PathTerms | None = None) -> Path:
+                 theta_sim: float, terms: DescriptionTerms | None = None) -> Path:
     """Rewrite observation texts against golden knowledge, structure untouched.
 
     The correction prompt carries at most GOLDEN_PROMPT_CAP golden records.
     Responses may only rewrite texts of observations already on the path;
     anything else in the reply is ignored. A failing gateway call raises
-    before any text changes. `terms` tables the pieces of path descriptions
-    across calls; the path is described in full only when a record is
-    retrieved.
+    before any text changes. `terms` tables description pieces across calls;
+    the path is described in full only when a record is retrieved.
     """
-    golden = retrieve_golden(store, (terms or _PathTerms()).counts(path), theta_sim)
+    golden = retrieve_golden(store, (DescriptionTerms() if terms is None else terms).counts(path),
+                             theta_sim)
     if not golden:
         return path
     prompt = build_correction_prompt([g.text for g in golden[:GOLDEN_PROMPT_CAP]], describe_path(path))
@@ -249,7 +208,7 @@ def generate_reasoning_graph(ir: CanonicalIR, cfg: ReasonerConfig) -> ReasoningG
 
     frontier: list[str] = [ROOT_ID]
     level = 1
-    path_terms = _PathTerms()
+    path_terms = DescriptionTerms()
 
     while frontier and level < cfg.max_depth and len(g.nodes) < cfg.max_nodes:
         # (node, observation text, elements to act on, deciding step's terminal key)

@@ -4,10 +4,11 @@ For one target report, every stored graph is weighted edge-by-edge against
 the target text, walked down to a reserved subgraph, described as text, and
 kept when the description's similarity to the target clears the threshold.
 That similarity is taken under an index over the target and the pruned
-descriptions; each description's term counts are tabled once per stage, with
-its reserved subgraph, as arrays over the stage's one numbering of terms
-(textindex.TermIds), and textindex.query_cosines scores a target against
-all of them in one numpy pass, with no index or vector.
+descriptions; each description's term counts, summed from its pieces'
+tokens (graph.DescriptionTerms), never tokenized whole, are tabled once per
+stage, with its reserved subgraph, as arrays over the stage's one numbering
+of terms (textindex.TermIds), and textindex.query_cosines scores a target
+against all of them in one numpy pass, with no index or vector.
 
 A prune costs only the work that can change its result:
 
@@ -25,9 +26,10 @@ A prune costs only the work that can change its result:
     reads (CorpusIdf.table), so a pair weight for a target is two
     CorpusQuery cosines over tabled floats, with no index, Counter sum or
     vector per pair;
-  - the dense ids of the pruned descriptions' terms, in one TermIds that
-    the graphs of one count_graphs call share, which also keeps the idf
-    array query_cosines scores them under, per document count.
+  - the token lists of node texts and description pieces (DescriptionTerms)
+    and the dense ids of the descriptions' terms (TermIds), which also keeps
+    the idf array query_cosines scores them under, per document count; the
+    graphs of one count_graphs call share both.
 - For a fixed (graph, seed, walks), a prune is a pure function of the
   outcomes of the choices that read the target: a walk step among several
   unvisited options, and a closure among several terminator candidates.
@@ -40,10 +42,10 @@ A prune costs only the work that can change its result:
   described and its description's terms tabled once per stage.
 
 What no walk seed changes of a target is computed once per Target: its
-flattened text, term counts and JSON, on first use, and, when the Target
-keeps rows, each graph's walk probabilities and their pick tables, so a
-stage repeating its targets under new seeds reuses the rows and tables
-earlier runs filled; only the drawn doubles are new.
+flattened text, term counts and JSON, on first use, and each graph's walk
+probabilities and their pick tables, so a stage repeating its targets under
+new seeds reuses the rows and tables earlier runs filled; only the drawn
+doubles are new.
 
 build_adjacency and edge_probabilities compute every weight and row at once,
 with the same pair gain (_PairWeights) and per-row code, but each cosine
@@ -71,8 +73,8 @@ from .errors import EmptyDatabase, IsolatedNonTerminal
 from .graph import (
     AGENT_TERMINATOR,
     ROOT_ID,
+    DescriptionTerms,
     ReasoningGraph,
-    describe_graph,
     maximal_paths,
 )
 from .prompts import ir_json
@@ -111,10 +113,10 @@ class CountedGraph:
     `node_counts` and `idf` (over the node texts) feed the edge weights;
     `degree` and `succ` (each node's distinct successors, sorted) shape the
     walk probabilities, and the walk reads its steps' options from `succ`.
-    `term_ids` numbers the terms of the pruned descriptions
-    (ReservedGraph.description_terms); the graphs of one count_graphs call
-    share it, so their descriptions score under one numbering, and it goes
-    away with them.
+    `pieces` tables the tokens of the node texts (`node_counts`) and of the
+    pruned descriptions' pieces, and `term_ids` numbers those descriptions'
+    terms (ReservedGraph.description_terms); the graphs of one count_graphs
+    call share both, and both go away with them.
 
     Three memos fill as the stage walks and go away with it: `prunes`
     holds, per (seed, walks) asked for, random_walk_prune's trie of choices
@@ -133,6 +135,7 @@ class CountedGraph:
     degree: dict[str, int]
     succ: dict[str, tuple[str, ...]]
     term_ids: TermIds = field(repr=False, compare=False)
+    pieces: DescriptionTerms = field(repr=False, compare=False)
     prunes: dict[tuple[int, int], _Choice | ReservedGraph] = field(
         default_factory=dict, repr=False, compare=False)
     subgraphs: dict[frozenset[str], ReservedGraph] = field(
@@ -152,10 +155,6 @@ class CountedGraph:
         return table
 
 
-def node_counts(g: ReasoningGraph) -> dict[str, Counter[str]]:
-    return {nid: term_counts(g.node_text(nid)) for nid in g.nodes}
-
-
 def _degrees(g: ReasoningGraph) -> dict[str, int]:
     """Each node's degree, counting every incident action of the multigraph
     (in and out, parallels included)."""
@@ -167,21 +166,21 @@ def count_graphs(graphs) -> list[CountedGraph]:
 
     A list whose graphs one earlier call counted (CountedGraphs sharing one
     TermIds) comes back as it is, memos and all. Any other list is counted
-    again as a whole under one new TermIds, taking the .graph of each
-    CountedGraph in it, so the graphs of a returned list always number
-    their descriptions under one table."""
+    again as a whole under one new TermIds and piece table, taking the
+    .graph of each CountedGraph in it, so the graphs of a returned list
+    always number their descriptions under one table."""
     graphs = list(graphs)
     if all(isinstance(g, CountedGraph) and g.term_ids is graphs[0].term_ids for g in graphs):
         return graphs
-    term_ids = TermIds()
+    term_ids, pieces = TermIds(), DescriptionTerms()
     out = []
     for g in graphs:
         if isinstance(g, CountedGraph):
             g = g.graph
-        counts = node_counts(g)
+        counts = pieces.node_counts(g)
         succ = {nid: tuple(g.successors(nid)) for nid in g.nodes}
         out.append(CountedGraph(g, counts, CorpusIdf.from_corpus(list(counts.values())),
-                                _degrees(g), succ, term_ids))
+                                _degrees(g), succ, term_ids, pieces))
     return out
 
 
@@ -210,7 +209,7 @@ def build_adjacency(g: ReasoningGraph, target: str | Counter[str],
     """Weight every connected node pair at once (see _PairWeights) with
     the index's vectors; "src dst" joined is counted as the sum of the two
     nodes' counts, since no token spans the joining space."""
-    counts = node_counts(g)
+    counts = DescriptionTerms().node_counts(g)
     target_vec = index.vectorize(target)
 
     def vector_cosine(src: str, dst: str | None) -> float:
@@ -464,10 +463,9 @@ def _reserve(counted: CountedGraph, nodes: dict[str, None],
             if act.id in actions:
                 pruned.add_action(act)
         pruned.validate()
-        description = describe_graph(pruned)
+        description, counts = counted.pieces.describe(pruned)
         reserved = counted.subgraphs[key] = ReservedGraph(
-            pruned, g.ir_id, description,
-            counted.term_ids.doc_terms(term_counts(description)))
+            pruned, g.ir_id, description, counted.term_ids.doc_terms(counts))
     return reserved
 
 
@@ -544,15 +542,15 @@ class Target:
     per report for all its runs flattens, tokenizes and serializes each
     report once.
 
-    `rows`, when not None, keeps this target's walk probabilities per graph
-    id (EdgeProbabilities), with their pick tables, so a run under another
-    seed reuses the rows and tables earlier runs filled. A Target made with
-    `rows=None` keeps none past each prune.
+    `rows` keeps this target's walk probabilities per graph id
+    (EdgeProbabilities), with their pick tables, so a run under another
+    seed reuses the rows and tables earlier runs filled. All of it goes
+    with the Target, which a stage drops once no run needs it.
     """
 
     ir: CanonicalIR
     toolkit: ToolKit | None = None
-    rows: dict[str, EdgeProbabilities] | None = None
+    rows: dict[str, EdgeProbabilities] = field(default_factory=dict)
 
     @property
     def id(self) -> str:
@@ -582,8 +580,6 @@ class Target:
     def probabilities(self, counted: CountedGraph) -> EdgeProbabilities:
         """This target's walk probabilities over a counted graph; the kept
         ones when `rows` holds them for this very graph."""
-        if self.rows is None:
-            return target_probabilities(counted, self.counts)
         probs = self.rows.get(counted.graph.ir_id)
         if probs is None or probs.counted is not counted:
             probs = self.rows[counted.graph.ir_id] = target_probabilities(
@@ -613,8 +609,8 @@ def retrieve_relevant(graphs, target: CanonicalIR | Target, theta_sim: float,
     without a toolkit; a caller repeating a target under other seeds
     passes the same Target each time, so it is flattened and counted
     once. Walk probabilities fill only the source rows that a draw among
-    several options, or a closure among several terminators, reads; a
-    Target that keeps rows (Target.rows) hands the rows and pick tables
+    several options, or a closure among several terminators, reads; the
+    Target keeps them (Target.rows) and hands the rows and pick tables
     filled so far to the next call.
     """
     graphs = count_graphs(graphs)

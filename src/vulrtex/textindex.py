@@ -9,8 +9,8 @@ Term counts are the unit of work. A text is tokenized once, by `term_counts`,
 and its Counter then stands in for the text everywhere a document is taken:
 `build_index`, `TfIdfIndex.vectorize` and `similarity` accept either. The
 counts of two texts joined by whitespace are the sum of their counts (no
-token spans whitespace), so joined texts need no re-tokenizing. A vector
-computes its norm once. Two scoring shapes skip the index altogether and
+token spans whitespace), so joined texts, descriptions among them
+(graph.DescriptionTerms), need no re-tokenizing. Two scoring shapes skip the index altogether and
 give its floats bit for bit:
 
 - a fixed corpus scored against many one-document queries tables its idf

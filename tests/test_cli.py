@@ -397,6 +397,16 @@ class TestIdentify:
                           "--seed", "99", "--out", str(env.root / "p.jsonl"))
         assert "refusing to mix" in result.output
 
+    def test_database_without_config_hash_is_refused(self, env):
+        db = prepared_db(env)
+        manifest = json.loads((db / "manifest.json").read_text())
+        del manifest["config_hash"]
+        (db / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        result = run_fail(env, "identify", "-c", env.config, "--db", str(db),
+                          "--out", str(env.root / "p.jsonl"))
+        assert f"reasoning database manifest {db / 'manifest.json'}" in result.output
+        assert "was built with no config hash" in result.output
+
     def test_target_with_untabled_tag_names_file_and_line(self, env):
         db = prepared_db(env)
         targets = db / "targets.jsonl"
@@ -469,6 +479,20 @@ class TestEvaluate:
                           "--report", str(env.root / "report.json"),
                           "--curve", str(env.root / "curve.csv"))
         assert "refusing to mix" in result.output
+
+    @pytest.mark.parametrize("header", [None, {"kind": "predictions", "runs": 1}])
+    def test_predictions_without_config_hash_refused(self, env, header):
+        """A file with no header record, or a header without a config hash,
+        is refused under any config, with the file named."""
+        preds, truth = self.finished_run(env)
+        write_jsonl(preds, ([header] if header else []) + prediction_rows(preds))
+        result = run_fail(env, "evaluate", "-c", env.config, "--theta-out", "0.9",
+                          "--preds", str(preds), "--truth", str(truth),
+                          "--report", str(env.root / "report.json"),
+                          "--curve", str(env.root / "curve.csv"))
+        assert (f"{preds}: no header record" if header is None else
+                f"predictions file {preds} was built with no config hash") in result.output
+        assert not (env.root / "report.json").exists()
 
     def test_missing_truth_record_is_an_error(self, env):
         preds, truth = self.finished_run(env)

@@ -243,10 +243,11 @@ class TestConfigHash:
 
 
 class TestArtifactHash:
-    def test_matching_and_absent_pass(self):
+    def test_matching_passes_and_absent_refused(self):
         cfg = PipelineConfig()
         check_artifact_hash(config_hash(cfg), cfg, "db")
-        check_artifact_hash(None, cfg, "db")
+        with pytest.raises(ConfigError, match="db was built with no config hash"):
+            check_artifact_hash(None, cfg, "db")
 
     def test_mismatch_refused(self):
         cfg = PipelineConfig()

@@ -13,6 +13,7 @@ from vulrtex.graph import (
     SCR_ANALYZER,
     VUL,
     Action,
+    DescriptionTerms,
     GraphStore,
     Observation,
     Path,
@@ -23,6 +24,7 @@ from vulrtex.graph import (
     graph_filename,
     maximal_paths,
 )
+from vulrtex.textindex import term_counts
 
 from fixturelib import build_fig_graph, random_dag, terminated_dag
 from oracles import oracle_maximal_paths, oracle_terminated_paths
@@ -181,6 +183,54 @@ def test_describe_graph_joins_paths_with_newlines():
     lines = describe_graph(g).split("\n")
     assert len(lines) == 4
     assert lines[0] == describe_path(extract_terminated_paths(g)[0])
+
+
+# Node texts built to break a description cut into pieces: hyphens at either
+# end, the description's own joins inside a text, and characters whose
+# lowercase is longer (U+0130), ASCII (the Kelvin sign) or context-dependent
+# (capital sigma).
+_hostile_texts = st.lists(
+    st.sampled_from(["xss", "Payload", "O2.1", "the", "x-y", "-", "--", "a-", "-b", "42",
+                     "; ", ": ", " (", ")", " ", "\n", "\u0130", "\u212a", "\u03a3",
+                     "A\u03a3", "\u03c3", "\u0130nput"]),
+    max_size=10).map("".join)
+
+
+def _hostile_dag(seed: int, texts: list[str]) -> ReasoningGraph:
+    g = random_dag(random.Random(seed))
+    for obs, text in zip(g.nodes.values(), texts):
+        obs.text = text
+    return g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(_hostile_texts, min_size=15, max_size=15))
+def test_tabled_path_counts_equal_description_counts(seed, texts):
+    g = _hostile_dag(seed, texts)
+    terms = DescriptionTerms()
+    paths = extract_terminated_paths(g) + [Path((g.nodes["O1"],), ())]
+    for p in paths + paths:  # the second round reads only tabled pieces
+        assert list(terms.counts(p).items()) == list(term_counts(describe_path(p)).items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                          st.lists(_hostile_texts, min_size=15, max_size=15)),
+                min_size=1, max_size=3),
+       _hostile_texts)
+def test_tabled_graph_description_equals_describe_graph(cases, root_text):
+    """One table serves several graphs, each twice: the text is
+    describe_graph's and the counts its term_counts, key order included."""
+    decided_root = ReasoningGraph("root-only")
+    decided_root.add_observation(Observation("O1", root_text, verdict=VUL))
+    graphs = [_hostile_dag(seed, texts) for seed, texts in cases] + [decided_root]
+    terms = DescriptionTerms()
+    for g in graphs + graphs:
+        text, counts = terms.describe(g)
+        assert text == describe_graph(g)
+        assert list(counts.items()) == list(term_counts(text).items())
+        assert {nid: list(c.items()) for nid, c in terms.node_counts(g).items()} == \
+            {nid: list(term_counts(obs.text).items()) for nid, obs in g.nodes.items()}
 
 
 def test_validate_rejects_decided_non_terminal():

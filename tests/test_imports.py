@@ -49,3 +49,33 @@ def test_the_guard_sees_an_unused_import_and_a_used_one():
                      "import os.path\nfrom json import dumps, loads as ld\n"
                      "def f(x: dumps) -> None:\n    return os.sep\n")
     assert {name for name in _imported(tree) if name not in _used(tree)} == {"ld"}
+
+
+def _reads_hop_template(tree: ast.Module) -> list[int]:
+    """The lines where the module imports or reads graph.HOP_TEMPLATE."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for alias in node.names if alias.name == "HOP_TEMPLATE"]
+        elif ((isinstance(node, ast.Name) and node.id == "HOP_TEMPLATE")
+              or (isinstance(node, ast.Attribute) and node.attr == "HOP_TEMPLATE")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_graph_reads_the_hop_template():
+    """The description layout lives in graph.py alone: it writes
+    descriptions (describe_path) and counts their terms (DescriptionTerms),
+    so no other module can keep a copy of the layout that drifts."""
+    readers = []
+    for path in sorted(Path(vulrtex.__file__).parent.glob("*.py")):
+        if path.name != "graph.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers += [f"{path.name}:{line}" for line in _reads_hop_template(tree)]
+    assert readers == []
+
+
+def test_the_hop_template_guard_sees_an_import_and_a_read():
+    tree = ast.parse("from .graph import HOP_TEMPLATE as T\nfrom . import graph\n"
+                     "x = graph.HOP_TEMPLATE.format(src=1)\n")
+    assert _reads_hop_template(tree) == [1, 3]

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import weakref
 from bisect import bisect_right
 from collections import Counter
@@ -18,7 +19,7 @@ from oracles import (
     oracle_edge_probabilities,
     oracle_similarity,
 )
-from vulrtex import cli, retrieval
+from vulrtex import cli, retrieval, textindex
 from vulrtex.config import load_config
 from vulrtex.corpus import CanonicalIR, load_corpus
 from vulrtex.errors import EmptyDatabase, IsolatedNonTerminal
@@ -597,6 +598,42 @@ def test_stage_wide_work_done_once_per_stage(tmp_path, monkeypatch):
     cli.stage_identify(cfg, tmp_path / "preds.jsonl")
     [table] = tables
     assert list(table.idf_tables) == [n_graphs + 1]
+
+
+def test_stage_tokenizes_no_description_and_each_node_text_once(tmp_path, monkeypatch):
+    """Over three runs, stage_identify counts every pruned description from
+    its tabled pieces, so no description reaches the tokenizer, and it
+    tokenizes each node text of the stored graphs at most once."""
+    cfg = _branching_identify_config(tmp_path)
+    graphs = GraphStore(tmp_path / "db").load_all()
+    node_texts = {obs.text for g in graphs for obs in g.nodes.values()}
+    tokenized = Counter()
+    tokenize = textindex.tokenize
+
+    def counting_tokenize(text):
+        tokenized[text] += 1
+        return tokenize(text)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("vulrtex") and \
+                getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    descriptions = set()
+    prune = retrieval.random_walk_prune
+
+    def recording_prune(*args, **kwargs):
+        reserved = prune(*args, **kwargs)
+        descriptions.add(reserved.description)
+        return reserved
+
+    monkeypatch.setattr(retrieval, "random_walk_prune", recording_prune)
+    cli.stage_identify(cfg, tmp_path / "preds.jsonl")
+    # a graph of a decided root alone is described by the root's text
+    with_hops = descriptions - node_texts
+    assert any("\n" in d for d in with_hops)
+    assert not with_hops & tokenized.keys()
+    assert node_texts & tokenized.keys()
+    assert max(tokenized[text] for text in node_texts) == 1
 
 
 def test_invalid_theta_rejected():
