@@ -321,16 +321,20 @@ class StubBackend:
                     raise LogprobsUnavailable(f"stub rule {rule.pattern!r} has no logprobs")
                 first = dict(rule.first_token_logprobs)
                 if self.jitter > 0.0:
-                    first = {t: lp + self._jitter_for(req.seed, prompt, t)
+                    encoded = prompt.encode("utf-8")
+                    first = {t: lp + self._jitter_for(req.seed, encoded, t)
                              for t, lp in first.items()}
                 logprobs = [first]
             return LlmResponse(text=text, top_token_logprobs=logprobs, backend=self.name)
         raise BackendRejected("no stub rule matches the prompt")
 
-    def _jitter_for(self, seed: int | None, prompt: str, token: str) -> float:
-        basis = f"{seed}\x00{token}\x00{prompt}".encode("utf-8")
-        # crc32 -> uniform in [-jitter, +jitter], stable across runs/platforms
-        u = zlib.crc32(basis) / 0xFFFFFFFF
+    def _jitter_for(self, seed: int | None, prompt: bytes, token: str) -> float:
+        """Uniform in [-jitter, +jitter] from the crc32 of the UTF-8 bytes of
+        f"{seed}\\x00{token}\\x00{prompt}", stable across runs and platforms.
+        The prompt comes encoded, once per request, and the crc runs on from
+        that of the prefix, which is the crc of the joined bytes."""
+        prefix = zlib.crc32(f"{seed}\x00{token}\x00".encode("utf-8"))
+        u = zlib.crc32(prompt, prefix) / 0xFFFFFFFF
         return (2.0 * u - 1.0) * self.jitter
 
 

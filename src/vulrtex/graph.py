@@ -18,6 +18,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
+from string import Formatter
 
 from .errors import CycleIntroduced, DanglingEndpoint, DuplicateId
 from .jsonl import dumps_sorted, typed
@@ -44,6 +45,32 @@ HOP_TEMPLATE = (
     "from the observation {src}, we ask LLM to take the action {action}, "
     "and the next operation is {dst}"
 )
+
+
+def _hop_literal_tokens(template: str) -> tuple[list[str], list[str], list[str], list[str]]:
+    """The tokens of the template's literal runs before {src}, {action} and
+    {dst}, which must come in that order, and after {dst}.
+
+    Each placeholder must sit between a space and a "," or the template's
+    end. Neither character can join a token, so a hop's tokens are these
+    runs' tokens with its ids' tokens spliced in between."""
+    parts = list(Formatter().parse(template))
+    if parts[-1][1] is not None:  # the template ends with a field
+        parts.append(("", None, None, None))
+    fields = [(name, spec, conversion) for _, name, spec, conversion in parts[:-1]]
+    if fields != [("src", "", None), ("action", "", None), ("dst", "", None)]:
+        raise AssertionError(f"hop template fields must be {{src}}, {{action}}, {{dst}}: "
+                             f"{template!r}")
+    literals = [literal for literal, _, _, _ in parts]
+    before = [literal[-1:] for literal in literals[:-1]]
+    after = [literal[:1] for literal in literals[1:]]
+    if before != [" "] * 3 or after[:2] != [","] * 2 or after[2] not in (",", ""):
+        raise AssertionError(f"each hop template field must sit between a space and a "
+                             f"\",\" or the end: {template!r}")
+    return tuple(map(tokenize, literals))
+
+
+_HOP_TOKENS = _hop_literal_tokens(HOP_TEMPLATE)
 
 
 @dataclass
@@ -301,12 +328,22 @@ def describe_graph(g: ReasoningGraph) -> str:
 class DescriptionTerms(dict[str | tuple[str, str, str], list[str]]):
     """Term counts of descriptions and node texts from token lists tabled by
     piece (a hop by its ids, else the text, so a corrected text is a new
-    key), each tokenized once. The joins of describe_path ("; ", ": ", " (",
-    ")") and describe_graph ("\\n") hold no token character, so a
-    description's counts are its pieces' tokens in order, key order too."""
+    key), each text tokenized once. A hop's tokens are built, not
+    tokenized: HOP_TEMPLATE's literal runs, tokenized at import, with the
+    tabled tokens of its three ids spliced in. The joins of describe_path
+    ("; ", ": ", " (", ")") and describe_graph ("\\n") hold no token
+    character, so a description's counts are its pieces' tokens in order,
+    key order too."""
 
     def __missing__(self, piece: str | tuple[str, str, str]) -> list[str]:
-        tokens = self[piece] = tokenize(piece if isinstance(piece, str) else _hop(*piece))
+        if isinstance(piece, str):
+            tokens = tokenize(piece)
+        else:
+            src, action, dst = piece
+            first, after_src, after_action, after_dst = _HOP_TOKENS
+            tokens = (first + self[src] + after_src + self[action]
+                      + after_action + self[dst] + after_dst)
+        self[piece] = tokens
         return tokens
 
     def _path_tokens(self, p: Path) -> list[str]:

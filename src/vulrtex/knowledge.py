@@ -7,13 +7,17 @@ threshold: only records scoring above theta_sim come back.
 A lookup costs what the query's terms reach, not what the store holds. The
 store tables, once, each record's weights for any query
 (textindex.CorpusIdf.table) and postings: term -> each record holding it,
-with its weight when the query holds the term too. A query then scores only
-the records that share a term with it; any other record has a zero dot, so
-its similarity is exactly 0.0. A record's norm depends on the query only
-through which of the record's terms it holds, so it is computed
-(textindex.CorpusQuery.doc_norm) once per such set and reused by every later
-query holding that set. Every float equals that of an index built over the
-records plus the query, since both sum the same products with `math.fsum`.
+with its weight when the query holds the term too. A lookup is one pass
+over the query's term counts, with no query vector built: each term's
+weight is squared for the query's norm, and its product with each weight
+in the term's postings joins that record's dot. So only the records that
+share a term with the query are scored; any other record has a zero dot,
+so its similarity is exactly 0.0. A record's norm depends on the query
+only through which of the record's terms it holds, so it is computed
+(_doc_norm) once per such set and reused by every later query holding that
+set. Every float equals that of an index built over the records plus the
+query, since both sum the same products with `math.fsum`, which does not
+depend on their order.
 """
 
 from __future__ import annotations
@@ -115,30 +119,41 @@ class KnowledgeStore:
         postings of the query's stored terms are scored; the rest share no
         term, so their dot and similarity are exactly 0.0.
         """
-        query = self.idf.query(term_counts(text) if isinstance(text, str) else text)
-        scores = [0.0] * len(self.records)
-        if query.norm == 0.0:
-            return scores
+        counts = term_counts(text) if isinstance(text, str) else text
+        shared, query_only = self.idf.shared, self.idf.query_only
         postings, tables, norms = self._lookup
+        squares = []
         products: dict[int, list[float]] = {}
         masks: dict[int, int] = {}
-        for term in query.weights.keys() & postings.keys():
-            q = query.weights[term]
-            for i, s, bit in postings[term]:
+        for term, count in counts.items():
+            w = count * shared.get(term, query_only)
+            squares.append(w * w)
+            for i, ws, bit in postings.get(term, ()):
                 dots = products.get(i)
                 if dots is None:
-                    products[i] = [q * s]
+                    products[i] = [w * ws]
                     masks[i] = bit
                 else:
-                    dots.append(q * s)
+                    dots.append(w * ws)
                     masks[i] |= bit
+        scores = [0.0] * len(self.records)
+        query_norm = math.sqrt(math.fsum(squares))
+        if query_norm == 0.0:
+            return scores
         for i, dots in products.items():
             mask, memo = masks[i], norms[i]
             norm = memo.get(mask)
             if norm is None:
-                norm = memo[mask] = query.doc_norm(tables[i])
-            scores[i] = min(1.0, math.fsum(dots) / (query.norm * norm))
+                norm = memo[mask] = _doc_norm(tables[i], counts)
+            scores[i] = min(1.0, math.fsum(dots) / (query_norm * norm))
         return scores
+
+
+def _doc_norm(table: TermTable, query: Counter[str]) -> float:
+    """The norm of a tabled record under the idf of a query with these term
+    counts: w_shared ** 2 for the terms the query holds, w_absent ** 2 for
+    the rest."""
+    return math.sqrt(math.fsum([ws2 if t in query else wa2 for t, wa2, ws2, _ in table]))
 
 
 def ingest(records: list[KnowledgeRecord]) -> KnowledgeStore:

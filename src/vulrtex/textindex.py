@@ -320,16 +320,11 @@ class CorpusQuery:
     weights: dict[str, float]
     norm: float
 
-    def doc_norm(self, table: TermTable) -> float:
-        """The norm of a tabled text under this query's idf, taking
-        w_shared ** 2 where the query holds the term."""
-        weights = self.weights
-        return math.sqrt(math.fsum([ws2 if t in weights else wa2 for t, wa2, ws2, _ in table]))
-
     def cosine(self, table: TermTable) -> float:
         """similarity(build_index(corpus + [query]), query, text) of the
-        text `table` weighs, bit for bit: doc_norm's squares and the dot's
-        products are gathered in one pass over the table."""
+        text `table` weighs, bit for bit: the text's squares, w_shared ** 2
+        where the query holds the term and w_absent ** 2 elsewhere, and the
+        dot's products are gathered in one pass over the table."""
         if self.norm == 0.0:
             return 0.0
         get = self.weights.get

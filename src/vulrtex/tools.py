@@ -4,6 +4,14 @@ kind, and ToolKit.run_tool(element) runs it; AgentTerminator, the agent's
 third action, runs no tool. Each analyzer has a deterministic stub plus an
 HTTP variant; results are cached by tool and payload hash so repeated
 analysis never re-runs a backend.
+
+The screenshot stub reads its sidecar file as bytes and decodes them as
+UTF-8 once. Only a text holding "\r" has its newlines rewritten: "\r\n"
+and then a lone "\r" become "\n", which is what reading in text mode did.
+A sidecar that is not UTF-8 is unavailable, like a missing one. The disk
+cache (`cache_dir`) keeps each output as the UTF-8 bytes of exactly the
+text the analyzer returned, one <sha256 of tool and payload>.txt file per
+output, so a warm cache returns what a cold one did, "\r" included.
 """
 
 from __future__ import annotations
@@ -31,15 +39,25 @@ class StubScrAnalyzer:
     """Resolves a screenshot URL to a sidecar text file named by url hash."""
 
     def __init__(self, fixtures_dir: str | Path):
-        self.fixtures_dir = Path(fixtures_dir)
+        self.fixtures_dir = os.fspath(fixtures_dir)
 
     def analyze(self, payload: str) -> str:
-        """The sidecar's text, stripped; a sidecar that is missing or is not
-        a file raises ToolBackendUnavailable."""
+        """The sidecar's text with universal newlines, stripped; a sidecar
+        that is missing, is not a file or is not UTF-8 raises
+        ToolBackendUnavailable."""
+        path = os.path.join(self.fixtures_dir, sidecar_filename(payload))
         try:
-            text = (self.fixtures_dir / sidecar_filename(payload)).read_text(encoding="utf-8")
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
             raise ToolBackendUnavailable(f"no sidecar text for screenshot {payload}") from exc
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ToolBackendUnavailable(
+                f"sidecar {path} of screenshot {payload} is not UTF-8: {exc}") from exc
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         return text.strip()
 
 
@@ -116,7 +134,7 @@ class ToolKit:
         if self.cache_dir is not None:
             path = self.cache_dir / (key + ".txt")
             if path.is_file():
-                value = path.read_text(encoding="utf-8")
+                value = path.read_bytes().decode("utf-8")
                 self._memory[key] = value
                 return value
         return None
@@ -127,8 +145,8 @@ class ToolKit:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(value)
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(value.encode("utf-8"))
                 os.replace(tmp, self.cache_dir / (key + ".txt"))
             finally:
                 if os.path.exists(tmp):

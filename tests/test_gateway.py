@@ -8,6 +8,7 @@ import re
 import sys
 import urllib.error
 import urllib.request
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -87,6 +88,30 @@ def test_stub_jitter_deterministic_but_seed_sensitive():
     r8 = backend.complete(make_request("classify this", want_logprobs=True, seed=8))
     assert r7a.top_token_logprobs == r7b.top_token_logprobs
     assert r7a.top_token_logprobs != r8.top_token_logprobs
+
+
+_unicode = st.characters(blacklist_categories=("Cs",))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.none(), st.integers(-2**40, 2**40)),
+       st.text(_unicode, max_size=40),
+       st.dictionaries(st.text(_unicode, max_size=6), st.floats(-20.0, 0.0),
+                       min_size=1, max_size=5))
+def test_stub_jitter_is_the_crc_of_seed_token_and_prompt(seed, prompt, logprobs):
+    # the prompt is encoded once per request and its crc continued from the
+    # prefix's; each jitter must equal that of the whole string's bytes
+    jitter = 0.05
+    backend = StubBackend([StubRule(r".", "Yes", logprobs)], jitter=jitter)
+    req = make_request("x" + prompt, want_logprobs=True, seed=seed)
+    full = req.system_prompt + "\n" + req.user_prompt
+
+    def jittered(token, lp):
+        u = zlib.crc32(f"{seed}\x00{token}\x00{full}".encode("utf-8")) / 0xFFFFFFFF
+        return lp + (2.0 * u - 1.0) * jitter
+
+    got = backend.complete(req).top_token_logprobs
+    assert got == [{t: jittered(t, lp) for t, lp in logprobs.items()}]
 
 
 # Response templates are parsed once per rule; expanding the parsed template

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulrtex import graph
 from vulrtex.errors import CycleIntroduced, DanglingEndpoint, DuplicateId
 from vulrtex.graph import (
     AGENT_TERMINATOR,
@@ -24,7 +25,7 @@ from vulrtex.graph import (
     graph_filename,
     maximal_paths,
 )
-from vulrtex.textindex import term_counts
+from vulrtex.textindex import term_counts, tokenize
 
 from fixturelib import build_fig_graph, random_dag, terminated_dag
 from oracles import oracle_maximal_paths, oracle_terminated_paths
@@ -211,6 +212,45 @@ def test_tabled_path_counts_equal_description_counts(seed, texts):
     paths = extract_terminated_paths(g) + [Path((g.nodes["O1"],), ())]
     for p in paths + paths:  # the second round reads only tabled pieces
         assert list(terms.counts(p).items()) == list(term_counts(describe_path(p)).items())
+
+
+# Ids that try to join their tokens to the template's around them: hyphens and
+# commas at either end, digits, and capitals whose lowercase is ASCII (the
+# Kelvin sign) or longer (U+0130).
+_hostile_ids = st.lists(
+    st.sampled_from(["O", "A", "1", "2.1", "-", "a-", "-b", ",", " ", "x,y", "K", "\u212a",
+                     "\u0130", "\u03a3", "the", "from", "LLM", "{src}"]),
+    max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_hostile_ids, _hostile_ids, _hostile_ids), min_size=1, max_size=4))
+def test_hop_tokens_built_from_id_tokens_equal_the_hop_sentence_tokens(hops):
+    # one table for all hops, so later hops splice in ids tabled by earlier ones
+    terms = DescriptionTerms()
+    for hop in hops + hops:
+        assert terms[hop] == tokenize(graph._hop(*hop))
+
+
+@pytest.mark.parametrize("template", [
+    "from the observation {src}x, we take {action}, and then {dst}",  # glued after
+    "from the observation{src}, we take {action}, and then {dst}",    # glued before
+    "from the observation {src}, we take {action}, and then {dst}s",  # glued at the end
+    "from the observation {src}-{action}, and then {dst}",            # a hyphen between
+    "from the observation {src}, and then {dst}",                     # a field missing
+    "from {action}, the observation {src}, and then {dst}",           # fields reordered
+    "from the observation {src!r}, we take {action}, and then {dst}",  # a conversion
+])
+def test_hop_template_that_could_join_tokens_is_refused(template):
+    with pytest.raises(AssertionError, match="hop template"):
+        graph._hop_literal_tokens(template)
+
+
+def test_hop_template_literal_tokens():
+    assert graph._hop_literal_tokens(graph.HOP_TEMPLATE) == (
+        ["observation"], ["we", "ask", "llm", "take", "action"], ["next", "operation"], [])
+    assert graph._hop_literal_tokens("see {src}, do {action}, reach {dst}, done") == (
+        ["see"], ["do"], ["reach"], ["done"])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulrtex import knowledge
 from vulrtex.errors import DuplicateKey
 from vulrtex.knowledge import (
     KnowledgeRecord,
@@ -14,7 +15,7 @@ from vulrtex.knowledge import (
     retrieve_golden,
     save_store,
 )
-from vulrtex.textindex import STOPWORDS, CorpusQuery, build_index, similarity, term_counts
+from vulrtex.textindex import STOPWORDS, build_index, similarity, term_counts
 
 from oracles import oracle_similarity
 from test_textindex import texts
@@ -193,13 +194,13 @@ def test_records_sharing_no_term_are_never_scored(monkeypatch):
     # a fresh store: the module's fixture has normed records for other tests
     store = load_store(DATA / "va_store.jsonl")
     normed = []
-    doc_norm = CorpusQuery.doc_norm
+    doc_norm = knowledge._doc_norm
 
-    def counting(query, table):
+    def counting(table, query):
         normed.append(table)
-        return doc_norm(query, table)
+        return doc_norm(table, query)
 
-    monkeypatch.setattr(CorpusQuery, "doc_norm", counting)
+    monkeypatch.setattr(knowledge, "_doc_norm", counting)
     query = "stored xss payload unknownterm"
     got = store.similarities(query)
     terms = {"stored", "xss", "payload", "unknownterm"}
@@ -217,3 +218,26 @@ def test_records_sharing_no_term_are_never_scored(monkeypatch):
     normed.clear()
     assert store.similarities(query) == got
     assert normed == []
+
+
+def test_each_record_is_normed_once_per_set_of_held_terms(monkeypatch):
+    # across many lookups, a record is normed once for each set of its terms
+    # some query held, and never again
+    store = load_store(DATA / "va_store.jsonl")
+    record_of = {id(table): i for i, table in enumerate(store._lookup[1])}
+    normed = []
+    doc_norm = knowledge._doc_norm
+
+    def counting(table, query):
+        normed.append((record_of[id(table)], frozenset(t for t, *_ in table if t in query)))
+        return doc_norm(table, query)
+
+    monkeypatch.setattr(knowledge, "_doc_norm", counting)
+    queries = [" ".join(QUERY_WORDS[i:i + n]) for n in (1, 3, 5) for i in range(len(QUERY_WORDS))]
+    for query in queries + queries[::-1]:
+        store.similarities(query)
+        store.similarities(term_counts(query))
+    reached = {(i, frozenset(counts.keys() & term_counts(query).keys()))
+               for query in queries for i, counts in enumerate(store.record_counts)}
+    assert len(normed) == len(set(normed))
+    assert set(normed) == {pair for pair in reached if pair[1]}

@@ -329,6 +329,23 @@ def test_fig_script_deterministic(fig_setup):
     assert generate_reasoning_graph(ir, cfg) == generate_reasoning_graph(ir, cfg)
 
 
+def test_sidecar_that_is_not_utf8_gives_an_empty_analysis_and_a_warning(tmp_path):
+    scr_dir = tmp_path / "scr"
+    fx.write_fig_sidecars(scr_dir)
+    url = fx.FIG_SCR_PAYLOADS["[SCR2]"]
+    sidecar = scr_dir / sidecar_filename(url)
+    sidecar.write_bytes(b"\xff\xfealert box")
+    gateway, toolkit = make_env(fx.fig_reason_rules(), scr_dir)
+    g = generate_reasoning_graph(fx.fig_ir(), ReasonerConfig(llm=gateway, tools=toolkit))
+    assert g.nodes["O2.2"].text == "ScrAnalyzer([SCR2]): "
+    assert g.nodes["O2.1"].text == f"ScrAnalyzer([SCR1]): {fx.FIG_SCR_TEXTS['[SCR1]']}"
+    assert len(g.nodes) == 7
+    warned = [w for w in g.meta["warnings"] if "unavailable" in w]
+    assert len(warned) == 1
+    assert warned[0].startswith(f"O1: ScrAnalyzer([SCR2]) unavailable: sidecar {sidecar} "
+                                f"of screenshot {url} is not UTF-8: ")
+
+
 def test_verdict_at_root_gives_two_node_graph(tmp_path):
     ir = CanonicalIR(id="fixture/plain#1", title="no injection here",
                      content="text-only report without rich elements")

@@ -4,6 +4,8 @@ import urllib.request
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixturelib import answering
 from vulrtex.config import ToolSection
@@ -144,6 +146,46 @@ def test_sidecar_that_is_a_directory_expands_empty(tmp_path, caplog):
     assert kit.warnings[0] in caplog.text
 
 
+def test_sidecar_that_is_not_utf8_expands_empty_naming_its_file(tmp_path, caplog):
+    url = "https://img.test/latin1.png"
+    sidecar = tmp_path / "shots" / sidecar_filename(url)
+    sidecar.parent.mkdir()
+    sidecar.write_bytes(b"caf\xe9 login form")
+    kit = ToolKit(StubScrAnalyzer(tmp_path / "shots"), StubCodeAnalyzer())
+    ir = CanonicalIR("x#7", "t", "see [SCR1]",
+                     rich_text=[RichTextElement("SCR", "[SCR1]", url)])
+    with caplog.at_level("WARNING", logger="vulrtex.tools"):
+        assert kit.flatten_ir(ir) == "t\nsee [SCR1] ()"
+    assert len(kit.warnings) == 1
+    assert kit.warnings[0].startswith(f"x#7: [SCR1] output unavailable (sidecar {sidecar} "
+                                      f"of screenshot {url} is not UTF-8: ")
+    assert kit.warnings[0] in caplog.text
+    assert kit.backend_calls == 1
+
+
+# Sidecar texts that text mode would rewrite: CR, CRLF, a CRLF cut by
+# another CR, a BOM, non-ASCII and whitespace at either end.
+_sidecar_texts = st.lists(
+    st.sampled_from(["\r", "\n", "\r\n", "\r\r\n", "\ufeff", " ", "\t", "\x0b", "\x85",
+                     "\u2028", "shot", "caf\u00e9", "\U0001d11e", "x"]),
+    max_size=12).map("".join)
+
+
+@pytest.fixture(scope="module")
+def shots_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("shots")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sidecar_texts)
+def test_sidecar_read_equals_text_mode_read(shots_dir, text):
+    url = "https://img.test/prop.png"
+    sidecar = shots_dir / sidecar_filename(url)
+    sidecar.write_bytes(text.encode("utf-8"))
+    assert StubScrAnalyzer(shots_dir).analyze(url) == \
+        sidecar.read_text(encoding="utf-8").strip()
+
+
 def test_fixtures_dir_that_is_a_file_is_unavailable(tmp_path):
     (tmp_path / "shots").write_text("", encoding="utf-8")
     kit = ToolKit(StubScrAnalyzer(tmp_path / "shots"), StubCodeAnalyzer())
@@ -213,3 +255,22 @@ def test_flatten_expands_an_unavailable_http_element_empty(tmp_path, urlopen):
         assert kit.flatten_ir(ir) == "t\nsee [SCR1] ()"
     assert len(kit.warnings) == 1
     assert kit.warnings[0].startswith("x#5: [SCR1] output unavailable")
+
+
+class _FixedAnalyzer:
+    def __init__(self, text):
+        self.text = text
+
+    def analyze(self, payload):
+        return self.text
+
+
+@pytest.mark.parametrize("text", ["a\r\nb\rc", "\r", "line\r\n", "caf\u00e9 \u2028 \U0001d11e\r\n\u00e9",
+                                  "\ufeffbom\rtext"])
+def test_disk_cache_returns_what_the_analyzer_returned(tmp_path, text):
+    cache = tmp_path / "cache"
+    cold = ToolKit(_FixedAnalyzer(text), StubCodeAnalyzer(), cache_dir=cache)
+    assert cold.run_tool(SCR_ELEMENT) == text
+    warm = ToolKit(_FixedAnalyzer("other text"), StubCodeAnalyzer(), cache_dir=cache)
+    assert warm.run_tool(SCR_ELEMENT) == text
+    assert (cold.backend_calls, warm.backend_calls) == (1, 0)
